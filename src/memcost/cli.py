@@ -128,7 +128,6 @@ def cmd_threshold(args) -> int:
     noise = ce.NoiseLevel(args.sigma2)
     pop = _load_pop(args)
     report = ce.threshold_report(args.gamma, noise, pop)
-    rho_ols = ce.solve_rho_ols(args.gamma, noise)
     header = ["gamma", "sigma2", "eps_sigma2", "eps_sigma2_approx", "eps_ols2", "rho_ols"]
     row = [
         args.gamma,
@@ -136,7 +135,7 @@ def cmd_threshold(args) -> int:
         report.eps_sigma2,
         report.eps_sigma2_approx,
         report.eps_ols2,
-        rho_ols.rho,
+        report.rho_ols,
     ]
     if pop is not None:
         kappa = pop.kappa
@@ -262,16 +261,8 @@ def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab
     gap = ce.ols_gap(gamma, noise)
     if config.eps2 is not None:
         cost = ce.asymptotic_cost(gamma, noise, config.eps2).cost
-    elif config.rho == 0.0:
-        cost = 0.0
     else:
-        law = MPLaw(gamma)
-        s2 = noise.sigma2
-        from .spectra import mp_integrate
-
-        cost = config.rho**2 / gamma * mp_integrate(
-            law, lambda s: s2 * s2 * s / ((1.0 - config.rho * s) ** 2 * (s + s2))
-        )
+        cost = ce.cost_at_rho(gamma, noise, config.rho)
     return lab.AsymptoticTargets(train_ridge=train_ridge, cost=cost, ols_gap=gap)
 
 
@@ -332,7 +323,7 @@ def cmd_simulate(args) -> int:
 
 def _verify_checks(quick: bool, seed: int, perturb: bool):
     """Yield (name, margin, limit, passed) for the full identity/invariant suite."""
-    from .spectra import mp_integrate
+    from .spectra import mp_integrate, mp_shrinkage_integrals
 
     # quadrature moments of the limit law
     worst = 0.0
@@ -350,6 +341,20 @@ def _verify_checks(quick: bool, seed: int, perturb: bool):
             closed = mp_stieltjes_neg(law, s2)
             worst = max(worst, abs(quad - closed) / closed)
     yield ("resolvent-closed-form", worst, 1e-9, worst <= 1e-9)
+
+    worst = 0.0
+    for gamma in (1.5, 4.0):
+        law = MPLaw(gamma)
+        for s2 in (1e-2, 1.0):
+            for frac in (0.1, 0.5, 0.9):
+                rho = frac / law.lambda_plus
+                closed = mp_shrinkage_integrals(law, rho, s2)
+                for k, val in enumerate(closed):
+                    quad = mp_integrate(
+                        law, lambda s: s**k / ((1.0 - rho * s) ** 2 * (s + s2))
+                    )
+                    worst = max(worst, abs(quad - val) / val)
+    yield ("closed-form-vs-quadrature", worst, 1e-10, worst <= 1e-10)
 
     n, d = (100, 200) if quick else (200, 400)
     n_rho = 3 if quick else 10

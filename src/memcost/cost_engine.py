@@ -9,8 +9,10 @@ law H:
 
 train(0) is the memorization threshold; above it, the multiplier rho(eps2)
 solving train(rho) = eps2 determines the asymptotic cost of not fitting.
+Both integrals, and those of the rho_ols and rho_def equations, are
+evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``).
 All rho searches are bracketed in [0, (1 - 1e-8)/lambda_plus]: requests
-that would push rho past that cap fail loudly, because the constraint
+whose root lies at or past that cap fail loudly, because the constraint
 integral diverges at the upper spectral edge.
 
 Everything is exposed in eps^2 units (squared training error).
@@ -31,13 +33,7 @@ from .errors import (
     RegimeError,
 )
 from .numerics import Interval, ToleranceSpec, bisect
-from .spectra import (
-    MAX_NODE_COUNT,
-    MPLaw,
-    mp_integrate,
-    mp_integrate_edge,
-    mp_stieltjes_neg,
-)
+from .spectra import MPLaw, mp_integrate, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __all__ = [
     "NoiseLevel",
@@ -50,6 +46,7 @@ __all__ = [
     "memorization_threshold",
     "threshold_approx",
     "solve_rho",
+    "cost_at_rho",
     "asymptotic_cost",
     "cost_curve",
     "cost_linear_bound",
@@ -63,9 +60,6 @@ __all__ = [
 
 RHO_CAP_MARGIN = 1e-8
 _RHO_TOL = ToleranceSpec(abs_tol=1e-24, rel_tol=4e-16, max_iter=200)
-# Constraint values at or above this fraction of the capped-integral probe
-# are rejected so the root stays strictly inside the search bracket.
-_CAP_GUARD = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -128,6 +122,7 @@ class ThresholdReport:
     eps_sigma2: float
     eps_sigma2_approx: float
     eps_ols2: float
+    rho_ols: float
     eps_def2: Optional[float] = None
 
 
@@ -151,14 +146,25 @@ def _rho_cap(law: MPLaw) -> float:
     return (1.0 - RHO_CAP_MARGIN) / law.lambda_plus
 
 
-def _train_integral(law: MPLaw, sigma2: float, rho: float, *, fixed_nodes=None) -> float:
-    s4 = sigma2 * sigma2
-    return mp_integrate_edge(law, rho, lambda s: s4 / (s + sigma2), fixed_nodes=fixed_nodes)
+def _train(law: MPLaw, sigma2: float, rho: float) -> float:
+    """train(rho); at rho = 0 it equals memorization_threshold bit for bit."""
+    return sigma2**2 * mp_shrinkage_integrals(law, rho, sigma2)[0]
 
 
-def _cost_integral(law: MPLaw, sigma2: float, rho: float) -> float:
-    s4 = sigma2 * sigma2
-    return mp_integrate_edge(law, rho, lambda s: s4 * s / (s + sigma2))
+def _inverse_moment(law: MPLaw, a: float) -> float:
+    """int 1/(s (s + a)) dH = (1/(1 - 1/gamma) - int 1/(s + a) dH)/a, without cancellation.
+
+    With c = 1/gamma, A = 1 - c + a and D = A^2 + 4ac, the difference equals
+    4a/((1 - c)(A + sqrt D)(sqrt D + 1 - c - a)); subtracting the two terms
+    instead loses about -log10(a) digits as a -> 0.
+    """
+    c = 1.0 / law.gamma
+    big = 1.0 - c + a
+    root = math.sqrt(big * big + 4.0 * a * c)
+    b = 1.0 - c - a
+    # root + b = 4a / (root - b): use the form that adds terms of one sign
+    tail = root + b if b >= 0.0 else 4.0 * a / (root - b)
+    return 4.0 / ((1.0 - c) * (big + root) * tail)
 
 
 def memorization_threshold(gamma: float, noise: NoiseLevel) -> float:
@@ -199,39 +205,37 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     if eps2 <= memorization_threshold(gamma, noise):
         return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
 
+    def f(rho: float) -> float:
+        return _train(law, sigma2, rho) - eps2
+
     cap = _rho_cap(law)
-    cap_value = _train_integral(law, sigma2, cap, fixed_nodes=MAX_NODE_COUNT)
-    if eps2 >= _CAP_GUARD * cap_value:
+    if f(cap) <= 0.0:
         raise NearDivergenceError(
             f"eps2={eps2} requires rho within {RHO_CAP_MARGIN}/lambda_plus of the "
             "upper spectral edge, where the constraint integral diverges"
         )
-
-    def f(rho: float) -> float:
-        if rho == cap:
-            return cap_value - eps2
-        return _train_integral(law, sigma2, rho) - eps2
-
-    if f(0.0) >= 0.0:
-        # eps2 is within quadrature precision of the threshold
-        return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
     rho = bisect(f, Interval(0.0, cap), _RHO_TOL)
     return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps2)
+
+
+def cost_at_rho(gamma: float, noise: NoiseLevel, rho: float) -> float:
+    """Cost at a given multiplier: (rho^2/gamma) int sigma2^2 s/((1 - rho s)^2 (s + sigma2)) dH.
+
+    Zero at rho = 0.  Raises DomainError unless 0 <= rho < 1/lambda_plus.
+    """
+    law = MPLaw(gamma)
+    s2 = noise.sigma2
+    return rho * rho / gamma * s2 * s2 * mp_shrinkage_integrals(law, rho, s2)[1]
 
 
 def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
     """Asymptotic cost of not fitting at eps2, plus the interpolant-relative cost.
 
-    cost = (rho^2/gamma) * int sigma2^2 s /((1 - rho s)^2 (s + sigma2)) dH
-    with rho = rho(eps2), and 0 below the threshold;
+    cost = cost_at_rho(rho(eps2)), which is 0 below the threshold;
     costbar = cost - ols_gap(gamma, sigma2).
     """
     sol = solve_rho(gamma, noise, eps2)
-    if sol.regime is Regime.BELOW_THRESHOLD:
-        cost = 0.0
-    else:
-        law = MPLaw(gamma)
-        cost = sol.rho**2 / gamma * _cost_integral(law, noise.sigma2, sol.rho)
+    cost = cost_at_rho(gamma, noise, sol.rho)
     return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, noise))
 
 
@@ -291,30 +295,25 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     """Multiplier rho_ols at which the interpolant-relative cost changes sign.
 
     Solves rho^2 int s/((1 - rho s)^2 (s + sigma2)) dH =
-    int 1/(s (s + sigma2)) dH, which has a unique root in
-    (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.  The solution's
-    ``target_eps2`` carries the induced interpolation threshold.
+    int 1/(s (s + sigma2)) dH, both sides in closed form, which has a
+    unique root in (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.
+    The solution's ``target_eps2`` carries the induced interpolation
+    threshold.
     """
     law = MPLaw(gamma)
     s2 = noise.sigma2
-    rhs = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
+    rhs = _inverse_moment(law, s2)
+
+    def f(rho: float) -> float:
+        return rho * rho * mp_shrinkage_integrals(law, rho, s2)[1] - rhs
+
     cap = _rho_cap(law)
-    cap_value = cap * cap * mp_integrate_edge(
-        law, cap, lambda s: s / (s + s2), fixed_nodes=MAX_NODE_COUNT
-    )
-    if cap_value - rhs < 0.0:
+    if f(cap) < 0.0:
         raise NearDivergenceError(
             "interpolation multiplier would exceed the cap below the spectral edge"
         )
-
-    def f(rho: float) -> float:
-        if rho == cap:
-            return cap_value - rhs
-        lhs = rho * rho * mp_integrate_edge(law, rho, lambda s: s / (s + s2))
-        return lhs - rhs
-
     rho = bisect(f, Interval(0.0, cap), _RHO_TOL)
-    eps_ols2 = _train_integral(law, s2, rho)
+    eps_ols2 = _train(law, s2, rho)
     return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps_ols2)
 
 
@@ -351,25 +350,16 @@ def solve_rho_def(
     if rhs == 0.0:
         return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
     scale = kappa * s2 * s2
-    j0 = mp_integrate(law, lambda s: 1.0 / (s + ks2))
+    j0 = mp_stieltjes_neg(law, ks2)
+
+    def f(rho: float) -> float:
+        return scale * (mp_shrinkage_integrals(law, rho, ks2)[0] - j0) - rhs
+
     cap = _rho_cap(law)
-    cap_lhs = scale * (
-        mp_integrate_edge(law, cap, lambda s: 1.0 / (s + ks2), fixed_nodes=MAX_NODE_COUNT)
-        - j0
-    )
-    if rhs >= _CAP_GUARD * cap_lhs:
+    if f(cap) <= 0.0:
         raise NearDivergenceError(
             f"eps2={eps2} requires rho_def beyond the cap below the spectral edge"
         )
-
-    def f(rho: float) -> float:
-        if rho == cap:
-            return cap_lhs - rhs
-        j = mp_integrate_edge(law, rho, lambda s: 1.0 / (s + ks2))
-        return scale * (j - j0) - rhs
-
-    if f(0.0) >= 0.0:
-        return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
     rho = bisect(f, Interval(0.0, cap), _RHO_TOL)
     return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps2)
 
@@ -383,11 +373,7 @@ def anisotropic_cost_lower_bound(
     Only the lower bound is exposed: the exact anisotropic limit is not
     available, and reporting one would overstate what is known.
     """
-    sol = solve_rho_def(gamma, pop, noise, eps2)
-    if sol.rho == 0.0:
-        return 0.0
-    law = MPLaw(gamma)
-    return sol.rho**2 / gamma * _cost_integral(law, noise.sigma2, sol.rho)
+    return cost_at_rho(gamma, noise, solve_rho_def(gamma, pop, noise, eps2).rho)
 
 
 def threshold_report(
@@ -395,7 +381,8 @@ def threshold_report(
 ) -> ThresholdReport:
     """Assemble the threshold family, checking the expected ordering."""
     eps_sigma2 = memorization_threshold(gamma, noise)
-    eps_ols2 = ols_threshold(gamma, noise)
+    ols = solve_rho_ols(gamma, noise)
+    eps_ols2 = ols.target_eps2
     law = MPLaw(gamma)
     ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
     if not (eps_sigma2 < eps_ols2 <= ratio * eps_sigma2 * (1.0 + 1e-12)):
@@ -409,5 +396,6 @@ def threshold_report(
         eps_sigma2=eps_sigma2,
         eps_sigma2_approx=threshold_approx(gamma, noise),
         eps_ols2=eps_ols2,
+        rho_ols=ols.rho,
         eps_def2=eps_def2,
     )

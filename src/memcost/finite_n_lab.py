@@ -718,6 +718,11 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
             )
     else:
         rho = float(config.rho)
+        # for isotropic designs s is the spectrum of ZZ^T/d, whose top value caps rho
+        if isotropic and rho * s[0] >= 1.0:
+            raise RegimeError(
+                f"trial {trial}: requires rho * top_eig(ZZ^T)/d < 1, got {rho * s[0]}"
+            )
 
     if isotropic:
         if rho == 0.0:

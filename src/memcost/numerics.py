@@ -1,5 +1,5 @@
-"""Numerical kernel: bracketed bisection, Chebyshev-Gauss quadrature, dense
-symmetric eigendecomposition and thin SVD contracts.
+"""Numerical kernel: bracketed bisection and the dense symmetric eigenvalue
+contract.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -8,7 +8,6 @@ so all operations are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -17,13 +16,9 @@ from .errors import BracketError, ConvergenceError, DomainError
 
 __all__ = [
     "Interval",
-    "QuadratureRule",
     "ToleranceSpec",
     "bisect",
-    "chebyshev_gauss_rule",
-    "sym_eig",
     "sym_eigvals",
-    "svd_thin",
 ]
 
 
@@ -43,25 +38,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on (-1, 1), nodes strictly increasing."""
-
-    node_count: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise DomainError("node_count must be a positive integer")
-        if len(self.nodes) != self.node_count or len(self.weights) != self.node_count:
-            raise DomainError("nodes and weights must both have node_count entries")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise DomainError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise DomainError("weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,45 +120,6 @@ def bisect(f: Callable[[float], float], bracket: Interval, tol: ToleranceSpec) -
     )
 
 
-@lru_cache(maxsize=64)
-def _cheb_nodes_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
-    i = np.arange(1, k + 1, dtype=np.float64)
-    nodes = np.cos((2.0 * i - 1.0) * np.pi / (2.0 * k))[::-1].copy()
-    weights = np.full(k, np.pi / k)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def chebyshev_gauss_rule(k: int) -> QuadratureRule:
-    """Chebyshev-Gauss rule of the first kind with k nodes.
-
-    Nodes are cos((2i-1)pi/(2k)) (returned in increasing order) and every
-    weight equals pi/k.  The rule integrates g(x)/sqrt(1-x^2) exactly for
-    polynomial g of degree <= 2k-1; multiplying the integrand by (1-x^2)
-    ("weight transfer") turns it into a rule for the sqrt(1-x^2) weight,
-    which absorbs the inverse-square-root endpoint behavior of spectral
-    edge densities exactly.
-    """
-    if k < 1:
-        raise DomainError("chebyshev_gauss_rule requires k >= 1")
-    nodes, weights = _cheb_nodes_weights(int(k))
-    return QuadratureRule(node_count=int(k), nodes=nodes, weights=weights)
-
-
-def sym_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a dense symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenbasis as columns).
-    The input must be symmetric to within 1e-12 relative; asymmetric input
-    is a contract violation.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    _check_symmetric(M)
-    vals, vecs = np.linalg.eigh(M)
-    return vals, vecs
-
-
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a dense symmetric matrix, no vectors."""
     M = np.asarray(M, dtype=np.float64)
@@ -198,20 +135,3 @@ def _check_symmetric(M: np.ndarray) -> None:
         return
     if np.linalg.norm(M - M.T) > 1e-12 * scale:
         raise DomainError("matrix is not symmetric to within 1e-12 relative")
-
-
-def svd_thin(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition of a wide matrix (n <= d).
-
-    Returns (singular values descending, U with orthonormal columns,
-    V with orthonormal columns) such that M = U @ diag(s) @ V.T.  Rank
-    deficiency is reported through zero singular values, not an error.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise DomainError(f"expected a matrix, got ndim={M.ndim}")
-    n, d = M.shape
-    if n > d:
-        raise DomainError(f"svd_thin requires n <= d, got shape {M.shape}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return s, U, Vt.T

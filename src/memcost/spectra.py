@@ -1,13 +1,15 @@
-"""Isotropic Marchenko-Pastur limit law: support, spectral integrals,
-closed-form Stieltjes values, and empirical spectrum extraction.
+"""Isotropic Marchenko-Pastur limit law: support, closed-form resolvent
+integrals, the quadrature oracle, and empirical spectrum extraction.
 
 The law for aspect ratio gamma = d/n > 1 has density
 
     dH(s) = (gamma / 2 pi) * sqrt((lp - s)(s - lm)) / s   on [lm, lp],
 
 with edges lm = (1 - 1/sqrt(gamma))^2 and lp = (1 + 1/sqrt(gamma))^2.
-Integrals against H are evaluated analytically from gamma on demand; no
-densities are tabulated.
+Every integral the isotropic theory needs is a rational function of the
+Stieltjes transform of H and its derivative, so production values come in
+closed form (``mp_stieltjes_neg``, ``mp_shrinkage_integrals``);
+``mp_integrate`` is the independent quadrature that checks them.
 """
 
 from __future__ import annotations
@@ -15,31 +17,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError
-from .numerics import Interval, chebyshev_gauss_rule
+from .numerics import Interval
 
 __all__ = [
     "MPLaw",
     "EmpiricalSpectrum",
     "mp_support",
     "mp_integrate",
-    "mp_integrate_fixed",
-    "mp_integrate_edge",
     "mp_stieltjes_neg",
+    "mp_shrinkage_integrals",
     "mp_cdf",
     "esd_from_design",
     "bai_yin_check",
     "kolmogorov_distance",
-    "DEFAULT_NODE_COUNT",
-    "MAX_NODE_COUNT",
 ]
 
-DEFAULT_NODE_COUNT = 2048
-MAX_NODE_COUNT = 2**18
+_START_NODES = 2048
+_NODE_BUDGET = 2**18
 _ADAPTIVE_RTOL = 1e-11
 
 
@@ -95,41 +93,35 @@ def mp_support(gamma: float) -> Interval:
 
 
 @lru_cache(maxsize=16)
-def _cheb_transfer(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base nodes x_i, transfer factors (1 - x_i^2), and edge gaps (1 - x_i).
+def _cheb_transfer(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Gauss (first kind) nodes x_i, ascending, and transfer factors 1 - x_i^2.
 
-    The trigonometric identities 1 - cos(t)^2 = sin(t)^2 and
-    1 - cos(t) = 2 sin(t/2)^2 keep both factors fully accurate near the
-    upper endpoint, where direct subtraction would cancel.
+    The nodes are cos((2i - 1) pi / 2k) and every weight is pi/k.  The
+    identity 1 - cos(t)^2 = sin(t)^2 keeps the transfer factor fully
+    accurate near the endpoints, where direct subtraction would cancel.
     """
+    if k < 1:
+        raise DomainError(f"a Chebyshev-Gauss rule needs k >= 1 nodes, got {k}")
     i = np.arange(k, 0, -1, dtype=np.float64)  # descending angle = ascending node
     theta = (2.0 * i - 1.0) * np.pi / (2.0 * k)
     nodes = np.cos(theta)
     one_minus_x2 = np.sin(theta) ** 2
-    one_minus_x = 2.0 * np.sin(theta / 2.0) ** 2
-    for arr in (nodes, one_minus_x2, one_minus_x):
+    for arr in (nodes, one_minus_x2):
         arr.setflags(write=False)
-    return nodes, one_minus_x2, one_minus_x
+    return nodes, one_minus_x2
 
 
-def _transformed_rule(law: MPLaw, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes s_i in (lm, lp), weights W_i, and edge gaps lp - s_i.
+def _eval_on_rule(law: MPLaw, f, k: int) -> float:
+    """sum_i W_i f(s_i), the k-node rule for int f dH.
 
     Chebyshev-Gauss (first kind) under s = c + r x transfers the rule to the
-    sqrt((lp - s)(s - lm)) weight, so W_i = (gamma r^2 / 2k) (1 - x_i^2)/s_i;
-    sum_i W_i f(s_i) approximates int f dH.  The edge gaps carry full
-    relative precision for integrands peaked at the upper endpoint.
+    sqrt((lp - s)(s - lm)) weight, so W_i = (gamma r^2 / 2k) (1 - x_i^2)/s_i.
     """
-    x, one_minus_x2, one_minus_x = _cheb_transfer(k)
+    x, one_minus_x2 = _cheb_transfer(k)
     c = 0.5 * (law.lambda_plus + law.lambda_minus)
     r = 0.5 * (law.lambda_plus - law.lambda_minus)
     s = c + r * x
     w = (law.gamma * r * r / (2.0 * k)) * one_minus_x2 / s
-    return s, w, r * one_minus_x
-
-
-def _eval_on_rule(law: MPLaw, f, k: int) -> float:
-    s, w, _ = _transformed_rule(law, k)
     vals = np.asarray(f(s), dtype=np.float64)
     if vals.shape != s.shape:
         vals = np.broadcast_to(vals, s.shape)
@@ -140,64 +132,7 @@ def _eval_on_rule(law: MPLaw, f, k: int) -> float:
     return float(vals @ w)
 
 
-def mp_integrate_fixed(law: MPLaw, f, node_count: int = MAX_NODE_COUNT) -> float:
-    """Single fixed-size evaluation of int f dH, without the adaptive guarantee.
-
-    Intended for coarse probes of integrands right at the divergent edge of
-    the feasible multiplier range, where the adaptive budget cannot certify
-    1e-11 agreement but a bracket sign decision only needs a few digits.
-    """
-    return _eval_on_rule(law, f, int(node_count))
-
-
-def _eval_edge_on_rule(law: MPLaw, rho: float, g, k: int) -> float:
-    s, w, edge = _transformed_rule(law, k)
-    delta = 1.0 - rho * law.lambda_plus
-    den = delta + rho * edge  # equals 1 - rho s, stable when rho is near the cap
-    vals = np.asarray(g(s), dtype=np.float64) / den**2
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = s[bad][0]
-        raise DomainError(f"integrand is not finite at node s={node!r}")
-    return float(vals @ w)
-
-
-def mp_integrate_edge(
-    law: MPLaw,
-    rho: float,
-    g,
-    *,
-    start_nodes: int = DEFAULT_NODE_COUNT,
-    fixed_nodes: Optional[int] = None,
-) -> float:
-    """Integrate g(s) / (1 - rho s)^2 against the law, stably near the edge.
-
-    The shrinkage factor is evaluated as (1 - rho lp) + rho (lp - s) with the
-    edge gap carried at full relative precision, which removes the
-    cancellation that otherwise floors the accuracy when rho approaches the
-    reciprocal of the upper endpoint.  Requires 0 <= rho < 1/lp and smooth g;
-    adapts like mp_integrate unless ``fixed_nodes`` is given.
-    """
-    if rho < 0 or rho * law.lambda_plus >= 1.0:
-        raise DomainError(f"requires 0 <= rho < 1/lambda_plus, got rho={rho}")
-    if fixed_nodes is not None:
-        return _eval_edge_on_rule(law, rho, g, int(fixed_nodes))
-    k = int(start_nodes)
-    prev = _eval_edge_on_rule(law, rho, g, k)
-    while k < MAX_NODE_COUNT:
-        k *= 2
-        cur = _eval_edge_on_rule(law, rho, g, k)
-        if cur == prev or abs(cur - prev) <= _ADAPTIVE_RTOL * abs(cur):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"edge quadrature did not stabilize to {_ADAPTIVE_RTOL} relative "
-        f"within {MAX_NODE_COUNT} nodes",
-        last=prev,
-    )
-
-
-def mp_integrate(law: MPLaw, f, *, start_nodes: int = DEFAULT_NODE_COUNT) -> float:
+def mp_integrate(law: MPLaw, f, *, start_nodes: int = _START_NODES) -> float:
     """Integrate f against the law, with automatic node doubling.
 
     ``f`` must be finite and continuous on the support and accept an ndarray
@@ -207,7 +142,7 @@ def mp_integrate(law: MPLaw, f, *, start_nodes: int = DEFAULT_NODE_COUNT) -> flo
     """
     k = int(start_nodes)
     prev = _eval_on_rule(law, f, k)
-    while k < MAX_NODE_COUNT:
+    while k < _NODE_BUDGET:
         k *= 2
         cur = _eval_on_rule(law, f, k)
         if cur == prev or abs(cur - prev) <= _ADAPTIVE_RTOL * abs(cur):
@@ -215,7 +150,7 @@ def mp_integrate(law: MPLaw, f, *, start_nodes: int = DEFAULT_NODE_COUNT) -> flo
         prev = cur
     raise ConvergenceError(
         f"quadrature did not stabilize to {_ADAPTIVE_RTOL} relative "
-        f"within {MAX_NODE_COUNT} nodes",
+        f"within {_NODE_BUDGET} nodes",
         last=prev,
     )
 
@@ -236,6 +171,37 @@ def mp_stieltjes_neg(law: MPLaw, sigma2: float) -> float:
     return 2.0 / (math.sqrt(a * a + 4.0 * sigma2 / g) + a)
 
 
+def mp_shrinkage_integrals(law: MPLaw, rho: float, a: float) -> tuple[float, float]:
+    """Closed forms of int 1/((1 - rho s)^2 (s + a)) dH and int s/((1 - rho s)^2 (s + a)) dH.
+
+    With z = 1/rho and m(z) = int 1/(s - z) dH, partial fractions in z - s
+    give, for q = 1 + a rho,
+
+        first  = m'(z) / (rho q) + (m(-a) - m(z)) / q^2,
+        second = m'(z) / (rho^2 q) - a (m(-a) - m(z)) / q^2,
+
+    where, with c = 1/gamma and R = sqrt((z - lm)(z - lp)),
+    m(z) = -2/((z - 1 + c) + R) and m'(z) = -m (c m + 1)/R.  The edge gap
+    z - lp is taken as (1 - rho lp)/rho, so accuracy holds up as rho
+    approaches 1/lp, where both integrals diverge.  At rho = 0 the result
+    is exactly (m(-a), 1 - a m(-a)).  Requires 0 <= rho < 1/lp and a > 0.
+    """
+    lp, lm = law.lambda_plus, law.lambda_minus
+    if not (rho >= 0.0 and rho * lp < 1.0):
+        raise DomainError(f"requires 0 <= rho < 1/lambda_plus = {1.0 / lp!r}, got rho={rho!r}")
+    m_a = mp_stieltjes_neg(law, a)
+    if rho == 0.0:
+        return m_a, 1.0 - a * m_a
+    c = 1.0 / law.gamma
+    gap = (1.0 - rho * lp) / rho
+    root = math.sqrt((gap + (lp - lm)) * gap)
+    m = -2.0 / ((1.0 / rho - 1.0 + c) + root)
+    dm = -m * (c * m + 1.0) / root
+    q = 1.0 + a * rho
+    pole = (m_a - m) / (q * q)
+    return dm / (rho * q) + pole, dm / (rho * rho * q) - a * pole
+
+
 _CDF_NODE_COUNT = 20000
 
 
@@ -252,10 +218,10 @@ def mp_cdf(law: MPLaw, x: float) -> float:
         return 0.0
     if x >= lp:
         return 1.0
-    rule = chebyshev_gauss_rule(_CDF_NODE_COUNT)
+    nodes, _ = _cheb_transfer(_CDF_NODE_COUNT)
     c = 0.5 * (lm + x)
     r = 0.5 * (x - lm)
-    s = c + r * rule.nodes
+    s = c + r * nodes
     # density times the subinterval half-circle factor sqrt((s-lm)(x-s))
     g = (law.gamma / (2.0 * np.pi)) * np.sqrt(lp - s) * (s - lm) * np.sqrt(x - s) / s
     return float(np.clip((np.pi / _CDF_NODE_COUNT) * g.sum(), 0.0, 1.0))

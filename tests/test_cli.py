@@ -225,11 +225,40 @@ def test_simulate_requires_exactly_one_constraint(capsys):
     assert code == 2
 
 
+def test_simulate_infeasible_fixed_rho_is_typed_refusal(capsys):
+    # the design allows rho up to about 0.35; 1.0 must not produce a table
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "200", "--d", "400", "--sigma2", "0.1",
+        "--seed", "1", "--trials", "2", "--rho", "1.0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "Traceback" not in err
+
+
+def test_threshold_gamma_near_one_is_near_divergence_refusal(capsys):
+    # rho_ols lies beyond the cap: lhs(cap) is about 610 against rhs about 1e8
+    code, out, err = run_cli(capsys, "threshold", "--gamma", "1.0000001", "--sigma2", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "cap" in err
+
+
+def test_threshold_solves_rho_ols_once(capsys, monkeypatch):
+    calls = []
+    original = cli.ce.solve_rho_ols
+    monkeypatch.setattr(cli.ce, "solve_rho_ols", lambda *a: calls.append(a) or original(*a))
+    code, _, _ = run_cli(capsys, "threshold", "--gamma", "2", "--sigma2", "0.1")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0
     assert "[FAIL]" not in out
     assert out.count("[PASS]") >= 8
+    assert "[PASS] closed-form-vs-quadrature" in out
 
 
 def test_verify_perturbation_negative_control(capsys):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from memcost.cost_engine import (
+    RHO_CAP_MARGIN,
     BoundConstants,
     NoiseLevel,
     Regime,
     RhoSolution,
     anisotropic_cost_lower_bound,
     asymptotic_cost,
+    cost_at_rho,
     cost_curve,
     cost_linear_bound,
     memorization_threshold,
@@ -23,7 +25,7 @@ from memcost.cost_engine import (
 )
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
-from memcost.spectra import MPLaw, mp_integrate, mp_stieltjes_neg
+from memcost.spectra import MPLaw, mp_integrate, mp_shrinkage_integrals, mp_stieltjes_neg
 
 NOISE = NoiseLevel(0.1)
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
@@ -96,6 +98,59 @@ def test_solve_rho_near_divergence():
         solve_rho(2.0, NOISE, 1e6)
 
 
+def _train_at_cap(gamma, a):
+    law = MPLaw(gamma)
+    return mp_shrinkage_integrals(law, (1.0 - RHO_CAP_MARGIN) / law.lambda_plus, a)[0]
+
+
+def test_train_at_zero_is_the_threshold_bit_for_bit():
+    for gamma, s2 in GRID:
+        j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 0.0, s2)
+        assert s2**2 * j0 == memorization_threshold(gamma, NoiseLevel(s2))
+
+
+def test_solve_rho_near_divergence_boundary():
+    cap_value = NOISE.sigma2**2 * _train_at_cap(2.0, NOISE.sigma2)
+    with pytest.raises(NearDivergenceError):
+        solve_rho(2.0, NOISE, cap_value)
+    sol = solve_rho(2.0, NOISE, (1.0 - 1e-9) * cap_value)
+    cap = (1.0 - RHO_CAP_MARGIN) / MPLaw(2.0).lambda_plus
+    assert sol.regime is Regime.ABOVE_THRESHOLD and 0.99 * cap < sol.rho < cap
+    # this close to the edge one ulp of rho moves train(rho) by about 1e-8 relative
+    assert sol.residual <= 1e-7 * cap_value
+
+
+def test_solve_rho_def_near_divergence_boundary():
+    ks2 = TWO_ATOM.kappa * NOISE.sigma2
+    law = MPLaw(2.0)
+    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
+    scale = TWO_ATOM.kappa * NOISE.sigma2**2
+    cap_lhs = scale * (_train_at_cap(2.0, ks2) - mp_stieltjes_neg(law, ks2))
+    with pytest.raises(NearDivergenceError):
+        solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + cap_lhs)
+    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + (1.0 - 1e-6) * cap_lhs)
+    assert sol.regime is Regime.ABOVE_THRESHOLD
+    assert sol.rho < (1.0 - RHO_CAP_MARGIN) / law.lambda_plus
+
+
+def test_solve_rho_ols_near_divergence_boundary():
+    # at sigma2 = 0.1 the left-hand side at the cap is about 620, while the
+    # right-hand side grows like 1/(sigma2 (1 - 1/gamma)) as gamma -> 1+:
+    # about 980 at gamma = 1.01 (root past the cap), 480 at gamma = 1.02
+    for gamma in (1.0000001, 1.01):
+        with pytest.raises(NearDivergenceError):
+            solve_rho_ols(gamma, NOISE)
+    sol = solve_rho_ols(1.02, NOISE)
+    lp = MPLaw(1.02).lambda_plus
+    assert 1.0 / (2.0 * lp) < sol.rho < (1.0 - RHO_CAP_MARGIN) / lp
+
+
+def test_cost_at_rho_domain_and_zero():
+    assert cost_at_rho(2.0, NOISE, 0.0) == 0.0
+    with pytest.raises(DomainError):
+        cost_at_rho(2.0, NOISE, 1.0 / MPLaw(2.0).lambda_plus)
+
+
 def test_solve_rho_monotone_in_eps2():
     th = memorization_threshold(2.0, NOISE)
     rhos = [solve_rho(2.0, NOISE, float(e)).rho for e in np.linspace(0.5 * th, 6 * th, 25)]
@@ -148,6 +203,17 @@ def test_rho_ols_lower_bound_and_residual():
         assert sol.rho >= 1.0 / (2.0 * lp)
         assert sol.rho < 1.0 / lp
         assert sol.residual <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0, 10.0])
+@pytest.mark.parametrize("s2", [1e-12, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e4])
+def test_rho_ols_equation_by_quadrature(gamma, s2):
+    # both sides of the rho_ols equation re-evaluated by the quadrature oracle
+    law = MPLaw(gamma)
+    rho = solve_rho_ols(gamma, NoiseLevel(s2)).rho
+    lhs = rho * rho * mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + s2)))
+    rhs = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
+    assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
 def test_rho_ols_large_sigma2_stays_interior():

@@ -347,6 +347,23 @@ def test_trial_metrics_by_rho_and_by_eps2_agree_at_solution():
     assert m.train_ridge == m2.train_ridge
 
 
+def test_trial_metrics_refuses_infeasible_fixed_rho():
+    # just past, well past and far past each design's own feasibility cap
+    for seed in (1, 2, 3):
+        config = ExperimentConfig(n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=0.0)
+        rho_max = max_feasible_rho(sample_design(config, 0).Z)
+        for mult in (1.001, 1.5, 3.0):
+            infeasible = ExperimentConfig(
+                n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=mult * rho_max
+            )
+            with pytest.raises(RegimeError):
+                trial_metrics(infeasible, 0)
+        feasible = ExperimentConfig(
+            n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=0.999 * rho_max
+        )
+        assert np.isfinite(trial_metrics(feasible, 0).cost)
+
+
 def test_trial_metrics_anisotropic_path():
     config = ExperimentConfig(
         n=100, d=200, sigma2=0.1, seed=4, trials=1, population=TWO_ATOM, rho=0.2
@@ -403,11 +420,11 @@ def test_train_error_strictly_increasing_in_multiplier():
 
 
 def test_fixed_multiplier_train_error_approaches_limit():
-    from memcost.spectra import MPLaw, mp_integrate_edge
+    from memcost.spectra import MPLaw, mp_shrinkage_integrals
 
     rho, s2 = 0.2, 0.1
     config = ExperimentConfig(n=500, d=1000, sigma2=s2, seed=77, trials=1, rho=rho)
     design = sample_design(config, 0)
     _, train = error_growth_trace(design.X, design.sigma_sqrt, s2, rho)
-    limit = mp_integrate_edge(MPLaw(2.0), rho, lambda s: s2**2 / (s + s2))
+    limit = s2**2 * mp_shrinkage_integrals(MPLaw(2.0), rho, s2)[0]
     assert abs(train - limit) / limit <= 0.05

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from memcost.spectra import (
     kolmogorov_distance,
     mp_cdf,
     mp_integrate,
+    mp_shrinkage_integrals,
     mp_stieltjes_neg,
     mp_support,
 )
@@ -181,3 +183,84 @@ def test_empirical_spectrum_validation():
         EmpiricalSpectrum(values=np.array([2.0, -1.0]), n=2, d=4)
     with pytest.raises(DomainError):
         EmpiricalSpectrum(values=np.array([2.0, 1.0]), n=2, d=1)
+
+
+# closed-form resolvent integrals against the quadrature oracle and mpmath
+
+CAP_FRACTIONS = [1e-6, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6]
+
+
+def _cap(law):
+    return (1.0 - 1e-8) / law.lambda_plus
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("sigma2", [1e-3, 1e-2, 0.1, 1.0])
+def test_shrinkage_integrals_match_quadrature(gamma, sigma2):
+    law = MPLaw(gamma)
+    kappa_s2 = 4.0 * sigma2  # the rho_def integrals run at kappa sigma2
+    worst = 0.0
+    for frac in CAP_FRACTIONS:
+        rho = frac * _cap(law)
+        for a in (sigma2, kappa_s2):
+            j0, j1 = mp_shrinkage_integrals(law, rho, a)
+            q0 = mp_integrate(law, lambda s: 1.0 / ((1.0 - rho * s) ** 2 * (s + a)))
+            q1 = mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + a)))
+            worst = max(worst, abs(j0 - q0) / q0, abs(j1 - q1) / q1)
+            # rho_ols left-hand side rho^2 int s/((1 - rho s)^2 (s + sigma2)) dH
+            lhs = rho * rho * j1
+            worst = max(worst, abs(lhs - rho * rho * q1) / (rho * rho * q1))
+    assert worst <= 1e-10
+
+
+def _mp_shrinkage(gamma, rho, a, dps=30):
+    """30-digit tanh-sinh values of both integrals, split at the edge peak."""
+    with mp.workdps(dps):
+        g, rho, a = mp.mpf(gamma), mp.mpf(rho), mp.mpf(a)
+        lp, lm = (1 + 1 / mp.sqrt(g)) ** 2, (1 - 1 / mp.sqrt(g)) ** 2
+        c, r = (lp + lm) / 2, (lp - lm) / 2
+        width = mp.sqrt((1 - rho * lp) / (rho * r))
+        pts = [mp.mpf(0)] + [k * width for k in (1, 10, 100) if k * width < mp.pi] + [mp.pi]
+
+        def integral(power):
+            def h(t):
+                s = c + r * mp.cos(t)
+                return s**power / ((1 - rho * s) ** 2 * (s + a)) * mp.sin(t) ** 2 / s
+
+            return g * r * r / (2 * mp.pi) * mp.quad(h, pts, maxdegree=10)
+
+        return float(integral(0)), float(integral(1))
+
+
+@pytest.mark.parametrize("frac", [1e-6, 0.5, 0.999])
+@pytest.mark.parametrize("gamma,a", [(1.5, 1e-2), (4.0, 1.0), (10.0, 0.1)])
+def test_shrinkage_integrals_mpmath_spot_checks(frac, gamma, a):
+    law = MPLaw(gamma)
+    rho = frac * _cap(law)
+    got = mp_shrinkage_integrals(law, rho, a)
+    ref = _mp_shrinkage(gamma, rho, a)
+    for g, r in zip(got, ref):
+        assert abs(g - r) / r <= 1e-11
+
+
+def test_shrinkage_integrals_at_zero_are_exact():
+    law = MPLaw(2.0)
+    for a in (1e-3, 0.1, 4.0):
+        m = mp_stieltjes_neg(law, a)
+        assert mp_shrinkage_integrals(law, 0.0, a) == (m, 1.0 - a * m)
+
+
+def test_shrinkage_integrals_continuous_at_zero():
+    law = MPLaw(2.0)
+    j0, j1 = mp_shrinkage_integrals(law, 0.0, 0.1)
+    k0, k1 = mp_shrinkage_integrals(law, 1e-12, 0.1)
+    assert abs(k0 - j0) <= 1e-10 * j0 and abs(k1 - j1) <= 1e-10 * j1
+
+
+def test_shrinkage_integrals_domain():
+    law = MPLaw(2.0)
+    for rho in (-1e-3, 1.0 / law.lambda_plus, 1.0, float("nan")):
+        with pytest.raises(DomainError):
+            mp_shrinkage_integrals(law, rho, 0.1)
+    with pytest.raises(DomainError):
+        mp_shrinkage_integrals(law, 0.1, 0.0)
