@@ -275,15 +275,15 @@ def cost_linear_bound(
 def ols_gap(gamma: float, noise: NoiseLevel) -> float:
     """Asymptotic prediction-error gap of the minimum-norm interpolant over ridge.
 
-    Two independent routes are evaluated and cross-checked: the quadrature
-    of (sigma2^2/gamma) / (s (s + sigma2)) against H, and the partial-
-    fraction form (sigma2/gamma) (1/(1 - 1/gamma) - int 1/(s+sigma2) dH).
-    The small-noise limit of gap/sigma2^2 is 1/(gamma (1 - 1/gamma)^3).
+    The gap is (sigma2^2/gamma) int 1/(s (s + sigma2)) dH.  The closed form
+    of the integral (``_inverse_moment``) is returned and cross-checked
+    against its quadrature.  The small-noise limit of gap/sigma2^2 is
+    1/(gamma (1 - 1/gamma)^3).
     """
     law = MPLaw(gamma)
     s2 = noise.sigma2
     quad = s2 * s2 / gamma * mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
-    closed = s2 / gamma * (1.0 / (1.0 - 1.0 / gamma) - mp_stieltjes_neg(law, s2))
+    closed = s2 * s2 / gamma * _inverse_moment(law, s2)
     if abs(quad - closed) > 1e-10 * max(abs(closed), 1e-300):
         raise ConsistencyError(
             f"interpolant-gap routes disagree: quadrature {quad!r} vs closed {closed!r}"

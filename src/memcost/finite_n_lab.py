@@ -3,8 +3,10 @@
 Samples wide random designs, builds the duality-optimal constrained linear
 estimator in closed form, and evaluates its exact conditional prediction and
 training errors two ways: directly from the Frobenius-norm definitions, and
-through trace identities driven by matrix decompositions.  The two routes
-agree to near machine precision conditional on the design, which is the
+through one spectral reduction of the design to n-vectors, after which every
+error at every multiplier is an O(n) sum.  The reduction is the production
+route; the direct route (d x d Cholesky-checked solves) is its oracle.  The
+two agree to near machine precision conditional on the design, which is the
 backbone of the verification suite; Monte Carlo response draws and
 convergence-to-asymptotics reports sit on top.
 
@@ -24,7 +26,6 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .deformed import PopulationSpectrum
 from .errors import (
@@ -35,13 +36,13 @@ from .errors import (
     RegimeError,
 )
 from .numerics import Interval, ToleranceSpec, bisect, sym_eigvals
+from .spectra import esd_from_design
 
 __all__ = [
     "EntryDist",
     "ExperimentConfig",
     "DesignSample",
     "EstimatorMatrix",
-    "ResponseSample",
     "ErrorReport",
     "IdentityCheckReport",
     "GrowthBoundsReport",
@@ -52,7 +53,6 @@ __all__ = [
     "trial_seed",
     "apportion_atoms",
     "sample_design",
-    "sample_response",
     "max_feasible_rho",
     "build_estimator",
     "pred_error_direct",
@@ -64,7 +64,6 @@ __all__ = [
     "monte_carlo_response_check",
     "growth_control_bounds_check",
     "evaluate_design",
-    "solve_rho_finite",
     "trial_metrics",
     "run_trials",
     "convergence_report",
@@ -124,10 +123,10 @@ class ExperimentConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if (self.rho is None) == (self.eps2 is None):
             raise DomainError("exactly one of rho / eps2 must be given")
-        if self.rho is not None and self.rho < 0:
-            raise DomainError("rho must be nonnegative")
-        if self.eps2 is not None and self.eps2 < 0:
-            raise DomainError("eps2 must be nonnegative")
+        for name in ("rho", "eps2"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < np.inf:
+                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
         object.__setattr__(self, "entry_dist", EntryDist(self.entry_dist))
 
     @property
@@ -150,26 +149,16 @@ class EstimatorMatrix:
 
     A: np.ndarray
     rho: float
-    feasible: bool = True
-
-
-@dataclass(frozen=True)
-class ResponseSample:
-    """One draw of (signal, noise, response) for a fixed design."""
-
-    theta: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
 class ErrorReport:
     """Exact conditional errors of one estimator, via both evaluation routes.
 
-    Construction enforces the algebraic identities: the trace route must
-    reproduce the direct training error, and the trace growth must match
-    the direct prediction-error difference from the ridge baseline, each
-    to 1e-9 relative.
+    Construction enforces the algebraic identities: the reduction route
+    (``*_trace`` fields) must reproduce the direct training error, and its
+    growth must match the direct prediction-error difference from the
+    ridge baseline, each to 1e-9 relative.
     """
 
     pred_direct: float
@@ -250,19 +239,9 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
     return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=Z * sigma_sqrt[None, :])
 
 
-def sample_response(X: np.ndarray, sigma2: float, rng: np.random.Generator) -> ResponseSample:
-    """Draw theta ~ N(0, I/d), w ~ N(0, sigma2 I), y = X theta + w."""
-    n, d = X.shape
-    theta = rng.standard_normal(d) / np.sqrt(d)
-    w = rng.standard_normal(n) * np.sqrt(sigma2)
-    return ResponseSample(theta=theta, w=w, y=X @ theta + w)
-
-
 def max_feasible_rho(Z: np.ndarray) -> float:
-    """Supremum of feasible multipliers: d / (top singular value of Z)^2."""
-    n, d = Z.shape
-    top = float(np.linalg.svd(Z, compute_uv=False)[0])
-    return d / top**2
+    """Supremum of feasible multipliers: 1 / top eigenvalue of ZZ^T/d."""
+    return 1.0 / float(esd_from_design(Z).values[0])
 
 
 def _constraint_matrix(X: np.ndarray, sigma_sqrt: np.ndarray, rho: float) -> np.ndarray:
@@ -272,18 +251,23 @@ def _constraint_matrix(X: np.ndarray, sigma_sqrt: np.ndarray, rho: float) -> np.
     return M
 
 
-def _spd_factor(M: np.ndarray, what: str, *, overwrite: bool = False):
-    # inputs are package-built finite matrices, so skip the finite scan
+def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """M^{-1} B for a symmetric M that a Cholesky factorization proves positive definite."""
     try:
-        return cho_factor(M, lower=True, check_finite=False, overwrite_a=overwrite)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise FeasibilityError(f"{what} is not positive definite") from exc
-    except Exception as exc:
-        raise FeasibilityError(f"{what} is not positive definite: {exc}") from exc
+    return np.linalg.solve(M, B)
 
 
-def _spd_solve(factor, B: np.ndarray) -> np.ndarray:
-    return cho_solve(factor, B, check_finite=False)
+def _check_rank(s: np.ndarray) -> None:
+    """Refuse a descending Gram spectrum whose smallest value is at rounding level of its top."""
+    n = len(s)
+    if s[-1] <= n * np.finfo(np.float64).eps * s[0]:
+        raise RankError(
+            f"design is numerically rank deficient: smallest eigenvalue of XX^T/d "
+            f"is {s[-1]:.3e} against a top eigenvalue of {s[0]:.3e}"
+        )
 
 
 def build_estimator(
@@ -311,25 +295,24 @@ def build_estimator(
             min_eigenvalue=min_eig,
         )
 
-    XtX = X.T @ X
-    K = XtX + (d * sigma2) * np.eye(d)
-    ridge_d = _spd_solve(_spd_factor(K, "d-side ridge Gram", overwrite=True), X.T)
+    K = X.T @ X + (d * sigma2) * np.eye(d)
+    ridge_d = _spd_solve(K, X.T, "d-side ridge Gram")
 
     Kn = X @ X.T + (d * sigma2) * np.eye(n)
-    ridge_n = _spd_solve(_spd_factor(Kn, "n-side ridge Gram", overwrite=True), X).T
+    ridge_n = _spd_solve(Kn, X, "n-side ridge Gram").T
 
     if rho == 0.0:
         A2, A1 = ridge_d, ridge_n
     else:
-        Mf = _spd_factor(M, "constraint matrix")
-        A2 = ridge_d - (rho * sigma2) * _spd_solve(Mf, ridge_d)
-        A1 = ridge_n - (rho * sigma2) * _spd_solve(Mf, ridge_n)
+        both = _spd_solve(M, np.hstack([ridge_d, ridge_n]), "constraint matrix")
+        A2 = ridge_d - (rho * sigma2) * both[:, :n]
+        A1 = ridge_n - (rho * sigma2) * both[:, n:]
     dev = np.linalg.norm(A1 - A2) / max(np.linalg.norm(A2), 1e-300)
     if dev > 1e-10:
         raise ConsistencyError(
             f"the two closed-form estimator routes disagree: {dev:.3e} relative"
         )
-    return EstimatorMatrix(A=A2, rho=float(rho), feasible=True)
+    return EstimatorMatrix(A=A2, rho=float(rho))
 
 
 def pred_error_direct(
@@ -354,58 +337,90 @@ def train_error_direct(A: np.ndarray, X: np.ndarray, sigma2: float) -> float:
     return fit + sigma2 * float(np.sum(XA**2)) / n
 
 
-def _thin_svd_checked(X: np.ndarray):
-    n, d = X.shape
-    U, lam, Vt = np.linalg.svd(X, full_matrices=False)
-    if lam[-1] <= 1e-8 * np.sqrt(d):
-        raise RankError(
-            f"design is numerically rank deficient: smallest singular value {lam[-1]:.3e}"
+@dataclass(frozen=True)
+class _Reduction:
+    """One design reduced to n-vectors, so every error at every multiplier is an O(n) sum.
+
+    With s the descending spectrum of ZZ^T/d and g_k = (1 - rho s_k)^-2,
+    the training error is sum_k a_k g_k and the prediction-error growth
+    over ridge is rho^2 sum_k b_k g_k.  ``gap`` is the prediction-error gap
+    of the minimum-norm interpolant over ridge.  The constraint matrix is
+    positive definite exactly for 0 <= rho < 1/s_0, for every population.
+    """
+
+    s: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    gap: float
+
+    def require_feasible(self, rho: float, context: str = "") -> None:
+        if not 0.0 <= rho * self.s[0] < 1.0:
+            raise RegimeError(
+                f"{context}requires 0 <= rho * top_eig(ZZ^T)/d < 1, got {rho * self.s[0]}"
+            )
+
+    def train(self, rho: float) -> float:
+        return float(np.sum(self.a / (1.0 - rho * self.s) ** 2))
+
+    def growth(self, rho: float) -> float:
+        return rho * rho * float(np.sum(self.b / (1.0 - rho * self.s) ** 2))
+
+
+def _reduce(Z: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float) -> _Reduction:
+    """The spectral reduction of the design X = Z diag(sigma_sqrt).
+
+    Isotropic designs need only s, from the Gram eigenvalues, and give
+    a = sigma2^2/(n(s + sigma2)), b = sigma2^2 s/(d(s + sigma2)).  Otherwise,
+    with thin SVDs X = U diag(lambda) V^T and Z = U_z diag(mu) V_z^T,
+    s' = lambda^2/d, S = diag(sigma_sqrt), P = V_z^T S^-1 V and Q = V_z^T S V:
+
+        a = (sigma2^2/n) s * ((Q o Q) 1/(s'(s' + sigma2)))
+        b = (sigma2^2/d) (P o P) (s'/(s' + sigma2))
+
+    because S^-1 V lies in the row space of Z.  In both cases
+    gap = (sigma2^2/d) sum_j T_j/(s'_j (s'_j + sigma2)) with T_j = v_j^T Sigma v_j,
+    a sum of positive terms that stays accurate as sigma2 -> 0.
+    """
+    n, d = Z.shape
+    scale = sigma2 * sigma2
+    if np.all(sigma_sqrt == 1.0):
+        s = esd_from_design(Z).values
+        _check_rank(s)
+        inv = 1.0 / (s + sigma2)
+        return _Reduction(
+            s=s,
+            a=(scale / n) * inv,
+            b=(scale / d) * s * inv,
+            gap=(scale / d) * float(np.sum(inv / s)),
         )
-    return U, lam, Vt.T
-
-
-def _growth_trace_from_svd(
-    X: np.ndarray,
-    sigma_sqrt: np.ndarray,
-    sigma2: float,
-    rho: float,
-    lam: np.ndarray,
-    V: np.ndarray,
-) -> tuple[float, float]:
-    n, d = X.shape
-    sig2vals = sigma_sqrt**2
-    ds2 = d * sigma2
-    if rho == 0.0:
-        CtSC = np.sum(sig2vals[:, None] * V**2, axis=0)
-        G2 = None
-    else:
-        Mf = _spd_factor(_constraint_matrix(X, sigma_sqrt, rho), "constraint matrix")
-        C = _spd_solve(Mf, V)
-        CtSC = np.sum(sig2vals[:, None] * C**2, axis=0)
-        B = sig2vals[:, None] * _spd_solve(Mf, X.T)
-        G2 = np.sum((B.T @ V) ** 2, axis=0)
-    delta_pred = (rho**2 * sigma2**2 / d) * float(
-        np.sum(lam**2 / (lam**2 + ds2) * CtSC)
+    _, mu, Vzt = np.linalg.svd(Z, full_matrices=False)
+    _, lam, Vt = np.linalg.svd(Z * sigma_sqrt, full_matrices=False)
+    s, sx = mu**2 / d, lam**2 / d
+    _check_rank(s)
+    _check_rank(sx)
+    P = (Vzt / sigma_sqrt) @ Vt.T
+    Q = (Vzt * sigma_sqrt) @ Vt.T
+    inv_moment = 1.0 / (sx * (sx + sigma2))
+    return _Reduction(
+        s=s,
+        a=(scale / n) * s * ((Q * Q) @ inv_moment),
+        b=(scale / d) * ((P * P) @ (sx / (sx + sigma2))),
+        gap=(scale / d) * float(np.sum((Vt**2 @ sigma_sqrt**2) * inv_moment)),
     )
-    if G2 is None:
-        # at rho = 0 the trace telescopes to the ridge training error
-        train = sigma2**2 * float(np.sum(1.0 / (lam**2 / d + sigma2))) / n
-    else:
-        train = (d * sigma2**2 / n) * float(np.sum(G2 / (lam**2 * (lam**2 + ds2))))
-    return delta_pred, train
 
 
 def error_growth_trace(
     X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, rho: float
 ) -> tuple[float, float]:
-    """Trace-identity route to (prediction-error growth over ridge, training error).
+    """Reduction route to (prediction-error growth over ridge, training error).
 
-    Evaluated through the thin SVD of X and SPD solves against the
-    constraint matrix; no explicit d x d inverse is formed.  Requires a
-    numerically full-row-rank design and a feasible rho.
+    Reduces the design once (see ``_reduce``) and sums over n-vectors; no
+    d x d matrix is formed.  Requires a numerically full-row-rank design
+    (else RankError) and 0 <= rho < 1/top_eig(ZZ^T/d) (else RegimeError).
     """
-    _, lam, V = _thin_svd_checked(X)
-    return _growth_trace_from_svd(X, sigma_sqrt, sigma2, rho, lam, V)
+    red = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2)
+    red.require_feasible(rho)
+    return red.growth(rho), red.train(rho)
 
 
 def lagrangian_gradient_residual(
@@ -445,31 +460,26 @@ def matrix_identity_checks(
     """
     n, d = X.shape
     XXt = X @ X.T
-    min_eig = float(np.linalg.eigvalsh(XXt)[0])
-    if min_eig <= (1e-8) ** 2 * d:
-        raise RankError(
-            f"design is numerically rank deficient: min eig of XX^T is {min_eig:.3e}"
-        )
+    _check_rank(np.linalg.eigvalsh(XXt)[::-1])
     if A is None:
         A = build_estimator(X, sigma_sqrt, sigma2, rho).A
     sig2vals = sigma_sqrt**2
     ds2 = d * sigma2
-    Mf = _spd_factor(_constraint_matrix(X, sigma_sqrt, rho), "constraint matrix")
+    M = _constraint_matrix(X, sigma_sqrt, rho)
+    Minv = _spd_solve(M, np.hstack([np.diag(sig2vals), X.T]), "constraint matrix")
     K = X.T @ X + ds2 * np.eye(d)
-    Kf = _spd_factor(K, "d-side ridge Gram", overwrite=True)
 
     lhs1 = A @ X
     lhs1[np.diag_indices_from(lhs1)] -= 1.0
-    MinvS = _spd_solve(Mf, np.diag(sig2vals))
-    rhs1 = -ds2 * _spd_solve(Kf, MinvS.T).T
+    rhs1 = -ds2 * _spd_solve(K, Minv[:, :d].T, "d-side ridge Gram").T
     dev1 = float(np.linalg.norm(lhs1 - rhs1) / np.linalg.norm(rhs1))
 
     lhs2 = X @ A
     lhs2[np.diag_indices_from(lhs2)] -= 1.0
-    XXtf = _spd_factor(XXt, "design Gram")
-    Knf = _spd_factor(XXt + ds2 * np.eye(n), "n-side ridge Gram", overwrite=True)
-    B = (_spd_solve(Mf, X.T) * sig2vals[:, None]).T @ X.T
-    rhs2 = -ds2 * _spd_solve(Knf, _spd_solve(XXtf, B.T)).T
+    B = (Minv[:, d:] * sig2vals[:, None]).T @ X.T
+    rhs2 = -ds2 * _spd_solve(
+        XXt + ds2 * np.eye(n), _spd_solve(XXt, B.T, "design Gram"), "n-side ridge Gram"
+    ).T
     dev2 = float(np.linalg.norm(lhs2 - rhs2) / np.linalg.norm(rhs2))
     return IdentityCheckReport(ax_minus_i_dev=dev1, xa_minus_i_dev=dev2)
 
@@ -479,26 +489,18 @@ def min_norm_interpolant_report(
 ) -> tuple[float, float]:
     """Prediction error of the minimum-norm interpolant and its gap over ridge.
 
-    For an isotropic covariance the gap is cross-checked against the
-    spectral form -n/d + sigma2 tr((XX^T)^{-1})
-    + (1/d) tr(XX^T (XX^T + d sigma2 I)^{-1}), which must agree to 1e-9.
+    Both come from the direct route (the interpolant is pinv(X)); the gap is
+    cross-checked against the reduction's gap (see ``_reduce``), and the two
+    must agree to 1e-9.
     """
-    n, d = X.shape
-    U, lam, V = _thin_svd_checked(X)
-    A_ols = V @ (U / lam[None, :]).T
-    pred_ols = pred_error_direct(A_ols, X, sigma_sqrt, sigma2)
+    reduced = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2).gap
+    pred_ols = pred_error_direct(np.linalg.pinv(X), X, sigma_sqrt, sigma2)
     A0 = build_estimator(X, sigma_sqrt, sigma2, 0.0).A
     gap = pred_ols - pred_error_direct(A0, X, sigma_sqrt, sigma2)
-    if np.all(sigma_sqrt == 1.0):
-        spectral = (
-            -n / d
-            + sigma2 * float(np.sum(1.0 / lam**2))
-            + float(np.sum(lam**2 / (lam**2 + d * sigma2))) / d
+    if abs(gap - reduced) > 1e-9 * max(abs(reduced), 1e-300):
+        raise ConsistencyError(
+            f"interpolant gap routes disagree: direct {gap!r} vs reduction {reduced!r}"
         )
-        if abs(gap - spectral) > 1e-9 * max(abs(spectral), 1e-300):
-            raise ConsistencyError(
-                f"interpolant gap routes disagree: direct {gap!r} vs spectral {spectral!r}"
-            )
     return pred_ols, gap
 
 
@@ -540,20 +542,13 @@ def growth_control_bounds_check(
     prediction bound tight at kappa = 1.
     """
     n, d = Z.shape
-    mu2 = np.linalg.svd(Z, compute_uv=False) ** 2
-    if rho * mu2[0] / d >= 1.0:
-        raise RegimeError(
-            f"requires rho * top_eig(ZZ^T)/d < 1, got {rho * mu2[0] / d}"
-        )
     kappa = population.kappa
-    sigma_sqrt = np.sqrt(apportion_atoms(population, d))
-    X = Z * sigma_sqrt[None, :]
+    red = _reduce(Z, np.sqrt(apportion_atoms(population, d)), sigma2)
+    red.require_feasible(rho)
+    delta_pred = red.growth(rho)
+    delta_train = red.train(rho) - red.train(0.0)
 
-    delta_pred, train_rho = error_growth_trace(X, sigma_sqrt, sigma2, rho)
-    _, train_0 = error_growth_trace(X, sigma_sqrt, sigma2, 0.0)
-    delta_train = train_rho - train_0
-
-    s = mu2 / d
+    s = red.s
     shrink = 1.0 / (1.0 - rho * s) ** 2
     pred_rhs = (rho**2 * sigma2**2 / d) * float(np.sum(shrink * s / (s + sigma2)))
     train_rhs = (kappa * sigma2**2 / n) * float(np.sum((shrink - 1.0) / (s + kappa * sigma2)))
@@ -599,12 +594,17 @@ def evaluate_design(
     )
 
 
-def _solve_rho_for_train(train, s_top: float, eps2: float) -> float:
-    """Invert a monotone finite-sample training-error function."""
+def _solve_rho_for_train(red: _Reduction, eps2: float) -> float:
+    """Multiplier at which the design's training error equals eps2.
+
+    Returns 0 when the ridge training error already reaches eps2 (the
+    finite-sample constraint is inactive).
+    """
+    train = red.train
     if train(0.0) >= eps2:
         return 0.0
     # feasibility boundary of this design; the training error diverges there
-    cap = (1.0 - 1e-9) / s_top
+    cap = (1.0 - 1e-9) / red.s[0]
     if train(cap) < eps2:
         raise FeasibilityError(
             f"eps2={eps2} is unreachable within this design's feasible multipliers"
@@ -615,36 +615,6 @@ def _solve_rho_for_train(train, s_top: float, eps2: float) -> float:
         ToleranceSpec(abs_tol=1e-24, rel_tol=4e-16, max_iter=200),
     )
     return float(rho)
-
-
-def _spectral_train(s: np.ndarray, sigma2: float):
-    def train(rho: float) -> float:
-        return sigma2**2 * float(np.mean(1.0 / ((1.0 - rho * s) ** 2 * (s + sigma2))))
-
-    return train
-
-
-def solve_rho_finite(
-    X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, eps2: float
-) -> float:
-    """Multiplier making this design's exact training error equal eps2.
-
-    Returns 0 when the design's unconstrained training error already
-    exceeds eps2 (finite-sample constraint inactive).  Isotropic designs
-    use the spectral form of the training error; anisotropic ones the
-    trace route.
-    """
-    n, d = X.shape
-    _, lam, V = _thin_svd_checked(X)
-    s = lam**2 / d
-    if np.all(sigma_sqrt == 1.0):
-        train = _spectral_train(s, sigma2)
-    else:
-
-        def train(rho: float) -> float:
-            return _growth_trace_from_svd(X, sigma_sqrt, sigma2, rho, lam, V)[1]
-
-    return _solve_rho_for_train(train, float(s[0]), eps2)
 
 
 @dataclass(frozen=True)
@@ -688,59 +658,20 @@ class ConvergenceRow:
 def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     """Ridge training error, constrained cost, and interpolant gap for one trial.
 
-    Isotropic configs run entirely on the singular values of X (the exact
-    spectral forms of the error identities); anisotropic ones fall back to
-    the decomposition-based trace route, which is intended for n <= 400.
+    All three, and the multiplier solve for an eps2 target, are sums over
+    one spectral reduction of the design (see ``_reduce``), for isotropic
+    and anisotropic populations alike.  A fixed rho at or past the
+    design's feasibility cap 1/top_eig(ZZ^T/d) raises RegimeError.
     """
     design = sample_design(config, trial)
-    X, sigma_sqrt = design.X, design.sigma_sqrt
-    n, d = X.shape
-    sigma2 = config.sigma2
-    isotropic = bool(np.all(sigma_sqrt == 1.0))
-    if isotropic:
-        lam = np.linalg.svd(X, compute_uv=False)
-        V = None
-    else:
-        _, lam, V = _thin_svd_checked(X)
-    if lam[-1] <= 1e-8 * np.sqrt(d):
-        raise RankError("design is numerically rank deficient")
-    s = lam**2 / d
-
-    train_ridge = sigma2**2 * float(np.mean(1.0 / (s + sigma2)))
+    red = _reduce(design.Z, design.sigma_sqrt, config.sigma2)
     if config.eps2 is not None:
-        if isotropic:
-            rho = _solve_rho_for_train(_spectral_train(s, sigma2), float(s[0]), config.eps2)
-        else:
-            rho = _solve_rho_for_train(
-                lambda r: _growth_trace_from_svd(X, sigma_sqrt, sigma2, r, lam, V)[1],
-                float(s[0]),
-                config.eps2,
-            )
+        rho = _solve_rho_for_train(red, config.eps2)
     else:
         rho = float(config.rho)
-        # for isotropic designs s is the spectrum of ZZ^T/d, whose top value caps rho
-        if isotropic and rho * s[0] >= 1.0:
-            raise RegimeError(
-                f"trial {trial}: requires rho * top_eig(ZZ^T)/d < 1, got {rho * s[0]}"
-            )
-
-    if isotropic:
-        if rho == 0.0:
-            cost = 0.0
-        else:
-            cost = (rho**2 * sigma2**2 / d) * float(
-                np.sum(s / ((1.0 - rho * s) ** 2 * (s + sigma2)))
-            )
-        ols_gap = (
-            -n / d
-            + sigma2 * float(np.sum(1.0 / lam**2))
-            + float(np.sum(s / (s + sigma2))) / d
-        )
-    else:
-        cost = _growth_trace_from_svd(X, sigma_sqrt, sigma2, rho, lam, V)[0]
-        _, ols_gap = min_norm_interpolant_report(X, sigma_sqrt, sigma2)
+        red.require_feasible(rho, f"trial {trial}: ")
     return TrialMetrics(
-        trial=trial, rho=rho, train_ridge=train_ridge, cost=cost, ols_gap=ols_gap
+        trial=trial, rho=rho, train_ridge=red.train(0.0), cost=red.growth(rho), ols_gap=red.gap
     )
 
 

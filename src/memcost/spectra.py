@@ -228,15 +228,19 @@ def mp_cdf(law: MPLaw, x: float) -> float:
 
 
 def esd_from_design(X: np.ndarray) -> EmpiricalSpectrum:
-    """Empirical spectrum of (1/d) X X^T: squared singular values over d."""
+    """Empirical spectrum of (1/d) X X^T, from the eigenvalues of the n x n Gram matrix.
+
+    Eigenvalues of a rank-deficient Gram matrix can come out at -eps times
+    the top one; they are clipped to 0.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DomainError(f"expected a matrix, got ndim={X.ndim}")
     n, d = X.shape
     if n > d:
         raise DomainError(f"wide design required (n <= d), got shape {X.shape}")
-    s = np.linalg.svd(X, compute_uv=False)
-    return EmpiricalSpectrum(values=s**2 / d, n=n, d=d)
+    s = np.linalg.eigvalsh(X @ X.T)[::-1] / d
+    return EmpiricalSpectrum(values=np.maximum(s, 0.0), n=n, d=d)
 
 
 def bai_yin_check(spec: EmpiricalSpectrum, law: MPLaw) -> tuple[float, float]:

@@ -305,3 +305,136 @@ def test_cost_curve_gnuplot_companion(tmp_path, capsys):
         "--grid", "0.01:0.01:0.05", "--gnuplot", str(gp_path),
     )
     assert code == 2
+
+
+TWO_ATOM_FILE = "1.0 0.5\n0.5 0.5\n"
+
+
+def _pop_file(tmp_path):
+    path = tmp_path / "two_atom.txt"
+    path.write_text(TWO_ATOM_FILE)
+    return str(path)
+
+
+def _simulate_values(out):
+    _, rows = parse_csv(out)
+    values = {}
+    for trial, metric, value in rows:
+        values.setdefault(int(trial), {})[metric] = float(value)
+    return values
+
+
+def test_simulate_nan_rho_is_refused_before_any_trial(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli.lab, "trial_metrics", lambda config, t: calls.append(t))
+    base = ["simulate", "--n", "60", "--d", "120", "--sigma2", "0.1", "--seed", "1",
+            "--trials", "2", "--rho", "nan"]
+    for extra in ([], ["--pop", _pop_file(tmp_path)]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 2
+        assert out == ""
+        assert "memcost: error:" in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_simulate_anisotropic_rho_past_z_cap_is_regime_refusal(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "0.1", "--seed", "1",
+        "--trials", "1", "--rho", "2.0", "--pop", _pop_file(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "top_eig(ZZ^T)" in err
+
+
+def test_simulate_anisotropic_eps2_matches_direct_route(capsys, tmp_path):
+    import numpy as np
+
+    from memcost import finite_n_lab as lab
+    from memcost.deformed import load_population_spectrum
+
+    pop_path = _pop_file(tmp_path)
+    eps2 = 3.0 * memorization_threshold(2.0, NoiseLevel(0.1))
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "0.1", "--seed", "1",
+        "--trials", "2", "--eps2", repr(eps2), "--pop", pop_path,
+    )
+    assert code == 0
+    config = lab.ExperimentConfig(
+        n=100, d=200, sigma2=0.1, seed=1, trials=2,
+        population=load_population_spectrum(pop_path), eps2=eps2,
+    )
+    for trial, got in _simulate_values(out).items():
+        design = lab.sample_design(config, trial)
+        X, ss = design.X, design.sigma_sqrt
+        assert got["rho"] > 0
+        A = lab.build_estimator(X, ss, 0.1, got["rho"]).A
+        A0 = lab.build_estimator(X, ss, 0.1, 0.0).A
+        pred0 = lab.pred_error_direct(A0, X, ss, 0.1)
+        growth = lab.pred_error_direct(A, X, ss, 0.1) - pred0
+        gap = lab.pred_error_direct(np.linalg.pinv(X), X, ss, 0.1) - pred0
+        assert lab.train_error_direct(A, X, 0.1) == pytest.approx(eps2, rel=1e-9)
+        assert got["train_ridge"] == pytest.approx(lab.train_error_direct(A0, X, 0.1), rel=1e-9)
+        assert got["cost"] == pytest.approx(growth, rel=1e-9)
+        assert got["ols_gap"] == pytest.approx(gap, rel=1e-9)
+
+
+def _mp_ols_gap(gamma, s2, dps=50):
+    # the cancelling partial-fraction form, harmless at 50 digits
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        g, s2 = mp.mpf(gamma), mp.mpf(s2)
+        a = 1 - 1 / g + s2
+        m = (mp.sqrt(a * a + 4 * s2 / g) - a) / (2 * s2 / g)
+        return float(s2 / g * (1 / (1 - 1 / g) - m))
+
+
+def test_ols_gap_small_noise_matches_mpmath(capsys):
+    code, out, err = run_cli(capsys, "ols", "--gamma", "2", "--sigma2", "1e-8")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    gap = float(rows[0][header.index("ols_gap")])
+    assert gap == pytest.approx(_mp_ols_gap(2.0, 1e-8), rel=1e-10)
+
+
+def test_simulate_small_noise_gap_matches_mpmath(capsys, tmp_path):
+    import mpmath as mp
+
+    from memcost import finite_n_lab as lab
+    from memcost.spectra import esd_from_design
+
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "1e-8", "--seed", "1",
+        "--trials", "1", "--rho", "0", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0, err
+    config = lab.ExperimentConfig(n=100, d=200, sigma2=1e-8, seed=1, trials=1, rho=0.0)
+    s = esd_from_design(lab.sample_design(config, 0).Z).values
+    with mp.workdps(50):
+        s2 = mp.mpf(1e-8)
+        # -n/d + sigma2 tr((XX^T)^-1) + (1/d) tr(XX^T (XX^T + d sigma2)^-1), exactly
+        exact = float(
+            -mp.mpf(100) / 200
+            + sum(s2 / (200 * mp.mpf(v)) + mp.mpf(v) / (200 * (mp.mpf(v) + s2)) for v in s)
+        )
+    assert _simulate_values(out)[0]["ols_gap"] == pytest.approx(exact, rel=1e-10)
+    target = json.loads((tmp_path / "run" / "summary.json").read_text())["metrics"]["ols_gap"]
+    assert target["target"] == pytest.approx(_mp_ols_gap(2.0, 1e-8), rel=1e-10)
+
+
+def test_import_cli_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import memcost
+
+    src = os.path.dirname(os.path.dirname(memcost.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, memcost.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

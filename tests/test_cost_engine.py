@@ -355,3 +355,17 @@ def test_threshold_report_assembles_family():
     assert report.eps_def2 > report.eps_sigma2  # larger condition number raises it here
     plain = threshold_report(2.0, NOISE)
     assert plain.eps_def2 is None
+
+
+def test_ols_gap_matches_mpmath_down_to_tiny_noise():
+    # ols_gap also passes its own 1e-10 quadrature check at every point
+    import mpmath as mp
+
+    for gamma in (1.05, 2.0, 10.0, 100.0):
+        for s2 in (1e-12, 1e-8, 1e-4, 1.0, 1e4):
+            with mp.workdps(60):
+                g, a = mp.mpf(gamma), mp.mpf(s2)
+                b = 1 - 1 / g + a
+                m = (mp.sqrt(b * b + 4 * a / g) - b) / (2 * a / g)
+                exact = float(a / g * (1 / (1 - 1 / g) - m))
+            assert abs(ols_gap(gamma, NoiseLevel(s2)) - exact) <= 1e-10 * exact

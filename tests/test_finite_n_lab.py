@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from memcost import finite_n_lab
 from memcost.cost_engine import NoiseLevel, memorization_threshold
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import ConsistencyError, DomainError, FeasibilityError, RankError, RegimeError
 from memcost.finite_n_lab import (
     AsymptoticTargets,
+    DesignSample,
     EntryDist,
     ErrorReport,
     ExperimentConfig,
@@ -23,12 +27,12 @@ from memcost.finite_n_lab import (
     pred_error_direct,
     run_trials,
     sample_design,
-    solve_rho_finite,
     splitmix64,
     train_error_direct,
     trial_metrics,
     trial_seed,
 )
+from memcost.spectra import esd_from_design
 
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 
@@ -324,17 +328,25 @@ def test_evaluate_design_full_report():
     assert report.duality_residual <= 1e-8
     assert report.monte_carlo_pred is not None
     assert abs(report.monte_carlo_pred - report.pred_direct) / report.pred_direct < 0.3
+    # the reduction's training error against the response draws
+    assert abs(report.monte_carlo_train - report.train_trace) / report.train_trace < 0.3
 
 
-def test_solve_rho_finite_hits_target():
-    design = _design(n=150, d=300)
+@pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
+def test_trial_metrics_eps2_solve_hits_target(pop):
     th = memorization_threshold(2.0, NoiseLevel(0.1))
-    target = 2.0 * th
-    rho = solve_rho_finite(design.X, design.sigma_sqrt, 0.1, target)
-    _, train = error_growth_trace(design.X, design.sigma_sqrt, 0.1, rho)
-    assert abs(train - target) <= 1e-10
+    target = 3.0 * th
+    config = ExperimentConfig(
+        n=150, d=300, sigma2=0.1, seed=3, trials=1, population=pop, eps2=target
+    )
+    m = trial_metrics(config, 0)
+    assert m.rho > 0
+    design = sample_design(config, 0)
+    A = build_estimator(design.X, design.sigma_sqrt, 0.1, m.rho).A
+    assert abs(train_error_direct(A, design.X, 0.1) - target) <= 1e-10 * target
     # inactive below the finite-sample ridge training error
-    assert solve_rho_finite(design.X, design.sigma_sqrt, 0.1, 1e-6) == 0.0
+    low = ExperimentConfig(n=150, d=300, sigma2=0.1, seed=3, trials=1, population=pop, eps2=1e-6)
+    assert trial_metrics(low, 0).rho == 0.0
 
 
 def test_trial_metrics_by_rho_and_by_eps2_agree_at_solution():
@@ -348,18 +360,21 @@ def test_trial_metrics_by_rho_and_by_eps2_agree_at_solution():
 
 
 def test_trial_metrics_refuses_infeasible_fixed_rho():
-    # just past, well past and far past each design's own feasibility cap
-    for seed in (1, 2, 3):
-        config = ExperimentConfig(n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=0.0)
+    # just past, well past and far past each design's own feasibility cap,
+    # which is set by Z for every population
+    for seed, pop in itertools.product((1, 2, 3), (PopulationSpectrum.isotropic(), TWO_ATOM)):
+        config = ExperimentConfig(
+            n=60, d=120, sigma2=0.1, seed=seed, trials=1, population=pop, rho=0.0
+        )
         rho_max = max_feasible_rho(sample_design(config, 0).Z)
         for mult in (1.001, 1.5, 3.0):
             infeasible = ExperimentConfig(
-                n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=mult * rho_max
+                n=60, d=120, sigma2=0.1, seed=seed, trials=1, population=pop, rho=mult * rho_max
             )
             with pytest.raises(RegimeError):
                 trial_metrics(infeasible, 0)
         feasible = ExperimentConfig(
-            n=60, d=120, sigma2=0.1, seed=seed, trials=1, rho=0.999 * rho_max
+            n=60, d=120, sigma2=0.1, seed=seed, trials=1, population=pop, rho=0.999 * rho_max
         )
         assert np.isfinite(trial_metrics(feasible, 0).cost)
 
@@ -428,3 +443,89 @@ def test_fixed_multiplier_train_error_approaches_limit():
     _, train = error_growth_trace(design.X, design.sigma_sqrt, s2, rho)
     limit = s2**2 * mp_shrinkage_integrals(MPLaw(2.0), rho, s2)[0]
     assert abs(train - limit) / limit <= 0.05
+
+
+# ---------------------------------------------------------------- reduction
+
+KAPPA4 = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "pop", [PopulationSpectrum.isotropic(), TWO_ATOM, KAPPA4], ids=["isotropic", "kappa2", "kappa4"]
+)
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])
+def test_reduction_matches_direct_route(gamma, pop):
+    n = 60
+    design = _design(n=n, d=int(gamma * n), seed=11, pop=pop)
+    X, ss = design.X, design.sigma_sqrt
+    pinv = np.linalg.pinv(X)
+    for s2 in (1e-3, 0.1, 2.0):
+        A0 = build_estimator(X, ss, s2, 0.0).A
+        pred0 = pred_error_direct(A0, X, ss, s2)
+        # differences of direct errors cancel; ErrorReport's convention floors
+        # their scale at 1e-6 of the ridge prediction error
+        floor = 1e-6 * pred0
+        gap = pred_error_direct(pinv, X, ss, s2) - pred0
+        _, reduced_gap = min_norm_interpolant_report(X, ss, s2)
+        assert abs(reduced_gap - gap) <= 1e-9 * max(abs(gap), floor)
+        for frac in (0.0, 0.3, 0.9):
+            rho = frac * max_feasible_rho(design.Z)
+            A = build_estimator(X, ss, s2, rho).A
+            growth, train = error_growth_trace(X, ss, s2, rho)
+            direct_train = train_error_direct(A, X, s2)
+            direct_growth = pred_error_direct(A, X, ss, s2) - pred0
+            assert abs(train - direct_train) <= 1e-9 * direct_train
+            assert abs(growth - direct_growth) <= 1e-9 * max(abs(direct_growth), floor)
+
+
+def _duplicate_row_design(n, d, pop):
+    Z = np.random.default_rng(n).standard_normal((n, d))
+    Z[-1] = Z[0]
+    sigma_sqrt = np.sqrt(apportion_atoms(pop, d))
+    return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=Z * sigma_sqrt)
+
+
+@pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
+@pytest.mark.parametrize("n, d", [(100, 200), (200, 300)])
+def test_duplicate_row_design_is_rank_error(monkeypatch, n, d, pop):
+    design = _duplicate_row_design(n, d, pop)
+    with pytest.raises(RankError):
+        error_growth_trace(design.X, design.sigma_sqrt, 0.1, 0.0)
+    monkeypatch.setattr(finite_n_lab, "sample_design", lambda config, trial: design)
+    config = ExperimentConfig(n=n, d=d, sigma2=0.1, seed=0, trials=1, population=pop, rho=0.0)
+    with pytest.raises(RankError):
+        trial_metrics(config, 0)
+
+
+def test_near_square_design_runs_and_gram_spectrum_matches_svd():
+    config = ExperimentConfig(n=200, d=201, sigma2=0.1, seed=5, trials=1, rho=0.0)
+    Z = sample_design(config, 0).Z
+    gram = esd_from_design(Z).values
+    svd = np.linalg.svd(Z, compute_uv=False) ** 2 / Z.shape[1]
+    assert np.max(np.abs(gram - svd) / svd) <= 1e-10
+    m = trial_metrics(config, 0)
+    assert np.isfinite(m.train_ridge) and np.isfinite(m.ols_gap) and m.ols_gap > 0
+
+
+@pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
+def test_trial_metrics_never_forms_a_d_by_d_matrix(monkeypatch, pop):
+    def refuse(*args, **kwargs):
+        raise AssertionError("d x d route called from trial_metrics")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(finite_n_lab, "build_estimator", refuse)
+    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    for constraint in ({"rho": 0.2}, {"eps2": 3.0 * th}):
+        config = ExperimentConfig(
+            n=100, d=200, sigma2=0.1, seed=4, trials=1, population=pop, **constraint
+        )
+        m = trial_metrics(config, 0)
+        assert all(np.isfinite([m.rho, m.train_ridge, m.cost, m.ols_gap]))
+        assert m.rho > 0
+
+
+@pytest.mark.parametrize("field", ["rho", "eps2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+def test_config_rejects_non_finite_or_negative_multiplier(field, value):
+    with pytest.raises(DomainError):
+        ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0, **{field: value})

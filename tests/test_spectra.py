@@ -149,6 +149,16 @@ def test_esd_zero_matrix():
     assert np.allclose(spec.values, 0.0)
 
 
+def test_esd_clips_rounding_negatives_of_rank_deficient_designs():
+    # a duplicated row makes XX^T singular; its Gram eigenvalue rounds to
+    # about +-1e-15 and must come out as a valid (nonnegative) spectrum
+    for seed in range(10):
+        X = np.random.default_rng(seed).standard_normal((50, 100))
+        X[-1] = X[0]
+        spec = esd_from_design(X)
+        assert 0.0 <= spec.values[-1] <= 1e-13 * spec.values[0]
+
+
 def test_esd_rejects_tall():
     with pytest.raises(DomainError):
         esd_from_design(np.zeros((6, 3)))
