@@ -11,11 +11,9 @@ from .cost_engine import (
     anisotropic_cost_lower_bound,
     asymptotic_cost,
     cost_at_rho,
-    cost_curve,
     cost_linear_bound,
     memorization_threshold,
     ols_gap,
-    ols_threshold,
     solve_rho,
     solve_rho_def,
     solve_rho_ols,
@@ -80,7 +78,6 @@ from .spectra import (
     mp_integrate,
     mp_shrinkage_integrals,
     mp_stieltjes_neg,
-    mp_support,
 )
 
 __version__ = "0.1.0"

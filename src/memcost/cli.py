@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -79,8 +80,16 @@ class OutputTable:
         return self.to_json() if fmt == "json" else self.to_csv()
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(spec: str) -> list[float]:
-    """Parse `start:step:stop`, inclusive of stop within half a step."""
+    """Parse `start:step:stop`, inclusive of stop within half a step.
+
+    start, step and stop must be finite with step > 0, and the grid may
+    hold at most MAX_GRID_POINTS points; its length is bounded before any
+    point is built.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid spec must be start:step:stop, got {spec!r}")
@@ -88,14 +97,18 @@ def parse_grid(spec: str) -> list[float]:
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise DomainError(f"non-numeric grid spec {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise DomainError(f"grid start, step and stop must be finite, got {spec!r}")
     if step <= 0:
         raise DomainError("grid step must be positive")
-    out = []
-    v = start
-    while v <= stop + step / 2:
-        out.append(v)
-        v = start + len(out) * step
-    return out
+    # the grid has floor(steps + 1/2) + 1 points, up to rounding
+    steps = (stop - start) / step
+    if not steps + 0.5 < MAX_GRID_POINTS:
+        raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    bound = stop + step / 2
+    # start + k*step is nondecreasing in k, so the filter keeps a prefix
+    candidates = (start + k * step for k in range(int(max(steps, -2.0)) + 2))
+    return [v for v in candidates if v <= bound]
 
 
 def _emit(table: OutputTable, args) -> None:
@@ -138,10 +151,8 @@ def cmd_threshold(args) -> int:
         report.rho_ols,
     ]
     if pop is not None:
-        kappa = pop.kappa
-        bound = kappa * args.sigma2**2 * mp_stieltjes_neg(MPLaw(args.gamma), kappa * args.sigma2)
         header += ["eps_def2", "eps_def2_upper_bound", "kappa"]
-        row += [report.eps_def2, bound, kappa]
+        row += [report.eps_def2, report.eps_def2_upper_bound, pop.kappa]
     table = OutputTable(
         header=header,
         rows=[tuple(row)],
@@ -290,24 +301,12 @@ def cmd_simulate(args) -> int:
         metadata={"config": config_echo, "command": "simulate"},
     )
 
-    def stats(name: str, target):
-        vals = np.array([getattr(m, name) for m in metrics])
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        entry = {"mean": mean, "se": se}
-        if target is not None:
-            entry["target"] = target
-            entry["rel_dev"] = abs(mean - target) / abs(target) if target != 0 else abs(mean)
-        return entry
-
     summary = {
         "config": config_echo,
         "metadata": {"version": __version__, "command": "simulate", "gamma_n": config.gamma_n},
         "metrics": {
-            "train_ridge": stats("train_ridge", targets.train_ridge),
-            "cost": stats("cost", targets.cost),
-            "ols_gap": stats("ols_gap", targets.ols_gap),
-            "rho": stats("rho", None),
+            name: lab.summarize([getattr(m, name) for m in metrics], getattr(targets, name, None))
+            for name in ("train_ridge", "cost", "ols_gap", "rho")
         },
     }
 

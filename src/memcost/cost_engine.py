@@ -48,11 +48,9 @@ __all__ = [
     "solve_rho",
     "cost_at_rho",
     "asymptotic_cost",
-    "cost_curve",
     "cost_linear_bound",
     "ols_gap",
     "solve_rho_ols",
-    "ols_threshold",
     "solve_rho_def",
     "anisotropic_cost_lower_bound",
     "threshold_report",
@@ -64,13 +62,13 @@ _RHO_TOL = ToleranceSpec(abs_tol=1e-24, rel_tol=4e-16, max_iter=200)
 
 @dataclass(frozen=True)
 class NoiseLevel:
-    """Label noise variance sigma2 > 0."""
+    """Label noise variance, 0 < sigma2 < inf."""
 
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be finite and positive, got {self.sigma2}")
 
 
 class Regime(str, Enum):
@@ -117,13 +115,20 @@ class CostPoint:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """The threshold family at one (gamma, sigma2) point."""
+    """The threshold family at one (gamma, sigma2) point.
+
+    With a population spectrum, ``eps_def2`` is the deformed threshold, and
+    ``eps_def2_upper_bound`` = kappa sigma2^2 m(-kappa sigma2), with m the
+    Marchenko-Pastur resolvent and kappa the condition number, bounds it
+    from above.
+    """
 
     eps_sigma2: float
     eps_sigma2_approx: float
     eps_ols2: float
     rho_ols: float
     eps_def2: Optional[float] = None
+    eps_def2_upper_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -194,12 +199,12 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     Raises
     ------
     DomainError
-        If eps2 < 0.
+        Unless 0 <= eps2 < inf.
     NearDivergenceError
         If even the capped rho cannot reach eps2.
     """
-    if eps2 < 0:
-        raise DomainError(f"eps2 must be nonnegative, got {eps2}")
+    if not 0.0 <= eps2 < math.inf:
+        raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
     law = MPLaw(gamma)
     sigma2 = noise.sigma2
     if eps2 <= memorization_threshold(gamma, noise):
@@ -237,11 +242,6 @@ def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
     sol = solve_rho(gamma, noise, eps2)
     cost = cost_at_rho(gamma, noise, sol.rho)
     return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, noise))
-
-
-def cost_curve(gamma: float, noise: NoiseLevel, eps2_grid) -> list[CostPoint]:
-    """Evaluate the cost curve over a grid of eps2 values (deterministic per point)."""
-    return [asymptotic_cost(gamma, noise, float(e)) for e in eps2_grid]
 
 
 def cost_linear_bound(
@@ -317,11 +317,6 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps_ols2)
 
 
-def ols_threshold(gamma: float, noise: NoiseLevel) -> float:
-    """Squared interpolation threshold: train(rho_ols)."""
-    return solve_rho_ols(gamma, noise).target_eps2
-
-
 def solve_rho_def(
     gamma: float, pop: PopulationSpectrum, noise: NoiseLevel, eps2: float
 ) -> RhoSolution:
@@ -389,13 +384,16 @@ def threshold_report(
         raise ConsistencyError(
             f"threshold ordering violated: {eps_sigma2}, {eps_ols2}, cap {ratio * eps_sigma2}"
         )
-    eps_def2 = None
+    eps_def2 = bound = None
     if pop is not None:
         eps_def2 = deformed_threshold(DeformedLaw(gamma, pop), noise.sigma2)
+        kappa = pop.kappa
+        bound = kappa * noise.sigma2**2 * mp_stieltjes_neg(law, kappa * noise.sigma2)
     return ThresholdReport(
         eps_sigma2=eps_sigma2,
         eps_sigma2_approx=threshold_approx(gamma, noise),
         eps_ols2=eps_ols2,
         rho_ols=ols.rho,
         eps_def2=eps_def2,
+        eps_def2_upper_bound=bound,
     )

@@ -13,14 +13,13 @@ convergence-to-asymptotics reports sit on top.
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
 functionals), so ``sigma_sqrt`` arguments are d-vectors holding its square
-root.  Trials are independent, deterministically seeded, and reduced in
-trial order so outputs are reproducible bit for bit.
+root.  Trials are independent, deterministically seeded, and run one at a
+time in trial order, so outputs are reproducible bit for bit for a fixed BLAS
+build and thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -66,6 +65,7 @@ __all__ = [
     "evaluate_design",
     "trial_metrics",
     "run_trials",
+    "summarize",
     "convergence_report",
 ]
 
@@ -115,8 +115,8 @@ class ExperimentConfig:
             )
         if self.n < 1:
             raise DomainError("n must be positive")
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise DomainError(f"sigma2 must be finite and positive, got {self.sigma2}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not (0 <= self.seed <= _MASK64):
@@ -675,41 +675,29 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     )
 
 
-def _thread_count() -> int:
-    env = os.environ.get("MEMCOST_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def run_trials(config: ExperimentConfig, fn: Callable[[ExperimentConfig, int], object]) -> list:
-    """Run fn(config, trial) for every trial, in trial order.
+    """[fn(config, trial) for every trial], run one at a time in trial order.
 
-    Trials may execute concurrently (capped by MEMCOST_THREADS); results
-    are collected by trial index so downstream reductions are reproducible
-    regardless of scheduling.
+    The only parallelism is the BLAS library's own threads inside each trial.
     """
-    workers = min(_thread_count(), config.trials)
-    if workers <= 1:
-        return [fn(config, t) for t in range(config.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: fn(config, t), range(config.trials)))
+    return [fn(config, t) for t in range(config.trials)]
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(values.mean())
-    if len(values) < 2:
-        return m, 0.0
-    return m, float(values.std(ddof=1) / np.sqrt(len(values)))
+def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
+    """Mean and standard error of per-trial values, and their deviation from a target.
 
-
-def _rel_dev(mean: float, target: Optional[float]) -> Optional[float]:
-    if target is None:
-        return None
-    return abs(mean - target) / abs(target)
+    Returns {"mean", "se"}, plus {"target", "rel_dev"} when a target is
+    given.  The standard error is 0 for a single trial; rel_dev is
+    |mean - target|/|target|, or |mean| when the target is 0.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    entry = {"mean": mean, "se": se}
+    if target is not None:
+        entry["target"] = target
+        entry["rel_dev"] = abs(mean - target) / abs(target) if target != 0 else abs(mean)
+    return entry
 
 
 def convergence_report(
@@ -719,31 +707,16 @@ def convergence_report(
 
     Configs are expected to share (aspect ratio, sigma2, population) and
     vary n; each row carries means, standard errors, and relative
-    deviations from the supplied targets.
+    deviations from the supplied targets (see ``summarize``).
     """
     rows = []
     for config in configs:
         metrics = run_trials(config, trial_metrics)
-        tr = np.array([m.train_ridge for m in metrics])
-        co = np.array([m.cost for m in metrics])
-        og = np.array([m.ols_gap for m in metrics])
-        m_tr, se_tr = _mean_se(tr)
-        m_co, se_co = _mean_se(co)
-        m_og, se_og = _mean_se(og)
-        rows.append(
-            ConvergenceRow(
-                n=config.n,
-                d=config.d,
-                trials=config.trials,
-                mean_train_ridge=m_tr,
-                se_train_ridge=se_tr,
-                mean_cost=m_co,
-                se_cost=se_co,
-                mean_ols_gap=m_og,
-                se_ols_gap=se_og,
-                dev_train_ridge=_rel_dev(m_tr, targets.train_ridge),
-                dev_cost=_rel_dev(m_co, targets.cost),
-                dev_ols_gap=_rel_dev(m_og, targets.ols_gap),
-            )
-        )
+        fields = {}
+        for name in ("train_ridge", "cost", "ols_gap"):
+            stats = summarize([getattr(m, name) for m in metrics], getattr(targets, name))
+            fields[f"mean_{name}"] = stats["mean"]
+            fields[f"se_{name}"] = stats["se"]
+            fields[f"dev_{name}"] = stats.get("rel_dev")
+        rows.append(ConvergenceRow(n=config.n, d=config.d, trials=config.trials, **fields))
     return rows

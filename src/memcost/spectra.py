@@ -26,7 +26,6 @@ from .numerics import Interval
 __all__ = [
     "MPLaw",
     "EmpiricalSpectrum",
-    "mp_support",
     "mp_integrate",
     "mp_stieltjes_neg",
     "mp_shrinkage_integrals",
@@ -85,11 +84,6 @@ class EmpiricalSpectrum:
         if np.any(np.diff(v) > 0):
             raise DomainError("eigenvalues must be in descending order")
         object.__setattr__(self, "values", v)
-
-
-def mp_support(gamma: float) -> Interval:
-    """Support endpoints ((1 - 1/sqrt(gamma))^2, (1 + 1/sqrt(gamma))^2)."""
-    return MPLaw(gamma).support
 
 
 @lru_cache(maxsize=16)

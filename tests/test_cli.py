@@ -11,10 +11,11 @@ from memcost.cost_engine import (
     NoiseLevel,
     memorization_threshold,
     ols_gap,
-    ols_threshold,
     solve_rho,
     solve_rho_ols,
+    threshold_report,
 )
+from memcost.deformed import load_population_spectrum
 from memcost.errors import DomainError
 
 
@@ -49,6 +50,19 @@ def test_parse_grid_empty_and_errors():
         cli.parse_grid("a:b:c")
 
 
+def test_parse_grid_refuses_non_finite_and_oversize_specs():
+    for spec in ("0:0.01:inf", "0:nan:1", "nan:0.1:1", "-inf:1:0", "0:inf:1"):
+        with pytest.raises(DomainError, match="finite"):
+            cli.parse_grid(spec)
+    # each of these is refused from its arithmetic length, before any point is built
+    cap = cli.MAX_GRID_POINTS
+    for spec in ("0:1e-300:1", "0:1:1e300", "-1e308:1e-300:1e308", f"0:1:{cap}"):
+        with pytest.raises(DomainError, match="more than"):
+            cli.parse_grid(spec)
+    assert len(cli.parse_grid(f"0:1:{cap - 1}")) == cap
+    assert cli.parse_grid("1e308:1e-300:-1e308") == []
+
+
 def test_threshold_command_values(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--gamma", "2", "--sigma2", "0.1")
     assert code == 0
@@ -58,7 +72,7 @@ def test_threshold_command_values(capsys):
         memorization_threshold(2.0, NoiseLevel(0.1)), abs=1e-15
     )
     assert float(row["eps_ols2"]) == pytest.approx(
-        ols_threshold(2.0, NoiseLevel(0.1)), rel=1e-12
+        solve_rho_ols(2.0, NoiseLevel(0.1)).target_eps2, rel=1e-12
     )
     assert float(row["rho_ols"]) == pytest.approx(
         solve_rho_ols(2.0, NoiseLevel(0.1)).rho, rel=1e-12
@@ -75,6 +89,44 @@ def test_threshold_with_degenerate_population(tmp_path, capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     assert float(row["eps_def2"]) == pytest.approx(float(row["eps_sigma2"]), abs=1e-10)
+
+
+def test_threshold_pop_upper_bound_cell_is_the_report_field(tmp_path, capsys):
+    path = _pop_file(tmp_path)
+    code, out, _ = run_cli(capsys, "threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", path)
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    pop = load_population_spectrum(path)
+    report = threshold_report(2.0, NoiseLevel(0.1), pop)
+    assert float(row["eps_def2_upper_bound"]) == report.eps_def2_upper_bound
+    assert float(row["eps_def2"]) == report.eps_def2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:0.01:inf"],
+        ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:nan:1"],
+        ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "nan:0.1:1"],
+        ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "nan"],
+        ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "inf"],
+        ["ols", "--gamma", "2", "--sigma2", "inf"],
+        ["threshold", "--gamma", "2", "--sigma2", "inf"],
+        ["threshold", "--gamma", "2", "--sigma2", "nan"],
+        ["simulate", "--n", "20", "--d", "40", "--sigma2", "inf", "--seed", "1",
+         "--trials", "1", "--rho", "0"],
+    ],
+    ids=[
+        "grid-stop-inf", "grid-step-nan", "grid-start-nan", "rho-eps2-nan", "rho-eps2-inf",
+        "ols-sigma2-inf", "threshold-sigma2-inf", "threshold-sigma2-nan", "simulate-sigma2-inf",
+    ],
+)
+def test_non_finite_or_unbounded_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("memcost: error:") and "Traceback" not in err
 
 
 def test_threshold_missing_gamma_is_usage_error(capsys):
@@ -131,7 +183,7 @@ def test_cost_curve_regime_structure(capsys):
 
 
 def test_cost_curve_costbar_sign_change(capsys):
-    eo2 = ols_threshold(2.0, NoiseLevel(0.1))
+    eo2 = solve_rho_ols(2.0, NoiseLevel(0.1)).target_eps2
     grid = f"{0.8 * eo2}:{0.2 * eo2}:{1.2 * eo2}"
     code, out, _ = run_cli(capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", grid)
     header, rows = parse_csv(out)

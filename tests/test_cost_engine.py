@@ -12,11 +12,9 @@ from memcost.cost_engine import (
     anisotropic_cost_lower_bound,
     asymptotic_cost,
     cost_at_rho,
-    cost_curve,
     cost_linear_bound,
     memorization_threshold,
     ols_gap,
-    ols_threshold,
     solve_rho,
     solve_rho_def,
     solve_rho_ols,
@@ -35,6 +33,9 @@ GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)
 def test_noise_level_rejects_nonpositive():
     with pytest.raises(DomainError):
         NoiseLevel(0.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            NoiseLevel(bad)
 
 
 def test_threshold_value_gamma2():
@@ -91,6 +92,9 @@ def test_solve_rho_below_threshold():
 def test_solve_rho_rejects_negative_eps2():
     with pytest.raises(DomainError):
         solve_rho(2.0, NOISE, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            solve_rho(2.0, NOISE, bad)
 
 
 def test_solve_rho_near_divergence():
@@ -168,7 +172,7 @@ def test_rho_solution_invariants():
 
 def test_cost_is_monotone_and_zero_below_threshold():
     th = memorization_threshold(2.0, NOISE)
-    points = cost_curve(2.0, NOISE, np.linspace(0.2 * th, 5 * th, 15))
+    points = [asymptotic_cost(2.0, NOISE, float(e)) for e in np.linspace(0.2 * th, 5 * th, 15)]
     costs = [p.cost for p in points]
     assert all(c == 0.0 for p, c in zip(points, costs) if p.eps2 <= th)
     assert all(b >= a for a, b in zip(costs, costs[1:]))
@@ -226,7 +230,7 @@ def test_threshold_ordering_on_grid():
     for gamma, s2 in GRID:
         noise = NoiseLevel(s2)
         eps_s2 = memorization_threshold(gamma, noise)
-        eps_ols2 = ols_threshold(gamma, noise)
+        eps_ols2 = solve_rho_ols(gamma, noise).target_eps2
         law = MPLaw(gamma)
         cap = (2.0 * law.lambda_plus / law.lambda_minus) ** 2 * eps_s2
         assert eps_s2 < eps_ols2 <= cap * (1 + 1e-12)
@@ -235,7 +239,7 @@ def test_threshold_ordering_on_grid():
 def test_costbar_zero_at_ols_threshold_and_sign_flip():
     for gamma, s2 in [(1.5, 0.1), (2.0, 0.1), (4.0, 1e-2)]:
         noise = NoiseLevel(s2)
-        eps_ols2 = ols_threshold(gamma, noise)
+        eps_ols2 = solve_rho_ols(gamma, noise).target_eps2
         assert abs(asymptotic_cost(gamma, noise, eps_ols2).costbar) <= 1e-8
         assert asymptotic_cost(gamma, noise, 0.95 * eps_ols2).costbar < 0
         assert asymptotic_cost(gamma, noise, 1.05 * eps_ols2).costbar > 0
@@ -353,8 +357,12 @@ def test_threshold_report_assembles_family():
     assert report.eps_sigma2 < report.eps_ols2
     assert report.eps_def2 is not None
     assert report.eps_def2 > report.eps_sigma2  # larger condition number raises it here
+    kappa = TWO_ATOM.kappa
+    bound = kappa * 0.1**2 * mp_stieltjes_neg(MPLaw(2.0), kappa * 0.1)
+    assert report.eps_def2_upper_bound == pytest.approx(bound, rel=1e-15)
+    assert report.eps_def2 <= report.eps_def2_upper_bound
     plain = threshold_report(2.0, NOISE)
-    assert plain.eps_def2 is None
+    assert plain.eps_def2 is None and plain.eps_def2_upper_bound is None
 
 
 def test_ols_gap_matches_mpmath_down_to_tiny_noise():

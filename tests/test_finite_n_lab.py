@@ -28,6 +28,7 @@ from memcost.finite_n_lab import (
     run_trials,
     sample_design,
     splitmix64,
+    summarize,
     train_error_direct,
     trial_metrics,
     trial_seed,
@@ -59,8 +60,9 @@ def test_config_validation():
         ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0)  # neither rho nor eps2
     with pytest.raises(DomainError):
         ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0, rho=0.0, eps2=0.1)
-    with pytest.raises(DomainError):
-        ExperimentConfig(n=10, d=20, sigma2=-1.0, seed=0, rho=0.0)
+    for bad in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            ExperimentConfig(n=10, d=20, sigma2=bad, seed=0, rho=0.0)
 
 
 def test_apportionment_largest_remainder():
@@ -387,13 +389,11 @@ def test_trial_metrics_anisotropic_path():
     assert m.cost > 0 and m.train_ridge > 0 and m.ols_gap > 0
 
 
-def test_run_trials_order_and_thread_env(monkeypatch):
+def test_run_trials_is_trial_metrics_in_trial_order():
     config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=5, trials=4, rho=0.0)
-    serial = run_trials(config, trial_metrics)
-    monkeypatch.setenv("MEMCOST_THREADS", "2")
-    threaded = run_trials(config, trial_metrics)
-    assert [m.trial for m in serial] == [0, 1, 2, 3]
-    assert serial == threaded
+    results = run_trials(config, trial_metrics)
+    assert [m.trial for m in results] == [0, 1, 2, 3]
+    assert results == [trial_metrics(config, t) for t in range(config.trials)]
 
 
 def test_convergence_report_rows():
@@ -407,6 +407,24 @@ def test_convergence_report_rows():
     assert rows[0].dev_train_ridge is not None
     assert rows[0].dev_cost is None
     assert all(r.se_train_ridge > 0 for r in rows)
+
+
+def test_convergence_report_zero_cost_target():
+    # at rho = 0 the asymptotic cost is 0; the deviation is then |mean|
+    config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=5, trials=3, rho=0.0)
+    (row,) = convergence_report([config], AsymptoticTargets(cost=0.0))
+    assert row.mean_cost == 0.0
+    assert row.dev_cost == 0.0
+    assert row.dev_train_ridge is None and row.dev_ols_gap is None
+
+
+def test_summarize_mean_se_and_deviation():
+    assert summarize([2.0]) == {"mean": 2.0, "se": 0.0}
+    stats = summarize([1.0, 2.0, 3.0], target=4.0)
+    assert stats["mean"] == 2.0
+    assert stats["se"] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+    assert stats["target"] == 4.0 and stats["rel_dev"] == 0.5
+    assert summarize([-0.5, 0.5, -0.3], target=0.0)["rel_dev"] == pytest.approx(0.1, rel=1e-15)
 
 
 def test_stationarity_twenty_random_multipliers_per_design():

@@ -13,35 +13,34 @@ from memcost.spectra import (
     mp_integrate,
     mp_shrinkage_integrals,
     mp_stieltjes_neg,
-    mp_support,
 )
 
 GAMMAS = [1.5, 2.0, 4.0, 10.0]
 
 
 def test_support_gamma_2():
-    iv = mp_support(2.0)
+    iv = MPLaw(2.0).support
     assert abs(iv.lo - 0.0857864376269049) < 1e-15
     assert abs(iv.hi - 2.9142135623730951) < 1e-15
 
 
 def test_support_gamma_4():
-    iv = mp_support(4.0)
+    iv = MPLaw(4.0).support
     assert abs(iv.lo - 0.25) < 1e-15
     assert abs(iv.hi - 2.25) < 1e-15
 
 
 def test_support_large_gamma_limit():
-    iv = mp_support(1e10)
+    iv = MPLaw(1e10).support
     assert abs(iv.lo - 1.0) < 1e-4
     assert abs(iv.hi - 1.0) < 1e-4
 
 
 def test_support_rejects_low_gamma():
     with pytest.raises(RegimeError):
-        mp_support(1.0)
+        MPLaw(1.0).support
     with pytest.raises(RegimeError):
-        mp_support(0.5)
+        MPLaw(0.5).support
 
 
 def test_endpoint_product_identity():
