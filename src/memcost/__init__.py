@@ -67,7 +67,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import Interval, ToleranceSpec, bisect
+from .numerics import Interval, bisect
 from .spectra import (
     EmpiricalSpectrum,
     MPLaw,

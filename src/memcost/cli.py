@@ -345,6 +345,9 @@ def _verify_checks(quick: bool, seed: int, perturb: bool):
     for gamma in (1.5, 4.0):
         law = MPLaw(gamma)
         for s2 in (1e-2, 1.0):
+            quad = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
+            closed = ce.ols_gap(gamma, ce.NoiseLevel(s2)) * gamma / s2**2
+            worst = max(worst, abs(quad - closed) / closed)
             for frac in (0.1, 0.5, 0.9):
                 rho = frac / law.lambda_plus
                 closed = mp_shrinkage_integrals(law, rho, s2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
-from .numerics import Interval, ToleranceSpec, bisect
+from .numerics import Interval, bisect
 
 __all__ = [
     "PopulationSpectrum",
@@ -101,13 +101,14 @@ class DeformedLaw:
             raise RegimeError(f"requires gamma > 1, got {self.gamma}")
 
 
-def silverstein_solve(law: DeformedLaw, sigma2: float, *, max_iter: int = 200) -> float:
+def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     """Stieltjes transform of the deformed law at -sigma2 < 0.
 
     Solves the fixed point by bisection of
-    g(m) = m * (sigma2 + int tau/(1 + tau m/gamma) dT) - 1 on (0, 1/sigma2),
-    where g is continuous with a unique positive root; the returned m equals
-    int 1/(s + sigma2) dG(s) and satisfies the fixed point to 1e-12.
+    g(m) = m * (sigma2 + int tau/(1 + tau m/gamma) dT) - 1 on (0, 2/sigma2),
+    where g is continuous with a unique positive root and g(2/sigma2) >= 1
+    stays positive in floating point; the returned m equals
+    int 1/(s + sigma2) dG(s) and satisfies the fixed point to 1e-12 relative.
     """
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
@@ -115,23 +116,13 @@ def silverstein_solve(law: DeformedLaw, sigma2: float, *, max_iter: int = 200) -
     w = law.population.weights
     g = law.gamma
 
-    def resolvent_avg(m: float) -> float:
-        return float(np.sum(w * tau / (1.0 + tau * m / g)))
-
     def residual(m: float) -> float:
-        return m * (sigma2 + resolvent_avg(m)) - 1.0
+        return m * (sigma2 + float(np.sum(w * tau / (1.0 + tau * m / g)))) - 1.0
 
-    hi = 1.0 / sigma2
-    m = bisect(
-        residual,
-        Interval(0.0, hi),
-        ToleranceSpec(abs_tol=0.25e-15, rel_tol=4e-16, max_iter=max_iter),
-    )
-    fp_residual = abs(m - 1.0 / (sigma2 + resolvent_avg(m)))
+    m = bisect(residual, Interval(0.0, 2.0 / sigma2))
+    fp_residual = abs(residual(m))
     if fp_residual > 1e-12:
-        raise ConvergenceError(
-            f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m
-        )
+        raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m)
     return m
 
 

@@ -34,7 +34,7 @@ from .errors import (
     RankError,
     RegimeError,
 )
-from .numerics import Interval, ToleranceSpec, bisect, sym_eigvals
+from .numerics import Interval, bisect, check_sigma2, sym_eigvals
 from .spectra import esd_from_design
 
 __all__ = [
@@ -115,8 +115,7 @@ class ExperimentConfig:
             )
         if self.n < 1:
             raise DomainError("n must be positive")
-        if not 0.0 < self.sigma2 < np.inf:
-            raise DomainError(f"sigma2 must be finite and positive, got {self.sigma2}")
+        check_sigma2(self.sigma2)
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not (0 <= self.seed <= _MASK64):
@@ -609,12 +608,7 @@ def _solve_rho_for_train(red: _Reduction, eps2: float) -> float:
         raise FeasibilityError(
             f"eps2={eps2} is unreachable within this design's feasible multipliers"
         )
-    rho = bisect(
-        lambda r: train(r) - eps2,
-        Interval(0.0, cap),
-        ToleranceSpec(abs_tol=1e-24, rel_tol=4e-16, max_iter=200),
-    )
-    return float(rho)
+    return float(bisect(lambda r: train(r) - eps2, Interval(0.0, cap)))
 
 
 @dataclass(frozen=True)
@@ -692,7 +686,12 @@ def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
     """
     vals = np.asarray(values, dtype=np.float64)
     mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    se = 0.0
+    if len(vals) > 1:
+        # scaling by a power of two is exact, and keeps the squared deviations
+        # of values near 1e-200 from underflowing
+        _, exp = np.frexp(np.max(np.abs(vals)))
+        se = float(np.ldexp(np.ldexp(vals, -exp).std(ddof=1) / np.sqrt(len(vals)), exp))
     entry = {"mean": mean, "se": se}
     if target is not None:
         entry["target"] = target

@@ -1,5 +1,5 @@
-"""Numerical kernel: bracketed bisection and the dense symmetric eigenvalue
-contract.
+"""Numerical kernel: bracketed bisection, the accepted noise-variance range,
+and the dense symmetric eigenvalue contract.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -12,11 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, DomainError
 
 __all__ = [
     "Interval",
-    "ToleranceSpec",
     "bisect",
     "sym_eigvals",
 ]
@@ -40,30 +39,23 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Stopping tolerances for iterative solvers.
+def check_sigma2(sigma2: float) -> None:
+    """Require a noise variance 1e-100 <= sigma2 <= 1e100, or raise DomainError.
 
-    A solve stops when the residual drops to ``abs_tol`` or the bracket
-    shrinks to ``rel_tol * |x| + abs_tol``; at least one tolerance must be
-    positive.
+    Every threshold is of order sigma2^2, so outside this range the
+    computed quantities overflow, or underflow to zero or to subnormals.
     """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 4e-16
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise DomainError("tolerances must be nonnegative")
-        if self.abs_tol + self.rel_tol <= 0:
-            raise DomainError("abs_tol + rel_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be a positive integer")
+    if not 1e-100 <= sigma2 <= 1e100:
+        raise DomainError(f"sigma2 must lie in [1e-100, 1e100], got {sigma2}")
 
 
-def bisect(f: Callable[[float], float], bracket: Interval, tol: ToleranceSpec) -> float:
+def bisect(f: Callable[[float], float], bracket: Interval) -> float:
     """Find a root of a continuous monotone function by pure bisection.
+
+    Halves the bracket until f(mid) == 0 or the midpoint rounds to an
+    endpoint, so the result is within one float of the root at any scale
+    and the loop ends after at most about 2100 steps.  There is no
+    tolerance to tune.
 
     Parameters
     ----------
@@ -72,23 +64,18 @@ def bisect(f: Callable[[float], float], bracket: Interval, tol: ToleranceSpec) -
         f(lo) and f(hi) of opposite sign (or one of them zero).
     bracket : Interval
         Initial enclosure of the root.
-    tol : ToleranceSpec
-        Stop when |f(mid)| <= abs_tol or the bracket width falls below
-        rel_tol * |mid| + abs_tol.
 
     Returns
     -------
     float
-        The approximate root. Deterministic: identical inputs yield
-        bit-identical outputs.
+        A zero of f, or else the float x with the root in (x, next float
+        above x), so the result stays below hi whenever f(hi) != 0.
+        Deterministic: identical inputs yield bit-identical outputs.
 
     Raises
     ------
     BracketError
         If f does not change sign over the bracket.
-    ConvergenceError
-        If max_iter bisection steps do not reach either tolerance; the
-        exception carries the last bracket.
     """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
@@ -96,28 +83,24 @@ def bisect(f: Callable[[float], float], bracket: Interval, tol: ToleranceSpec) -
         return lo
     if fhi == 0.0:
         return hi
-    if np.sign(flo) == np.sign(fhi):
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise BracketError(
             f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}",
             lo=lo, hi=hi, flo=flo, fhi=fhi,
         )
-    for _ in range(tol.max_iter):
+    rising = flo < 0.0
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            # bracket exhausted at float resolution
-            return mid
+            # lo and hi are adjacent floats
+            return lo
         fmid = f(mid)
-        if abs(fmid) <= tol.abs_tol:
+        if fmid == 0.0:
             return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
+        if (fmid < 0.0) == rising:
+            lo = mid
         else:
-            hi, fhi = mid, fmid
-        if hi - lo <= tol.rel_tol * abs(mid) + tol.abs_tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection did not converge in {tol.max_iter} iterations", last=(lo, hi)
-    )
+            hi = mid
 
 
 def sym_eigvals(M: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ The law for aspect ratio gamma = d/n > 1 has density
 with edges lm = (1 - 1/sqrt(gamma))^2 and lp = (1 + 1/sqrt(gamma))^2.
 Every integral the isotropic theory needs is a rational function of the
 Stieltjes transform of H and its derivative, so production values come in
-closed form (``mp_stieltjes_neg``, ``mp_shrinkage_integrals``);
-``mp_integrate`` is the independent quadrature that checks them.
+closed form (``mp_stieltjes_neg``, ``mp_shrinkage_integrals``), and so
+does the c.d.f. (``mp_cdf``); ``mp_integrate`` is the independent
+quadrature that checks them and is used only by ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _eval_on_rule(law: MPLaw, f, k: int) -> float:
     return float(vals @ w)
 
 
-def mp_integrate(law: MPLaw, f, *, start_nodes: int = _START_NODES) -> float:
+def mp_integrate(law: MPLaw, f) -> float:
     """Integrate f against the law, with automatic node doubling.
 
     ``f`` must be finite and continuous on the support and accept an ndarray
@@ -134,7 +135,7 @@ def mp_integrate(law: MPLaw, f, *, start_nodes: int = _START_NODES) -> float:
     successive evaluations agree to 1e-11 relative; integrands with a pole
     just beyond the upper edge may need the full budget.
     """
-    k = int(start_nodes)
+    k = _START_NODES
     prev = _eval_on_rule(law, f, k)
     while k < _NODE_BUDGET:
         k *= 2
@@ -196,29 +197,29 @@ def mp_shrinkage_integrals(law: MPLaw, rho: float, a: float) -> tuple[float, flo
     return dm / (rho * q) + pole, dm / (rho * rho * q) - a * pole
 
 
-_CDF_NODE_COUNT = 20000
-
-
 def mp_cdf(law: MPLaw, x: float) -> float:
-    """Cumulative distribution H(x) of the law.
+    """Cumulative distribution H(x) of the law, in closed form.
 
-    Integrates the density over [lm, min(x, lp)] with the same endpoint-
-    absorbing rule family restricted to the subinterval.  Indicator
-    integrands are discontinuous and violate mp_integrate's contract, so
-    the c.d.f. gets this dedicated evaluator.
+    With a = lm, b = lp, p = sqrt(x - a) and q = sqrt(b - x), for a < x < b,
+
+        H(x) = (gamma / 2 pi) [p q + (a + b) atan2(p, q)
+                               - 2 sqrt(a b) atan2(sqrt(b) p, sqrt(a) q)]
+
+    (Bai & Silverstein 2010, ch. 3), the antiderivative of the density.
     """
-    lm, lp = law.lambda_minus, law.lambda_plus
-    if x <= lm:
+    a, b = law.lambda_minus, law.lambda_plus
+    if x <= a:
         return 0.0
-    if x >= lp:
+    if x >= b:
         return 1.0
-    nodes, _ = _cheb_transfer(_CDF_NODE_COUNT)
-    c = 0.5 * (lm + x)
-    r = 0.5 * (x - lm)
-    s = c + r * nodes
-    # density times the subinterval half-circle factor sqrt((s-lm)(x-s))
-    g = (law.gamma / (2.0 * np.pi)) * np.sqrt(lp - s) * (s - lm) * np.sqrt(x - s) / s
-    return float(np.clip((np.pi / _CDF_NODE_COUNT) * g.sum(), 0.0, 1.0))
+    p = math.sqrt(x - a)
+    q = math.sqrt(b - x)
+    area = (
+        p * q
+        + (a + b) * math.atan2(p, q)
+        - 2.0 * math.sqrt(a * b) * math.atan2(math.sqrt(b) * p, math.sqrt(a) * q)
+    )
+    return min(max(law.gamma / (2.0 * math.pi) * area, 0.0), 1.0)
 
 
 def esd_from_design(X: np.ndarray) -> EmpiricalSpectrum:
@@ -253,13 +254,13 @@ def bai_yin_check(spec: EmpiricalSpectrum, law: MPLaw) -> tuple[float, float]:
     )
 
 
-def kolmogorov_distance(spec: EmpiricalSpectrum, law: MPLaw, grid_points: int = 100) -> float:
+def kolmogorov_distance(spec: EmpiricalSpectrum, law: MPLaw) -> float:
     """Max deviation between empirical and limit c.d.f. on a fixed grid.
 
-    The grid is equispaced on [lm/2, 2 lp], which makes the comparison
-    deterministic for a given spectrum.
+    The grid has 100 equispaced points on [lm/2, 2 lp], which makes the
+    comparison deterministic for a given spectrum.
     """
-    grid = np.linspace(law.lambda_minus / 2.0, 2.0 * law.lambda_plus, grid_points)
+    grid = np.linspace(law.lambda_minus / 2.0, 2.0 * law.lambda_plus, 100)
     # values are descending, so the empirical cdf counts from the tail
     v_asc = spec.values[::-1]
     emp = np.searchsorted(v_asc, grid, side="right") / spec.n

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -127,6 +128,90 @@ def test_non_finite_or_unbounded_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("memcost: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--gamma", "2", "--sigma2", "1e300"],
+        ["ols", "--gamma", "2", "--sigma2", "1e200"],
+        ["cost-curve", "--gamma", "2", "--sigma2", "1e200", "--grid", "1e200:1e200:3e200"],
+        ["threshold", "--gamma", "2", "--sigma2", "1e-300"],
+        ["threshold", "--gamma", "2", "--sigma2", "1e-200"],
+        ["ols", "--gamma", "2", "--sigma2", "1e-200"],
+        ["threshold", "--gamma", "2", "--sigma2", "1e-160"],
+        ["simulate", "--n", "20", "--d", "40", "--sigma2", "1e-101", "--seed", "1",
+         "--trials", "1", "--rho", "0"],
+    ],
+    ids=[
+        "threshold-1e300", "ols-1e200", "cost-curve-1e200", "threshold-1e-300",
+        "threshold-1e-200", "ols-1e-200", "threshold-1e-160", "simulate-1e-101",
+    ],
+)
+def test_sigma2_outside_range_exits_2(capsys, argv):
+    # sigma2^2 overflows, or underflows to zero or to subnormals, for these
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("memcost: error:") and "Traceback" not in err
+
+
+def _assert_cells_finite_and_normal(text):
+    for row in parse_csv(text)[1]:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # the regime column
+            assert math.isfinite(value) and (value == 0.0 or abs(value) >= sys.float_info.min), row
+
+
+@pytest.mark.parametrize("s2", [1e-100, 1e100])
+def test_sigma2_range_ends_give_finite_normal_cells(capsys, tmp_path, s2):
+    pop = _pop_file(tmp_path)
+    th = memorization_threshold(2.0, NoiseLevel(s2))
+    sig = repr(s2)
+    sim = ["simulate", "--n", "20", "--d", "40", "--sigma2", sig, "--seed", "1",
+           "--trials", "3", "--eps2", repr(2.0 * th)]
+    commands = [
+        ["threshold", "--gamma", "2", "--sigma2", sig],
+        ["threshold", "--gamma", "2", "--sigma2", sig, "--pop", pop],
+        ["rho", "--gamma", "2", "--sigma2", sig, "--eps2", repr(3.0 * th)],
+        ["cost-curve", "--gamma", "2", "--sigma2", sig, "--grid", f"{0.5 * th!r}:{th!r}:{4 * th!r}"],
+        ["ols", "--gamma", "2", "--sigma2", sig],
+        sim + ["--out", str(tmp_path / "iso")],
+        sim + ["--pop", pop, "--out", str(tmp_path / "aniso")],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        _assert_cells_finite_and_normal(out)
+    for run in ("iso", "aniso"):
+        metrics = json.loads((tmp_path / run / "summary.json").read_text())["metrics"]
+        for stats in metrics.values():
+            for value in stats.values():
+                assert math.isfinite(value) and (value == 0.0 or abs(value) >= sys.float_info.min)
+        # the cost varies over the trials at both ends, so its standard error is not 0
+        assert metrics["cost"]["se"] > 0.0
+
+
+def test_threshold_pop_large_sigma2_matches_mpmath(tmp_path, capsys):
+    import mpmath as mp
+
+    code, out, err = run_cli(
+        capsys, "threshold", "--gamma", "2", "--sigma2", "1e12", "--pop", _pop_file(tmp_path)
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    got = float(rows[0][header.index("eps_def2")])
+    pop = load_population_spectrum(_pop_file(tmp_path))
+    with mp.workdps(40):
+        s2 = mp.mpf(10) ** 12
+        atoms = [(mp.mpf(t), mp.mpf(w)) for t, w in pop.atoms]
+        m = mp.findroot(lambda m: m * (s2 + sum(w * t / (1 + t * m / 2) for t, w in atoms)) - 1,
+                        1 / s2)
+        exact = float(s2 * s2 * m)
+    assert abs(got - exact) <= 1e-14 * exact
 
 
 def test_threshold_missing_gamma_is_usage_error(capsys):

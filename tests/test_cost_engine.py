@@ -33,9 +33,12 @@ GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)
 def test_noise_level_rejects_nonpositive():
     with pytest.raises(DomainError):
         NoiseLevel(0.0)
-    for bad in (math.inf, math.nan, -math.inf):
+    for bad in (math.inf, math.nan, -math.inf, 1e-101, 1e101, 1e-300, 1e300):
         with pytest.raises(DomainError):
             NoiseLevel(bad)
+    # the ends of the accepted range are valid
+    NoiseLevel(1e-100)
+    NoiseLevel(1e100)
 
 
 def test_threshold_value_gamma2():
@@ -189,10 +192,11 @@ def test_costbar_below_threshold_is_minus_gap():
 
 
 def test_ols_gap_two_routes_and_small_sigma_law():
-    # the closed form and the quadrature route are asserted inside ols_gap
     ratios = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
         gap = ols_gap(2.0, NoiseLevel(s2))
+        quad = s2 * s2 / 2.0 * mp_integrate(MPLaw(2.0), lambda s: 1.0 / (s * (s + s2)))
+        assert abs(gap - quad) <= 1e-10 * gap
         ratios.append(gap / s2**2)
     # limit constant 1/(gamma (1-1/gamma)^3) = 4 at gamma = 2
     deviations = [abs(r - 4.0) for r in ratios]
@@ -377,3 +381,25 @@ def test_ols_gap_matches_mpmath_down_to_tiny_noise():
                 m = (mp.sqrt(b * b + 4 * a / g) - b) / (2 * a / g)
                 exact = float(a / g * (1 / (1 - 1 / g) - m))
             assert abs(ols_gap(gamma, NoiseLevel(s2)) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("s2", [1e-8, 1e-10, 1e-12, 1e-20])
+@pytest.mark.parametrize("multiple", [1.5, 3.0])
+def test_small_noise_rho_solves_reach_eps2(s2, multiple):
+    # eps2 ~ sigma2^2 is tiny, and the solves must still reach it to rounding
+    law = MPLaw(2.0)
+    noise = NoiseLevel(s2)
+    eps2 = multiple * memorization_threshold(2.0, noise)
+    rho = solve_rho(2.0, noise, eps2).rho
+    train = s2 * s2 * mp_shrinkage_integrals(law, rho, s2)[0]
+    assert abs(train - eps2) <= 1e-12 * eps2
+
+    pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
+    thresh = deformed_threshold(DeformedLaw(2.0, pop), s2)
+    eps2_def = multiple * thresh
+    rho_def = solve_rho_def(2.0, pop, noise, eps2_def).rho
+    ks2 = pop.kappa * s2
+    reached = thresh + pop.kappa * s2 * s2 * (
+        mp_shrinkage_integrals(law, rho_def, ks2)[0] - mp_stieltjes_neg(law, ks2)
+    )
+    assert abs(reached - eps2_def) <= 1e-12 * eps2_def

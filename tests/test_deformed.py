@@ -139,3 +139,34 @@ def test_deformed_threshold_is_sigma4_times_transform():
     sigma2 = 0.1
     m = silverstein_solve(law, sigma2)
     assert abs(deformed_threshold(law, sigma2) - sigma2**2 * m) < 1e-15
+
+
+def _mp_silverstein(law, sigma2):
+    """The fixed point at 40 digits, by bisection on (0, 2/sigma2)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        s2, g = mp.mpf(sigma2), mp.mpf(law.gamma)
+        atoms = [(mp.mpf(t), mp.mpf(w)) for t, w in law.population.atoms]
+
+        def residual(m):
+            return m * (s2 + sum(w * t / (1 + t * m / g) for t, w in atoms)) - 1
+
+        lo, hi = mp.mpf(0), 2 / s2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if residual(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+@pytest.mark.parametrize("sigma2", [1e4, 1e8, 1e12, 1e14, 1e16, 1e30, 1e100])
+def test_silverstein_large_sigma2_matches_mpmath(sigma2):
+    # m ~ 1/sigma2, so only a relative stopping rule keeps every digit; past
+    # sigma2 ~ 1e16 the residual at 1/sigma2 rounds below zero, so the
+    # bracket must end beyond it
+    law = DeformedLaw(2.0, PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5))))
+    oracle = _mp_silverstein(law, sigma2)
+    assert abs(silverstein_solve(law, sigma2) - oracle) <= 1e-14 * oracle

@@ -60,7 +60,7 @@ def test_config_validation():
         ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0)  # neither rho nor eps2
     with pytest.raises(DomainError):
         ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0, rho=0.0, eps2=0.1)
-    for bad in (-1.0, 0.0, float("inf"), float("nan")):
+    for bad in (-1.0, 0.0, float("inf"), float("nan"), 1e-101, 1e101):
         with pytest.raises(DomainError):
             ExperimentConfig(n=10, d=20, sigma2=bad, seed=0, rho=0.0)
 
@@ -418,6 +418,14 @@ def test_convergence_report_zero_cost_target():
     assert row.dev_train_ridge is None and row.dev_ols_gap is None
 
 
+def test_summarize_se_of_tiny_values_does_not_underflow():
+    # squared deviations of values near 1e-200 underflow to zero unless scaled
+    tiny = summarize([1e-200, 1.5e-200, 1.25e-200])
+    unit = summarize([1.0, 1.5, 1.25])
+    assert abs(tiny["se"] - unit["se"] * 1e-200) <= 1e-15 * unit["se"] * 1e-200
+    assert summarize([0.0, 0.0]) == {"mean": 0.0, "se": 0.0}
+
+
 def test_summarize_mean_se_and_deviation():
     assert summarize([2.0]) == {"mean": 2.0, "se": 0.0}
     stats = summarize([1.0, 2.0, 3.0], target=4.0)
@@ -547,3 +555,15 @@ def test_trial_metrics_never_forms_a_d_by_d_matrix(monkeypatch, pop):
 def test_config_rejects_non_finite_or_negative_multiplier(field, value):
     with pytest.raises(DomainError):
         ExperimentConfig(n=10, d=20, sigma2=0.1, seed=0, **{field: value})
+
+
+@pytest.mark.parametrize("sigma2", [1e-8, 1e-10, 1e-12, 1e-20])
+def test_small_noise_eps2_trial_reaches_eps2(sigma2):
+    # eps2 ~ sigma2^2 is tiny, and the per-design solve must still reach it to rounding
+    eps2 = 1.5 * memorization_threshold(2.0, NoiseLevel(sigma2))
+    config = ExperimentConfig(n=50, d=100, sigma2=sigma2, seed=3, trials=1, eps2=eps2)
+    metrics = trial_metrics(config, 0)
+    assert metrics.rho > 0.0
+    design = sample_design(config, 0)
+    train = error_growth_trace(design.X, design.sigma_sqrt, sigma2, metrics.rho)[1]
+    assert abs(train - eps2) <= 1e-12 * eps2

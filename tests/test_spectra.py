@@ -136,6 +136,25 @@ def test_cdf_against_trapezoid_oracle():
     assert abs(mp_cdf(law, x) - oracle) < 1e-6
 
 
+def _mp_cdf(gamma, x):
+    """H(x) by 40-digit quadrature; s = c - h cos(t) smooths both square-root edges."""
+    with mp.workdps(40):
+        g = mp.mpf(gamma)
+        a, b = (1 - 1 / mp.sqrt(g)) ** 2, (1 + 1 / mp.sqrt(g)) ** 2
+        c, h = (a + b) / 2, (b - a) / 2
+        top = mp.acos((c - mp.mpf(x)) / h)
+        return mp.quad(lambda t: g / (2 * mp.pi) * (h * mp.sin(t)) ** 2 / (c - h * mp.cos(t)), [0, top])
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.5, 2.0, 4.0, 10.0, 100.0])
+def test_cdf_closed_form_matches_mpmath(gamma):
+    law = MPLaw(gamma)
+    lm, lp = law.lambda_minus, law.lambda_plus
+    for t in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9):
+        x = lm + t * (lp - lm)
+        assert abs(mp_cdf(law, x) - _mp_cdf(gamma, x)) <= 1e-12
+
+
 def test_esd_padded_identity():
     n, d = 2, 4
     X = np.sqrt(d) * np.hstack([np.eye(n), np.zeros((n, d - n))])
