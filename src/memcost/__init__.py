@@ -30,7 +30,6 @@ from .deformed import (
 )
 from .finite_n_lab import (
     AsymptoticTargets,
-    ConvergenceRow,
     DesignSample,
     EntryDist,
     ErrorReport,

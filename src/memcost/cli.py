@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     MemcostError,
     NearDivergenceError,
-    RegimeError,
     SpectrumFormatError,
 )
 from .spectra import MPLaw, bai_yin_check, esd_from_design, kolmogorov_distance, mp_stieltjes_neg
@@ -207,10 +206,8 @@ def cmd_cost_curve(args) -> int:
     for e2 in grid:
         try:
             point = ce.asymptotic_cost(args.gamma, noise, e2)
-            sol_regime = (
-                ce.Regime.BELOW_THRESHOLD if point.rho == 0.0 else ce.Regime.ABOVE_THRESHOLD
-            )
-            rows.append((e2, point.rho, point.cost, point.costbar, sol_regime.value))
+            regime = ce.Regime.of(point.rho).value
+            rows.append((e2, point.rho, point.cost, point.costbar, regime))
         except NearDivergenceError:
             rows.append((e2, float("nan"), float("nan"), float("nan"), "error"))
     table = OutputTable(
@@ -264,17 +261,24 @@ def cmd_spectrum(args) -> int:
 
 
 def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab.AsymptoticTargets:
+    """Limit-law targets of a simulate run; a target the law does not define is omitted."""
     gamma = config.gamma_n
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
-        return lab.AsymptoticTargets(train_ridge=None, cost=None, ols_gap=None)
-    train_ridge = ce.memorization_threshold(gamma, noise)
-    gap = ce.ols_gap(gamma, noise)
+        return lab.AsymptoticTargets()
+    cost = None
     if config.eps2 is not None:
-        cost = ce.asymptotic_cost(gamma, noise, config.eps2).cost
-    else:
+        try:
+            cost = ce.asymptotic_cost(gamma, noise, config.eps2).cost
+        except NearDivergenceError:
+            pass  # the limit law's rho(eps2) lies past its cap
+    elif config.rho * MPLaw(gamma).lambda_plus < 1.0:
         cost = ce.cost_at_rho(gamma, noise, config.rho)
-    return lab.AsymptoticTargets(train_ridge=train_ridge, cost=cost, ols_gap=gap)
+    return lab.AsymptoticTargets(
+        train_ridge=ce.memorization_threshold(gamma, noise),
+        cost=cost,
+        ols_gap=ce.ols_gap(gamma, noise),
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -288,10 +292,8 @@ def cmd_simulate(args) -> int:
     metrics = lab.run_trials(config, lab.trial_metrics)
     targets = _simulate_targets(config, noise)
 
-    rows = []
-    for m in metrics:
-        for name in ("rho", "train_ridge", "cost", "ols_gap"):
-            rows.append((m.trial, name, getattr(m, name)))
+    stats = lab.summarize_trials(metrics, targets)
+    rows = [(m.trial, name, getattr(m, name)) for m in metrics for name in stats]
     config_echo = _config_echo(
         args, ["n", "d", "sigma2", "seed", "trials", "dist", "rho", "eps2", "eps", "pop"]
     )
@@ -304,10 +306,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "config": config_echo,
         "metadata": {"version": __version__, "command": "simulate", "gamma_n": config.gamma_n},
-        "metrics": {
-            name: lab.summarize([getattr(m, name) for m in metrics], getattr(targets, name, None))
-            for name in ("train_ridge", "cost", "ols_gap", "rho")
-        },
+        "metrics": stats,
     }
 
     sys.stdout.write(table.render(args.format))
@@ -545,7 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, RegimeError, SpectrumFormatError, NearDivergenceError) as exc:
+    except (DomainError, SpectrumFormatError, NearDivergenceError) as exc:
         print(f"memcost: error: {exc}", file=sys.stderr)
         return 2
     except MemcostError as exc:

@@ -11,9 +11,10 @@ train(0) is the memorization threshold; above it, the multiplier rho(eps2)
 solving train(rho) = eps2 determines the asymptotic cost of not fitting.
 Both integrals, and those of the rho_ols and rho_def equations, are
 evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``).
-All rho searches are bracketed in [0, (1 - 1e-8)/lambda_plus]: requests
-whose root lies at or past that cap fail loudly, because the constraint
-integral diverges at the upper spectral edge.
+Every rho is found by ``numerics.solve_multiplier``, the solver the
+finite-n lab uses too: requests whose root lies at or past its cap
+(1 - 1e-8)/lambda_plus fail loudly, because the constraint integral
+diverges at the upper spectral edge.
 
 Everything is exposed in eps^2 units (squared training error).
 """
@@ -29,10 +30,9 @@ from .deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from .errors import (
     ConsistencyError,
     DomainError,
-    NearDivergenceError,
     RegimeError,
 )
-from .numerics import Interval, bisect, check_sigma2
+from .numerics import check_sigma2, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "CostPoint",
     "ThresholdReport",
     "BoundConstants",
-    "RHO_CAP_MARGIN",
     "memorization_threshold",
     "threshold_approx",
     "solve_rho",
@@ -55,9 +54,6 @@ __all__ = [
     "anisotropic_cost_lower_bound",
     "threshold_report",
 ]
-
-RHO_CAP_MARGIN = 1e-8
-
 
 @dataclass(frozen=True)
 class NoiseLevel:
@@ -73,6 +69,11 @@ class Regime(str, Enum):
     BELOW_THRESHOLD = "below_threshold"
     ABOVE_THRESHOLD = "above_threshold"
 
+    @classmethod
+    def of(cls, rho: float) -> "Regime":
+        """Below the threshold exactly when the multiplier is 0 (constraint inactive)."""
+        return cls.BELOW_THRESHOLD if rho == 0.0 else cls.ABOVE_THRESHOLD
+
 
 @dataclass(frozen=True)
 class RhoSolution:
@@ -85,15 +86,16 @@ class RhoSolution:
     """
 
     rho: float
-    regime: Regime
     residual: float
     target_eps2: float
 
     def __post_init__(self):
         if self.rho < 0:
             raise DomainError(f"rho must be nonnegative, got {self.rho}")
-        if (self.rho == 0.0) != (self.regime is Regime.BELOW_THRESHOLD):
-            raise DomainError("regime is below_threshold exactly when rho == 0")
+
+    @property
+    def regime(self) -> Regime:
+        return Regime.of(self.rho)
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,6 @@ class BoundConstants:
             raise DomainError("bound constants must be positive")
 
 
-def _rho_cap(law: MPLaw) -> float:
-    return (1.0 - RHO_CAP_MARGIN) / law.lambda_plus
-
-
 def _train(law: MPLaw, sigma2: float, rho: float) -> float:
     """train(rho); at rho = 0 it equals memorization_threshold bit for bit."""
     return sigma2**2 * mp_shrinkage_integrals(law, rho, sigma2)[0]
@@ -191,8 +189,9 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
 
     Returns rho = 0 (constraint inactive) for eps2 at or below the
-    threshold; otherwise bisects the monotone residual over
-    [0, (1 - 1e-8)/lambda_plus] and reports the plugged-back residual.
+    threshold; otherwise solves below the cap (1 - 1e-8)/lambda_plus
+    (see ``numerics.solve_multiplier``) and reports the plugged-back
+    residual.
 
     Raises
     ------
@@ -204,21 +203,10 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     if not 0.0 <= eps2 < math.inf:
         raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
     law = MPLaw(gamma)
-    sigma2 = noise.sigma2
-    if eps2 <= memorization_threshold(gamma, noise):
-        return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
-
-    def f(rho: float) -> float:
-        return _train(law, sigma2, rho) - eps2
-
-    cap = _rho_cap(law)
-    if f(cap) <= 0.0:
-        raise NearDivergenceError(
-            f"eps2={eps2} requires rho within {RHO_CAP_MARGIN}/lambda_plus of the "
-            "upper spectral edge, where the constraint integral diverges"
-        )
-    rho = bisect(f, Interval(0.0, cap))
-    return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps2)
+    rho, residual = solve_multiplier(
+        lambda rho: _train(law, noise.sigma2, rho), law.lambda_plus, eps2, "rho(eps2)"
+    )
+    return RhoSolution(rho, residual, eps2)
 
 
 def cost_at_rho(gamma: float, noise: NoiseLevel, rho: float) -> float:
@@ -292,19 +280,13 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     """
     law = MPLaw(gamma)
     s2 = noise.sigma2
-    rhs = _inverse_moment(law, s2)
-
-    def f(rho: float) -> float:
-        return rho * rho * mp_shrinkage_integrals(law, rho, s2)[1] - rhs
-
-    cap = _rho_cap(law)
-    if f(cap) < 0.0:
-        raise NearDivergenceError(
-            "interpolation multiplier would exceed the cap below the spectral edge"
-        )
-    rho = bisect(f, Interval(0.0, cap))
-    eps_ols2 = _train(law, s2, rho)
-    return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps_ols2)
+    rho, residual = solve_multiplier(
+        lambda rho: rho * rho * mp_shrinkage_integrals(law, rho, s2)[1],
+        law.lambda_plus,
+        _inverse_moment(law, s2),
+        "rho_ols",
+    )
+    return RhoSolution(rho, residual, _train(law, s2, rho))
 
 
 def solve_rho_def(
@@ -332,21 +314,16 @@ def solve_rho_def(
         raise RegimeError(
             f"eps2={eps2} is below the deformed threshold {thresh}; no cost there"
         )
-    if rhs == 0.0:
-        return RhoSolution(0.0, Regime.BELOW_THRESHOLD, 0.0, eps2)
     scale = kappa * s2 * s2
     j0 = mp_stieltjes_neg(law, ks2)
-
-    def f(rho: float) -> float:
-        return scale * (mp_shrinkage_integrals(law, rho, ks2)[0] - j0) - rhs
-
-    cap = _rho_cap(law)
-    if f(cap) <= 0.0:
-        raise NearDivergenceError(
-            f"eps2={eps2} requires rho_def beyond the cap below the spectral edge"
-        )
-    rho = bisect(f, Interval(0.0, cap))
-    return RhoSolution(rho, Regime.ABOVE_THRESHOLD, abs(f(rho)), eps2)
+    # the level is exactly 0 at rho = 0, so rhs == 0 gives rho_def = 0
+    rho, residual = solve_multiplier(
+        lambda rho: scale * (mp_shrinkage_integrals(law, rho, ks2)[0] - j0),
+        law.lambda_plus,
+        rhs,
+        f"rho_def(eps2={eps2!r})",
+    )
+    return RhoSolution(rho, residual, eps2)
 
 
 def anisotropic_cost_lower_bound(

@@ -42,8 +42,9 @@ class NearDivergenceError(MemcostError):
     """A multiplier solve requires rho past the safe cap below the spectral edge.
 
     The constraint integral diverges as rho approaches the reciprocal of the
-    upper support endpoint, so requests in that regime fail loudly instead of
-    returning a garbage root.
+    top of the spectrum (the limit law's upper support endpoint, or a sampled
+    design's top eigenvalue), so requests in that regime fail loudly instead
+    of returning a garbage root.
     """
 
 

@@ -34,7 +34,7 @@ from .errors import (
     RankError,
     RegimeError,
 )
-from .numerics import Interval, bisect, check_sigma2, sym_eigvals
+from .numerics import check_sigma2, solve_multiplier, sym_eigvals
 from .spectra import esd_from_design
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "GrowthBoundsReport",
     "AsymptoticTargets",
     "TrialMetrics",
-    "ConvergenceRow",
     "splitmix64",
     "trial_seed",
     "apportion_atoms",
@@ -66,6 +65,7 @@ __all__ = [
     "trial_metrics",
     "run_trials",
     "summarize",
+    "summarize_trials",
     "convergence_report",
 ]
 
@@ -488,14 +488,23 @@ def min_norm_interpolant_report(
 ) -> tuple[float, float]:
     """Prediction error of the minimum-norm interpolant and its gap over ridge.
 
-    Both come from the direct route (the interpolant is pinv(X)); the gap is
-    cross-checked against the reduction's gap (see ``_reduce``), and the two
-    must agree to 1e-9.
+    Both come from the direct route (the interpolant is pinv(X)).  With
+    G = XX^T, the interpolant minus the ridge matrix is
+    D = d sigma2 X^T G^-1 (G + d sigma2 I)^-1, and the ridge gradient of the
+    prediction error vanishes for any diagonal Sigma, so the gap is exactly
+    (1/d)||S D X||_F^2 + sigma2 ||S D||_F^2: positive terms, without the
+    cancellation of subtracting two errors of order 1.  It is cross-checked
+    against the reduction's gap (see ``_reduce``), and the two must agree
+    to 1e-9.
     """
+    n, d = X.shape
     reduced = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2).gap
     pred_ols = pred_error_direct(np.linalg.pinv(X), X, sigma_sqrt, sigma2)
-    A0 = build_estimator(X, sigma_sqrt, sigma2, 0.0).A
-    gap = pred_ols - pred_error_direct(A0, X, sigma_sqrt, sigma2)
+    G = X @ X.T
+    ds2 = d * sigma2
+    Dt = ds2 * _spd_solve(G + ds2 * np.eye(n), _spd_solve(G, X, "design Gram"), "n-side ridge Gram")
+    SD = sigma_sqrt[:, None] * Dt.T
+    gap = float(np.sum((SD @ X) ** 2)) / d + sigma2 * float(np.sum(SD**2))
     if abs(gap - reduced) > 1e-9 * max(abs(reduced), 1e-300):
         raise ConsistencyError(
             f"interpolant gap routes disagree: direct {gap!r} vs reduction {reduced!r}"
@@ -564,17 +573,10 @@ def evaluate_design(
     rho: float,
     mc_samples: int = 0,
     mc_seed: int = 0,
-    pred_ridge: Optional[float] = None,
 ) -> ErrorReport:
-    """Assemble the full error report for one design at one multiplier.
-
-    ``pred_ridge`` may be passed to reuse the ridge prediction error when
-    evaluating many multipliers on the same design.
-    """
+    """Assemble the full error report for one design at one multiplier."""
     A = build_estimator(X, sigma_sqrt, sigma2, rho)
-    if pred_ridge is None:
-        A0 = A if rho == 0.0 else build_estimator(X, sigma_sqrt, sigma2, 0.0)
-        pred_ridge = pred_error_direct(A0.A, X, sigma_sqrt, sigma2)
+    A0 = A if rho == 0.0 else build_estimator(X, sigma_sqrt, sigma2, 0.0)
     delta_pred, train_trace = error_growth_trace(X, sigma_sqrt, sigma2, rho)
     mc_pred = mc_train = None
     if mc_samples > 0:
@@ -584,31 +586,13 @@ def evaluate_design(
     return ErrorReport(
         pred_direct=pred_error_direct(A.A, X, sigma_sqrt, sigma2),
         train_direct=train_error_direct(A.A, X, sigma2),
-        pred_ridge=pred_ridge,
+        pred_ridge=pred_error_direct(A0.A, X, sigma_sqrt, sigma2),
         pred_growth_trace=delta_pred,
         train_trace=train_trace,
         duality_residual=lagrangian_gradient_residual(A.A, X, sigma_sqrt, sigma2, rho),
         monte_carlo_pred=mc_pred,
         monte_carlo_train=mc_train,
     )
-
-
-def _solve_rho_for_train(red: _Reduction, eps2: float) -> float:
-    """Multiplier at which the design's training error equals eps2.
-
-    Returns 0 when the ridge training error already reaches eps2 (the
-    finite-sample constraint is inactive).
-    """
-    train = red.train
-    if train(0.0) >= eps2:
-        return 0.0
-    # feasibility boundary of this design; the training error diverges there
-    cap = (1.0 - 1e-9) / red.s[0]
-    if train(cap) < eps2:
-        raise FeasibilityError(
-            f"eps2={eps2} is unreachable within this design's feasible multipliers"
-        )
-    return float(bisect(lambda r: train(r) - eps2, Interval(0.0, cap)))
 
 
 @dataclass(frozen=True)
@@ -631,36 +615,21 @@ class TrialMetrics:
     ols_gap: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """Mean/SE of each metric at one problem size, with target deviations."""
-
-    n: int
-    d: int
-    trials: int
-    mean_train_ridge: float
-    se_train_ridge: float
-    mean_cost: float
-    se_cost: float
-    mean_ols_gap: float
-    se_ols_gap: float
-    dev_train_ridge: Optional[float] = None
-    dev_cost: Optional[float] = None
-    dev_ols_gap: Optional[float] = None
-
-
 def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     """Ridge training error, constrained cost, and interpolant gap for one trial.
 
     All three, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
-    and anisotropic populations alike.  A fixed rho at or past the
-    design's feasibility cap 1/top_eig(ZZ^T/d) raises RegimeError.
+    and anisotropic populations alike.  The solve is the limit law's own
+    (``numerics.solve_multiplier``) with the design's spectrum in place of
+    the law, so an eps2 past its cap (1 - 1e-8)/top_eig(ZZ^T/d) raises
+    NearDivergenceError.  A fixed rho at or past the feasibility cap
+    1/top_eig(ZZ^T/d) raises RegimeError.
     """
     design = sample_design(config, trial)
     red = _reduce(design.Z, design.sigma_sqrt, config.sigma2)
     if config.eps2 is not None:
-        rho = _solve_rho_for_train(red, config.eps2)
+        rho, _ = solve_multiplier(red.train, red.s[0], config.eps2, f"trial {trial} rho(eps2)")
     else:
         rho = float(config.rho)
         red.require_feasible(rho, f"trial {trial}: ")
@@ -699,23 +668,33 @@ def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
     return entry
 
 
+def summarize_trials(metrics: Sequence[TrialMetrics], targets: AsymptoticTargets) -> dict:
+    """{metric: summarize(per-trial values, its target)} for every trial metric.
+
+    Keys come in the order rho, train_ridge, cost, ols_gap; rho has no
+    target, and a metric whose target is None gets none either.
+    """
+    return {
+        name: summarize([getattr(m, name) for m in metrics], getattr(targets, name, None))
+        for name in ("rho", "train_ridge", "cost", "ols_gap")
+    }
+
+
 def convergence_report(
     configs: Sequence[ExperimentConfig], targets: AsymptoticTargets
-) -> list[ConvergenceRow]:
+) -> list[dict]:
     """Aggregate per-trial metrics for each config and compare to the limits.
 
     Configs are expected to share (aspect ratio, sigma2, population) and
-    vary n; each row carries means, standard errors, and relative
-    deviations from the supplied targets (see ``summarize``).
+    vary n; each row is {"n", "d", "trials", "metrics"}, with "metrics"
+    from ``summarize_trials``.
     """
-    rows = []
-    for config in configs:
-        metrics = run_trials(config, trial_metrics)
-        fields = {}
-        for name in ("train_ridge", "cost", "ols_gap"):
-            stats = summarize([getattr(m, name) for m in metrics], getattr(targets, name))
-            fields[f"mean_{name}"] = stats["mean"]
-            fields[f"se_{name}"] = stats["se"]
-            fields[f"dev_{name}"] = stats.get("rel_dev")
-        rows.append(ConvergenceRow(n=config.n, d=config.d, trials=config.trials, **fields))
-    return rows
+    return [
+        {
+            "n": config.n,
+            "d": config.d,
+            "trials": config.trials,
+            "metrics": summarize_trials(run_trials(config, trial_metrics), targets),
+        }
+        for config in configs
+    ]

@@ -1,5 +1,6 @@
-"""Numerical kernel: bracketed bisection, the accepted noise-variance range,
-and the dense symmetric eigenvalue contract.
+"""Numerical kernel: bracketed bisection, the one multiplier solver built on
+it, the accepted noise-variance range, and the dense symmetric eigenvalue
+contract.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -12,13 +13,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, NearDivergenceError
 
 __all__ = [
     "Interval",
     "bisect",
     "sym_eigvals",
 ]
+
+# Multiplier searches stop this far, relatively, below the spectral edge
+# 1/top, where every constraint level diverges.
+RHO_CAP_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,35 @@ def bisect(f: Callable[[float], float], bracket: Interval) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def solve_multiplier(
+    level: Callable[[float], float], top: float, target: float, what: str
+) -> tuple[float, float]:
+    """Multiplier rho with level(rho) = target, and the residual |level(rho) - target|.
+
+    ``level`` must increase on [0, 1/top) and diverge at 1/top, the edge set
+    by the top eigenvalue ``top`` of the spectrum it integrates against.
+    Returns (0, 0) when target <= level(0): the constraint is inactive.
+    Otherwise bisects over [0, cap] with cap = (1 - RHO_CAP_MARGIN)/top.
+
+    Raises
+    ------
+    NearDivergenceError
+        If level(cap) <= target, so the root lies at or past the cap;
+        the message starts with ``what``.
+    """
+    if target <= level(0.0):
+        return 0.0, 0.0
+    top = float(top)
+    cap = (1.0 - RHO_CAP_MARGIN) / top
+    if level(cap) <= target:
+        raise NearDivergenceError(
+            f"{what}: target {target!r} needs rho past the cap (1 - {RHO_CAP_MARGIN})/{top!r} "
+            f"= {cap!r}, where the constraint level diverges at the spectral edge"
+        )
+    rho = float(bisect(lambda r: level(r) - target, Interval(0.0, cap)))
+    return rho, abs(level(rho) - target)
 
 
 def sym_eigvals(M: np.ndarray) -> np.ndarray:

@@ -373,6 +373,31 @@ def test_simulate_infeasible_fixed_rho_is_typed_refusal(capsys):
     assert "memcost: error:" in err and "Traceback" not in err
 
 
+def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp_path):
+    # both designs allow rho up to about 0.35, past the limit law's
+    # 1/lambda_plus = 0.3431, where the asymptotic cost is undefined
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "200", "--d", "400", "--sigma2", "0.1", "--seed", "1",
+        "--trials", "2", "--rho", "0.3433", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 8
+    metrics = json.loads((tmp_path / "run" / "summary.json").read_text())["metrics"]
+    assert "target" not in metrics["cost"] and "rel_dev" not in metrics["cost"]
+    assert "target" in metrics["train_ridge"] and "target" in metrics["ols_gap"]
+
+
+def test_simulate_unreachable_eps2_is_a_refusal_naming_the_trial(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "50", "--d", "100", "--sigma2", "0.1", "--seed", "1",
+        "--trials", "1", "--eps2", "1e300",
+    )
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "trial 0" in err
+
+
 def test_threshold_gamma_near_one_is_near_divergence_refusal(capsys):
     # rho_ols lies beyond the cap: lhs(cap) is about 610 against rhs about 1e8
     code, out, err = run_cli(capsys, "threshold", "--gamma", "1.0000001", "--sigma2", "0.1")

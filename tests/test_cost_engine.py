@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from memcost.cost_engine import (
-    RHO_CAP_MARGIN,
     BoundConstants,
     NoiseLevel,
     Regime,
-    RhoSolution,
     anisotropic_cost_lower_bound,
     asymptotic_cost,
     cost_at_rho,
@@ -23,6 +21,7 @@ from memcost.cost_engine import (
 )
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
+from memcost.numerics import RHO_CAP_MARGIN
 from memcost.spectra import MPLaw, mp_integrate, mp_shrinkage_integrals, mp_stieltjes_neg
 
 NOISE = NoiseLevel(0.1)
@@ -164,13 +163,6 @@ def test_solve_rho_monotone_in_eps2():
     assert all(b >= a for a, b in zip(rhos, rhos[1:]))
     above = [r for r in rhos if r > 0]
     assert all(b > a for a, b in zip(above, above[1:]))
-
-
-def test_rho_solution_invariants():
-    with pytest.raises(DomainError):
-        RhoSolution(rho=0.0, regime=Regime.ABOVE_THRESHOLD, residual=0.0, target_eps2=1.0)
-    with pytest.raises(DomainError):
-        RhoSolution(rho=0.5, regime=Regime.BELOW_THRESHOLD, residual=0.0, target_eps2=1.0)
 
 
 def test_cost_is_monotone_and_zero_below_threshold():

@@ -250,6 +250,19 @@ def test_min_norm_interpolant_gap_shrinks_with_noise():
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
+@pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
+def test_min_norm_interpolant_gap_holds_down_to_the_smallest_noise(pop):
+    # a gap taken as the difference of two errors of about 0.5 cancels and
+    # fails the 1e-9 route check from sigma2 = 1e-4 down
+    config = ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, population=pop, rho=0.0)
+    design = sample_design(config, 0)
+    for k in [*range(1, 11), *range(15, 101, 5)]:
+        s2 = 10.0**-k
+        _, gap = min_norm_interpolant_report(design.X, design.sigma_sqrt, s2)
+        reduced = finite_n_lab._reduce(design.Z, design.sigma_sqrt, s2).gap
+        assert abs(gap - reduced) <= 1e-9 * reduced
+
+
 def test_monte_carlo_matches_exact_errors():
     design = _design(n=100, d=200)
     X, ss = design.X, design.sigma_sqrt
@@ -403,19 +416,20 @@ def test_convergence_report_rows():
         for n in (50, 100)
     ]
     rows = convergence_report(configs, AsymptoticTargets(train_ridge=th, cost=None, ols_gap=None))
-    assert [r.n for r in rows] == [50, 100]
-    assert rows[0].dev_train_ridge is not None
-    assert rows[0].dev_cost is None
-    assert all(r.se_train_ridge > 0 for r in rows)
+    assert [r["n"] for r in rows] == [50, 100]
+    assert rows[0]["metrics"]["train_ridge"]["rel_dev"] is not None
+    assert "rel_dev" not in rows[0]["metrics"]["cost"]
+    assert all(r["metrics"]["train_ridge"]["se"] > 0 for r in rows)
 
 
 def test_convergence_report_zero_cost_target():
     # at rho = 0 the asymptotic cost is 0; the deviation is then |mean|
     config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=5, trials=3, rho=0.0)
     (row,) = convergence_report([config], AsymptoticTargets(cost=0.0))
-    assert row.mean_cost == 0.0
-    assert row.dev_cost == 0.0
-    assert row.dev_train_ridge is None and row.dev_ols_gap is None
+    metrics = row["metrics"]
+    assert metrics["cost"]["mean"] == 0.0
+    assert metrics["cost"]["rel_dev"] == 0.0
+    assert "rel_dev" not in metrics["train_ridge"] and "rel_dev" not in metrics["ols_gap"]
 
 
 def test_summarize_se_of_tiny_values_does_not_underflow():

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from memcost.errors import BracketError, DomainError
-from memcost.numerics import Interval, bisect, sym_eigvals
+from memcost import cost_engine as ce
+from memcost import finite_n_lab as lab
+from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
+from memcost.errors import BracketError, DomainError, NearDivergenceError
+from memcost.numerics import RHO_CAP_MARGIN, Interval, bisect, solve_multiplier, sym_eigvals
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
-from memcost.spectra import _cheb_transfer
+from memcost.spectra import MPLaw, _cheb_transfer, mp_shrinkage_integrals, mp_stieltjes_neg
 
 
 def test_interval_validation():
@@ -123,6 +126,79 @@ def test_bisect_against_fine_grid_scan_oracle():
 # The Chebyshev-Gauss rule of the first kind behind the mp_integrate oracle:
 # nodes cos((2i-1)pi/(2k)) ascending, every weight pi/k, transfer factors
 # 1 - x_i^2 for the sqrt(1-x^2) weight.
+
+
+def test_solve_multiplier_inactive_and_refusal():
+    level = lambda r: 1.0 / (1.0 - 2.0 * r)  # diverges at 1/top with top = 2
+    assert solve_multiplier(level, 2.0, 1.0, "probe") == (0.0, 0.0)
+    assert solve_multiplier(level, 2.0, 0.5, "probe") == (0.0, 0.0)
+    rho, residual = solve_multiplier(level, 2.0, 4.0, "probe")
+    assert _within_one_float(rho, 0.375) and residual <= 1e-15
+    cap = (1.0 - RHO_CAP_MARGIN) / 2.0
+    with pytest.raises(NearDivergenceError, match=r"^probe: .*cap") as err:
+        solve_multiplier(level, 2.0, level(cap), "probe")
+    assert repr(cap) in str(err.value)
+
+
+_NOISE = NoiseLevel(0.1)
+_TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
+
+
+def _shared_cap(top):
+    return (1.0 - RHO_CAP_MARGIN) / top
+
+
+def _route_rho(monkeypatch):
+    law = MPLaw(2.0)
+    cap = _shared_cap(law.lambda_plus)
+    level = 0.1**2 * mp_shrinkage_integrals(law, cap, 0.1)[0]
+    return cap, level, lambda target: ce.solve_rho(2.0, _NOISE, target).rho
+
+
+def _route_rho_ols(monkeypatch):
+    # rho_ols takes no target: its right-hand side, the inverse moment, is set instead
+    law = MPLaw(2.0)
+    cap = _shared_cap(law.lambda_plus)
+    level = cap * cap * mp_shrinkage_integrals(law, cap, 0.1)[1]
+
+    def solve(target):
+        monkeypatch.setattr(ce, "_inverse_moment", lambda law, a: target)
+        return ce.solve_rho_ols(2.0, _NOISE).rho
+
+    return cap, level, solve
+
+
+def _route_rho_def(monkeypatch):
+    law = MPLaw(2.0)
+    cap = _shared_cap(law.lambda_plus)
+    ks2 = _TWO_ATOM.kappa * 0.1
+    thresh = deformed_threshold(DeformedLaw(2.0, _TWO_ATOM), 0.1)
+    level = _TWO_ATOM.kappa * 0.1 * 0.1 * (
+        mp_shrinkage_integrals(law, cap, ks2)[0] - mp_stieltjes_neg(law, ks2)
+    )
+    return cap, level, lambda target: ce.solve_rho_def(2.0, _TWO_ATOM, _NOISE, thresh + target).rho
+
+
+def _route_lab_trial(monkeypatch):
+    def config(eps2):
+        return lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=eps2)
+
+    design = lab.sample_design(config(1.0), 0)
+    red = lab._reduce(design.Z, design.sigma_sqrt, 0.1)
+    cap = _shared_cap(red.s[0])
+    return cap, red.train(cap), lambda target: lab.trial_metrics(config(target), 0).rho
+
+
+@pytest.mark.parametrize(
+    "route", [_route_rho, _route_rho_ols, _route_rho_def, _route_lab_trial],
+    ids=["solve_rho", "solve_rho_ols", "solve_rho_def", "eps2_trial"],
+)
+def test_every_multiplier_solve_shares_one_cap(route, monkeypatch):
+    cap, level, solve = route(monkeypatch)
+    with pytest.raises(NearDivergenceError, match="cap"):
+        solve(level)
+    rho = solve((1.0 - 1e-6) * level)
+    assert 0.99 * cap < rho < cap
 
 
 def test_chebyshev_rule_k1_midpoint():
