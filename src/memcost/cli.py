@@ -17,6 +17,7 @@ target exists) target and rel_dev.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -174,8 +175,13 @@ def cmd_rho(args) -> int:
         raise DomainError("rho needs --eps2, --eps, or --grid")
     rows = []
     for e2 in grid:
-        sol = ce.solve_rho(args.gamma, noise, e2)
-        rows.append((e2, sol.rho, sol.regime.value, sol.residual))
+        try:
+            sol = ce.solve_rho(args.gamma, noise, e2)
+            rows.append((e2, sol.rho, sol.regime.value, sol.residual))
+        except NearDivergenceError:
+            if not args.grid:
+                raise  # a single eps2 past the cap is a refusal
+            rows.append((e2, float("nan"), "error", float("nan")))
     table = OutputTable(
         header=["eps2", "rho", "regime", "residual"],
         rows=rows,
@@ -539,9 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser, built on the first ``main()`` call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, SpectrumFormatError, NearDivergenceError) as exc:

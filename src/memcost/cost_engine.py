@@ -277,6 +277,13 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     unique root in (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.
     The solution's ``target_eps2`` carries the induced interpolation
     threshold.
+
+    Near gamma = 1 that root lies within RHO_CAP_MARGIN (relative) of
+    1/lambda_plus, past the solver's cap, and the solve raises
+    NearDivergenceError: for gamma below about 1.124 as sigma2 -> 0, 1.016
+    at sigma2 = 0.1 and 1.002 at sigma2 = 1 (for example gamma = 1.05 with
+    sigma2 = 0.01).  The cap stays because from it on one ulp of rho moves
+    train(rho) by 1.1e-8 relative or more.
     """
     law = MPLaw(gamma)
     s2 = noise.sigma2

@@ -250,6 +250,22 @@ def test_rho_command_eps_flag_squares(capsys):
     assert float(rows[0][0]) == pytest.approx(2 * th, rel=1e-12)
 
 
+def test_rho_grid_keeps_solved_rows_past_the_cap(capsys):
+    # eps2 = 1e5 .. 1e6 need rho past the cap; eps2 = 0 is solved
+    code, out, err = run_cli(
+        capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:100000:1000000"
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert len(rows) == 11
+    first = dict(zip(header, rows[0]))
+    assert first["regime"] == "below_threshold" and float(first["rho"]) == 0.0
+    for r in rows[1:]:
+        row = dict(zip(header, r))
+        assert row["regime"] == "error"
+        assert math.isnan(float(row["rho"])) and math.isnan(float(row["residual"]))
+
+
 def test_cost_curve_regime_structure(capsys):
     th = memorization_threshold(2.0, NoiseLevel(0.1))
     grid = f"{0.25 * th}:{0.5 * th}:{4 * th}"
@@ -404,6 +420,27 @@ def test_threshold_gamma_near_one_is_near_divergence_refusal(capsys):
     assert code == 2
     assert out == ""
     assert "memcost: error:" in err and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        # a single eps2 past the cap is refused; on a grid it is an error row
+        (["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "1e5"], "rho(eps2)"),
+        # the rho_ols root lies 2.5e-9 (4.4e-9) relative below 1/lambda_plus,
+        # inside RHO_CAP_MARGIN
+        (["threshold", "--gamma", "1.05", "--sigma2", "0.01"], "rho_ols"),
+        (["ols", "--gamma", "1.05", "--sigma2", "0.01"], "rho_ols"),
+        (["threshold", "--gamma", "1.1", "--sigma2", "1e-3"], "rho_ols"),
+        (["ols", "--gamma", "1.1", "--sigma2", "1e-3"], "rho_ols"),
+    ],
+    ids=["rho-eps2", "threshold-1.05", "ols-1.05", "threshold-1.1", "ols-1.1"],
+)
+def test_multiplier_past_the_cap_is_a_refusal(capsys, argv, solver):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"memcost: error: {solver}:") and "Traceback" not in err
 
 
 def test_threshold_solves_rho_ols_once(capsys, monkeypatch):
@@ -600,3 +637,93 @@ def test_import_cli_does_not_load_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_parser_is_built_on_the_first_main_call_and_only_then():
+    import os
+    import subprocess
+    import textwrap
+
+    import memcost
+
+    src = os.path.dirname(os.path.dirname(memcost.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *a, **k):
+            built.append(1)
+            init(self, *a, **k)
+        argparse.ArgumentParser.__init__ = counting
+        import memcost.cli as cli
+        at_import = len(built)
+        argv = ["threshold", "--gamma", "2", "--sigma2", "0.1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+            first = len(built)
+            for _ in range(20):
+                cli.main(argv)
+        print(at_import, first, len(built))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    at_import, first, total = map(int, result.stdout.split())
+    assert at_import == 0
+    # one top-level parser plus one per subcommand, built once for 21 calls
+    assert first == 1 + 7
+    assert total == first
+
+
+def test_build_parser_returns_a_fresh_parser():
+    # callers of build_parser() can never mutate the parser main() reuses
+    first = cli.build_parser()
+    assert first is not cli.build_parser() and first is not cli._parser()
+
+
+def _run_captured(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# (exit code, argv): usage failures exit 2 and are each followed by a valid call
+_SHARED_PARSER_SEQUENCE = [
+    (0, ["threshold", "--gamma", "2", "--sigma2", "0.1"]),
+    (2, ["threshold", "--sigma2", "0.1"]),
+    (0, ["threshold", "--gamma", "2", "--sigma2", "0.1", "--format", "json"]),
+    (2, ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps", "0.2", "--eps2", "0.04"]),
+    (0, ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "0.04"]),
+    (0, ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.1:0.1:0.3", "--grid-units", "eps"]),
+    (0, ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.05"]),
+    (0, ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.05"]),
+    (0, ["ols", "--gamma", "2", "--sigma2", "0.1"]),
+    (0, ["simulate", "--n", "40", "--d", "80", "--sigma2", "0.1", "--seed", "1", "--trials", "2",
+         "--rho", "0"]),
+    (0, ["simulate", "--n", "40", "--d", "80", "--sigma2", "0.1", "--seed", "1", "--trials", "2",
+         "--eps2", "0.05", "--dist", "rademacher"]),
+    (0, ["simulate", "--n", "40", "--d", "80", "--sigma2", "0.1", "--seed", "2", "--trials", "2",
+         "--eps2", "0.05"]),
+    (0, ["spectrum", "--n", "20", "--d", "40", "--seed", "3"]),
+    (0, ["verify", "--quick"]),
+    (0, ["--help"]),
+    (0, ["rho", "--help"]),
+    (0, ["--version"]),
+    (2, []),
+    (0, ["threshold", "--gamma", "2", "--sigma2", "0.1"]),
+]
+
+
+def test_shared_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        # reference: every argv parsed by a parser built for that call alone
+        m.setattr(cli, "_parser", cli.build_parser)
+        expected = [_run_captured(capsys, argv) for _, argv in _SHARED_PARSER_SEQUENCE]
+    assert [code for code, _, _ in expected] == [code for code, _ in _SHARED_PARSER_SEQUENCE]
+    for (_, argv), want in zip(_SHARED_PARSER_SEQUENCE, expected):
+        assert _run_captured(capsys, argv) == want, argv
