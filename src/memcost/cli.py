@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     MemcostError,
     NearDivergenceError,
+    RegimeError,
     SpectrumFormatError,
 )
 from .spectra import MPLaw, bai_yin_check, esd_from_design, kolmogorov_distance, mp_stieltjes_neg
@@ -164,23 +165,20 @@ def cmd_threshold(args) -> int:
 
 def cmd_rho(args) -> int:
     noise = ce.NoiseLevel(args.sigma2)
-    eps2 = _eps2_from_args(args)
-    if args.grid:
+    if args.grid is not None:
         grid = parse_grid(args.grid)
         if args.grid_units == "eps":
             grid = [g * g for g in grid]
-    elif eps2 is not None:
-        grid = [eps2]
-    else:
-        raise DomainError("rho needs --eps2, --eps, or --grid")
+    else:  # the parser requires exactly one of --eps2, --eps and --grid
+        grid = [_eps2_from_args(args)]
     rows = []
     for e2 in grid:
         try:
             sol = ce.solve_rho(args.gamma, noise, e2)
             rows.append((e2, sol.rho, sol.regime.value, sol.residual))
         except NearDivergenceError:
-            if not args.grid:
-                raise  # a single eps2 past the cap is a refusal
+            if args.grid is None:
+                raise  # a single eps2 past the float range is a refusal
             rows.append((e2, float("nan"), "error", float("nan")))
     table = OutputTable(
         header=["eps2", "rho", "regime", "residual"],
@@ -272,14 +270,13 @@ def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
         return lab.AsymptoticTargets()
-    cost = None
-    if config.eps2 is not None:
-        try:
+    try:
+        if config.eps2 is not None:
             cost = ce.asymptotic_cost(gamma, noise, config.eps2).cost
-        except NearDivergenceError:
-            pass  # the limit law's rho(eps2) lies past its cap
-    elif config.rho * MPLaw(gamma).lambda_plus < 1.0:
-        cost = ce.cost_at_rho(gamma, noise, config.rho)
+        else:
+            cost = ce.cost_at_rho(gamma, noise, config.rho)
+    except (NearDivergenceError, RegimeError):
+        cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
     return lab.AsymptoticTargets(
         train_ridge=ce.memorization_threshold(gamma, noise),
         cost=cost,
@@ -355,7 +352,7 @@ def _verify_checks(quick: bool, seed: int, perturb: bool):
             worst = max(worst, abs(quad - closed) / closed)
             for frac in (0.1, 0.5, 0.9):
                 rho = frac / law.lambda_plus
-                closed = mp_shrinkage_integrals(law, rho, s2)
+                closed = mp_shrinkage_integrals(law, 1.0 - frac, s2)
                 for k, val in enumerate(closed):
                     quad = mp_integrate(
                         law, lambda s: s**k / ((1.0 - rho * s) ** 2 * (s + s2))
@@ -472,6 +469,7 @@ def _add_eps_args(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--eps2", type=float, help="squared training-error floor")
     group.add_argument("--eps", type=float, help="training-error floor (will be squared)")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,8 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="training-error multiplier at given eps2")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
-    _add_eps_args(p)
-    p.add_argument("--grid", help="eps2 grid start:step:stop")
+    group = _add_eps_args(p)
+    group.required = True
+    group.add_argument("--grid", help="eps2 grid start:step:stop")
     p.add_argument("--grid-units", choices=("eps2", "eps"), default="eps2")
     _add_common_output(p)
     p.set_defaults(func=cmd_rho)

@@ -10,11 +10,10 @@ law H:
 train(0) is the memorization threshold; above it, the multiplier rho(eps2)
 solving train(rho) = eps2 determines the asymptotic cost of not fitting.
 Both integrals, and those of the rho_ols and rho_def equations, are
-evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``).
-Every rho is found by ``numerics.solve_multiplier``, the solver the
-finite-n lab uses too: requests whose root lies at or past its cap
-(1 - 1e-8)/lambda_plus fail loudly, because the constraint integral
-diverges at the upper spectral edge.
+evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``)
+in the edge distance delta = 1 - rho lambda_plus, which every multiplier is
+solved for by ``numerics.solve_multiplier``, the finite-n lab's solver too;
+rho = (1 - delta)/lambda_plus is formed only for output.
 
 Everything is exposed in eps^2 units (squared training error).
 """
@@ -32,7 +31,7 @@ from .errors import (
     DomainError,
     RegimeError,
 )
-from .numerics import check_sigma2, solve_multiplier
+from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __all__ = [
@@ -77,21 +76,22 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class RhoSolution:
-    """A solved training-error multiplier.
+    """A solved training-error multiplier, held as its edge distance.
 
-    ``rho`` is 0 exactly when the constraint is inactive (at or below the
-    threshold); ``residual`` is the plugged-back defining-equation mismatch,
-    0 by convention when the constraint is inactive; ``target_eps2`` echoes
-    the squared training error the solve was aimed at.
+    ``delta`` = 1 - rho lambda_plus in (0, 1] is 1 exactly when the constraint
+    is inactive (at or below the threshold); ``residual`` is the plugged-back
+    defining-equation mismatch, 0 by convention when the constraint is
+    inactive; ``target_eps2`` echoes the squared training error aimed at.
     """
 
-    rho: float
+    delta: float
+    lambda_plus: float
     residual: float
     target_eps2: float
 
-    def __post_init__(self):
-        if self.rho < 0:
-            raise DomainError(f"rho must be nonnegative, got {self.rho}")
+    @property
+    def rho(self) -> float:
+        return (1.0 - self.delta) / self.lambda_plus
 
     @property
     def regime(self) -> Regime:
@@ -147,9 +147,15 @@ class BoundConstants:
             raise DomainError("bound constants must be positive")
 
 
-def _train(law: MPLaw, sigma2: float, rho: float) -> float:
-    """train(rho); at rho = 0 it equals memorization_threshold bit for bit."""
-    return sigma2**2 * mp_shrinkage_integrals(law, rho, sigma2)[0]
+def _train(law: MPLaw, sigma2: float, delta: float) -> float:
+    """train at edge distance delta; at delta = 1 it is memorization_threshold bit for bit."""
+    return sigma2**2 * mp_shrinkage_integrals(law, delta, sigma2)[0]
+
+
+def _cost(law: MPLaw, sigma2: float, delta: float) -> float:
+    """cost at edge distance delta; 0 at delta = 1."""
+    rho = (1.0 - delta) / law.lambda_plus
+    return rho * rho / law.gamma * sigma2 * sigma2 * mp_shrinkage_integrals(law, delta, sigma2)[1]
 
 
 def _inverse_moment(law: MPLaw, a: float) -> float:
@@ -160,12 +166,13 @@ def _inverse_moment(law: MPLaw, a: float) -> float:
     instead loses about -log10(a) digits as a -> 0.
     """
     c = 1.0 / law.gamma
-    big = 1.0 - c + a
+    one_c = (law.gamma - 1.0) / law.gamma  # 1 - c, without cancellation as gamma -> 1+
+    big = one_c + a
     root = math.sqrt(big * big + 4.0 * a * c)
-    b = 1.0 - c - a
+    b = one_c - a
     # root + b = 4a / (root - b): use the form that adds terms of one sign
     tail = root + b if b >= 0.0 else 4.0 * a / (root - b)
-    return 4.0 / ((1.0 - c) * (big + root) * tail)
+    return 4.0 / (one_c * (big + root) * tail)
 
 
 def memorization_threshold(gamma: float, noise: NoiseLevel) -> float:
@@ -189,24 +196,21 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
 
     Returns rho = 0 (constraint inactive) for eps2 at or below the
-    threshold; otherwise solves below the cap (1 - 1e-8)/lambda_plus
-    (see ``numerics.solve_multiplier``) and reports the plugged-back
-    residual.
+    threshold; otherwise solves the edge distance delta (see
+    ``numerics.solve_multiplier``) and reports the plugged-back residual.
 
     Raises
     ------
     DomainError
         Unless 0 <= eps2 < inf.
     NearDivergenceError
-        If even the capped rho cannot reach eps2.
+        If eps2 is past the float range of train.
     """
     if not 0.0 <= eps2 < math.inf:
         raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
     law = MPLaw(gamma)
-    rho, residual = solve_multiplier(
-        lambda rho: _train(law, noise.sigma2, rho), law.lambda_plus, eps2, "rho(eps2)"
-    )
-    return RhoSolution(rho, residual, eps2)
+    delta, residual = solve_multiplier(lambda x: _train(law, noise.sigma2, x), eps2, "rho(eps2)")
+    return RhoSolution(delta, law.lambda_plus, residual, eps2)
 
 
 def cost_at_rho(gamma: float, noise: NoiseLevel, rho: float) -> float:
@@ -215,8 +219,8 @@ def cost_at_rho(gamma: float, noise: NoiseLevel, rho: float) -> float:
     Zero at rho = 0.  Raises DomainError unless 0 <= rho < 1/lambda_plus.
     """
     law = MPLaw(gamma)
-    s2 = noise.sigma2
-    return rho * rho / gamma * s2 * s2 * mp_shrinkage_integrals(law, rho, s2)[1]
+    delta = edge_distance(rho, law.lambda_plus, "rho with top = lambda_plus")
+    return _cost(law, noise.sigma2, delta)
 
 
 def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
@@ -226,7 +230,7 @@ def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
     costbar = cost - ols_gap(gamma, sigma2).
     """
     sol = solve_rho(gamma, noise, eps2)
-    cost = cost_at_rho(gamma, noise, sol.rho)
+    cost = _cost(MPLaw(gamma), noise.sigma2, sol.delta)
     return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, noise))
 
 
@@ -276,24 +280,17 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     int 1/(s (s + sigma2)) dH, both sides in closed form, which has a
     unique root in (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.
     The solution's ``target_eps2`` carries the induced interpolation
-    threshold.
-
-    Near gamma = 1 that root lies within RHO_CAP_MARGIN (relative) of
-    1/lambda_plus, past the solver's cap, and the solve raises
-    NearDivergenceError: for gamma below about 1.124 as sigma2 -> 0, 1.016
-    at sigma2 = 0.1 and 1.002 at sigma2 = 1 (for example gamma = 1.05 with
-    sigma2 = 0.01).  The cap stays because from it on one ulp of rho moves
-    train(rho) by 1.1e-8 relative or more.
+    threshold, train at the solved edge distance, which tends to 0 as
+    gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
     """
     law = MPLaw(gamma)
-    s2 = noise.sigma2
-    rho, residual = solve_multiplier(
-        lambda rho: rho * rho * mp_shrinkage_integrals(law, rho, s2)[1],
-        law.lambda_plus,
+    s2, lp = noise.sigma2, law.lambda_plus
+    delta, residual = solve_multiplier(
+        lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
         _inverse_moment(law, s2),
         "rho_ols",
     )
-    return RhoSolution(rho, residual, _train(law, s2, rho))
+    return RhoSolution(delta, lp, residual, _train(law, s2, delta))
 
 
 def solve_rho_def(
@@ -323,14 +320,13 @@ def solve_rho_def(
         )
     scale = kappa * s2 * s2
     j0 = mp_stieltjes_neg(law, ks2)
-    # the level is exactly 0 at rho = 0, so rhs == 0 gives rho_def = 0
-    rho, residual = solve_multiplier(
-        lambda rho: scale * (mp_shrinkage_integrals(law, rho, ks2)[0] - j0),
-        law.lambda_plus,
+    # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
+    delta, residual = solve_multiplier(
+        lambda x: scale * (mp_shrinkage_integrals(law, x, ks2)[0] - j0),
         rhs,
         f"rho_def(eps2={eps2!r})",
     )
-    return RhoSolution(rho, residual, eps2)
+    return RhoSolution(delta, law.lambda_plus, residual, eps2)
 
 
 def anisotropic_cost_lower_bound(
@@ -342,7 +338,7 @@ def anisotropic_cost_lower_bound(
     Only the lower bound is exposed: the exact anisotropic limit is not
     available, and reporting one would overstate what is known.
     """
-    return cost_at_rho(gamma, noise, solve_rho_def(gamma, pop, noise, eps2).rho)
+    return _cost(MPLaw(gamma), noise.sigma2, solve_rho_def(gamma, pop, noise, eps2).delta)
 
 
 def threshold_report(

@@ -39,12 +39,11 @@ class ConvergenceError(MemcostError):
 
 
 class NearDivergenceError(MemcostError):
-    """A multiplier solve requires rho past the safe cap below the spectral edge.
+    """A multiplier solve's target lies past the float range of its level.
 
-    The constraint integral diverges as rho approaches the reciprocal of the
-    top of the spectrum (the limit law's upper support endpoint, or a sampled
-    design's top eigenvalue), so requests in that regime fail loudly instead
-    of returning a garbage root.
+    The constraint level diverges as rho -> 1/top (top: the limit law's upper
+    edge, or a sampled design's top eigenvalue); its value at the smallest
+    normal edge distance 1 - rho top is the largest reachable target.
     """
 
 

@@ -31,10 +31,11 @@ from .errors import (
     ConsistencyError,
     DomainError,
     FeasibilityError,
+    NearDivergenceError,
     RankError,
     RegimeError,
 )
-from .numerics import check_sigma2, solve_multiplier, sym_eigvals
+from .numerics import check_sigma2, edge_distance, solve_multiplier, sym_eigvals
 from .spectra import esd_from_design
 
 __all__ = [
@@ -276,9 +277,9 @@ def build_estimator(
 
     A(rho) = (I - rho sigma2 M^{-1}) (X^T X + d sigma2 I)^{-1} X^T with
     M = Sigma - (rho/d) X^T X, which must be positive definite (minimum
-    eigenvalue > 1e-10); rho = 0 gives the ridge matrix.  The equivalent
-    form routing X^T through the n x n Gram inverse is evaluated as well
-    and must agree to 1e-10 relative Frobenius.
+    eigenvalue > 1e-10); rho = 0 gives the ridge matrix, V diag(l/(l^2 +
+    d sigma2)) U^T from the thin SVD X = U diag(l) V^T.  The form routing X^T
+    through the n x n Gram inverse must agree to 1e-10 relative Frobenius.
     """
     n, d = X.shape
     if rho < 0:
@@ -294,8 +295,8 @@ def build_estimator(
             min_eigenvalue=min_eig,
         )
 
-    K = X.T @ X + (d * sigma2) * np.eye(d)
-    ridge_d = _spd_solve(K, X.T, "d-side ridge Gram")
+    U, lam, Vt = np.linalg.svd(X, full_matrices=False)
+    ridge_d = (Vt.T * (lam / (lam * lam + d * sigma2))) @ U.T
 
     Kn = X @ X.T + (d * sigma2) * np.eye(n)
     ridge_n = _spd_solve(Kn, X, "n-side ridge Gram").T
@@ -343,8 +344,10 @@ class _Reduction:
     With s the descending spectrum of ZZ^T/d and g_k = (1 - rho s_k)^-2,
     the training error is sum_k a_k g_k and the prediction-error growth
     over ridge is rho^2 sum_k b_k g_k.  ``gap`` is the prediction-error gap
-    of the minimum-norm interpolant over ridge.  The constraint matrix is
-    positive definite exactly for 0 <= rho < 1/s_0, for every population.
+    of the minimum-norm interpolant over ridge.  Methods take the edge
+    distance delta = 1 - rho s_0 in (0, 1], where the constraint matrix is
+    positive definite for every population, and 1 - rho s_k is
+    delta + (1 - delta)(1 - s_k/s_0), exactly delta at k = 0.
     """
 
     s: np.ndarray
@@ -352,17 +355,19 @@ class _Reduction:
     b: np.ndarray
     gap: float
 
-    def require_feasible(self, rho: float, context: str = "") -> None:
-        if not 0.0 <= rho * self.s[0] < 1.0:
-            raise RegimeError(
-                f"{context}requires 0 <= rho * top_eig(ZZ^T)/d < 1, got {rho * self.s[0]}"
-            )
+    def delta(self, rho: float, context: str = "") -> float:
+        return edge_distance(rho, float(self.s[0]), f"{context}rho with top = top_eig(ZZ^T)/d")
 
-    def train(self, rho: float) -> float:
-        return float(np.sum(self.a / (1.0 - rho * self.s) ** 2))
+    def factors(self, delta: float) -> np.ndarray:
+        return delta + (1.0 - delta) * (1.0 - self.s / self.s[0])
 
-    def growth(self, rho: float) -> float:
-        return rho * rho * float(np.sum(self.b / (1.0 - rho * self.s) ** 2))
+    def train(self, delta: float) -> float:
+        f = self.factors(delta)
+        return float(np.sum(self.a / f / f))
+
+    def growth(self, delta: float) -> float:
+        f = self.factors(delta)
+        return float(np.sum(((1.0 - delta) / self.s[0]) ** 2 * self.b / f / f))
 
 
 def _reduce(Z: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float) -> _Reduction:
@@ -418,8 +423,8 @@ def error_growth_trace(
     (else RankError) and 0 <= rho < 1/top_eig(ZZ^T/d) (else RegimeError).
     """
     red = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2)
-    red.require_feasible(rho)
-    return red.growth(rho), red.train(rho)
+    delta = red.delta(rho)
+    return red.growth(delta), red.train(delta)
 
 
 def lagrangian_gradient_residual(
@@ -552,12 +557,12 @@ def growth_control_bounds_check(
     n, d = Z.shape
     kappa = population.kappa
     red = _reduce(Z, np.sqrt(apportion_atoms(population, d)), sigma2)
-    red.require_feasible(rho)
-    delta_pred = red.growth(rho)
-    delta_train = red.train(rho) - red.train(0.0)
+    edge = red.delta(rho)
+    delta_pred = red.growth(edge)
+    delta_train = red.train(edge) - red.train(1.0)
 
     s = red.s
-    shrink = 1.0 / (1.0 - rho * s) ** 2
+    shrink = 1.0 / red.factors(edge) ** 2
     pred_rhs = (rho**2 * sigma2**2 / d) * float(np.sum(shrink * s / (s + sigma2)))
     train_rhs = (kappa * sigma2**2 / n) * float(np.sum((shrink - 1.0) / (s + kappa * sigma2)))
     return GrowthBoundsReport(
@@ -621,21 +626,24 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     All three, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
     and anisotropic populations alike.  The solve is the limit law's own
-    (``numerics.solve_multiplier``) with the design's spectrum in place of
-    the law, so an eps2 past its cap (1 - 1e-8)/top_eig(ZZ^T/d) raises
-    NearDivergenceError.  A fixed rho at or past the feasibility cap
-    1/top_eig(ZZ^T/d) raises RegimeError.
+    (``numerics.solve_multiplier``), in delta = 1 - rho top_eig(ZZ^T/d); the
+    training error overflows at its smallest delta, so every finite eps2 is
+    reached, and only a cost past the float range raises NearDivergenceError.
+    A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError.
     """
     design = sample_design(config, trial)
     red = _reduce(design.Z, design.sigma_sqrt, config.sigma2)
-    if config.eps2 is not None:
-        rho, _ = solve_multiplier(red.train, red.s[0], config.eps2, f"trial {trial} rho(eps2)")
-    else:
-        rho = float(config.rho)
-        red.require_feasible(rho, f"trial {trial}: ")
-    return TrialMetrics(
-        trial=trial, rho=rho, train_ridge=red.train(0.0), cost=red.growth(rho), ols_gap=red.gap
-    )
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        if config.eps2 is not None:
+            delta, _ = solve_multiplier(red.train, config.eps2, f"trial {trial} rho(eps2)")
+            rho = (1.0 - delta) / red.s[0]
+        else:
+            rho = float(config.rho)
+            delta = red.delta(rho, f"trial {trial}: ")
+        cost = red.growth(delta)
+    if not np.isfinite(cost):
+        raise NearDivergenceError(f"trial {trial}: the cost at eps2={config.eps2!r} overflows")
+    return TrialMetrics(trial=trial, rho=rho, train_ridge=red.train(1.0), cost=cost, ols_gap=red.gap)
 
 
 def run_trials(config: ExperimentConfig, fn: Callable[[ExperimentConfig, int], object]) -> list:
@@ -654,13 +662,12 @@ def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
     |mean - target|/|target|, or |mean| when the target is 0.
     """
     vals = np.asarray(values, dtype=np.float64)
-    mean = float(vals.mean())
-    se = 0.0
-    if len(vals) > 1:
-        # scaling by a power of two is exact, and keeps the squared deviations
-        # of values near 1e-200 from underflowing
-        _, exp = np.frexp(np.max(np.abs(vals)))
-        se = float(np.ldexp(np.ldexp(vals, -exp).std(ddof=1) / np.sqrt(len(vals)), exp))
+    # scaling by a power of two is exact; it keeps the sum of values near 1e308 from
+    # overflowing, and the squared deviations of values near 1e-200 from underflowing
+    _, exp = np.frexp(np.max(np.abs(vals)))
+    scaled = np.ldexp(vals, -exp)
+    mean = float(np.ldexp(scaled.mean(), exp))
+    se = float(np.ldexp(scaled.std(ddof=1) / np.sqrt(len(vals)), exp)) if len(vals) > 1 else 0.0
     entry = {"mean": mean, "se": se}
     if target is not None:
         entry["target"] = target

@@ -13,18 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NearDivergenceError
+from .errors import BracketError, DomainError, NearDivergenceError, RegimeError
 
 __all__ = [
     "Interval",
     "bisect",
     "sym_eigvals",
 ]
-
-# Multiplier searches stop this far, relatively, below the spectral edge
-# 1/top, where every constraint level diverges.
-RHO_CAP_MARGIN = 1e-8
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -109,32 +104,34 @@ def bisect(f: Callable[[float], float], bracket: Interval) -> float:
 
 
 def solve_multiplier(
-    level: Callable[[float], float], top: float, target: float, what: str
+    level: Callable[[float], float], target: float, what: str
 ) -> tuple[float, float]:
-    """Multiplier rho with level(rho) = target, and the residual |level(rho) - target|.
+    """Edge distance delta with level(delta) = target, and the residual |level(delta) - target|.
 
-    ``level`` must increase on [0, 1/top) and diverge at 1/top, the edge set
-    by the top eigenvalue ``top`` of the spectrum it integrates against.
-    Returns (0, 0) when target <= level(0): the constraint is inactive.
-    Otherwise bisects over [0, cap] with cap = (1 - RHO_CAP_MARGIN)/top.
-
-    Raises
-    ------
-    NearDivergenceError
-        If level(cap) <= target, so the root lies at or past the cap;
-        the message starts with ``what``.
+    A multiplier rho below the spectral edge 1/top is solved in delta =
+    1 - rho top, which keeps full relative precision up to the edge, where
+    ``level`` diverges; it must decrease on (0, 1].  Returns (1, 0), i.e.
+    rho = 0, when target <= level(1).  Otherwise bisects [tiny, 1], tiny the
+    smallest normal float, and raises NearDivergenceError (its message
+    starting with ``what``) if level(tiny) <= target.
     """
-    if target <= level(0.0):
-        return 0.0, 0.0
-    top = float(top)
-    cap = (1.0 - RHO_CAP_MARGIN) / top
-    if level(cap) <= target:
+    if target <= level(1.0):
+        return 1.0, 0.0
+    tiny = float(np.finfo(np.float64).tiny)
+    if not level(tiny) > target:
         raise NearDivergenceError(
-            f"{what}: target {target!r} needs rho past the cap (1 - {RHO_CAP_MARGIN})/{top!r} "
-            f"= {cap!r}, where the constraint level diverges at the spectral edge"
+            f"{what}: target {target!r} is past the float range of the constraint "
+            f"level, which diverges at the spectral edge"
         )
-    rho = float(bisect(lambda r: level(r) - target, Interval(0.0, cap)))
-    return rho, abs(level(rho) - target)
+    delta = float(bisect(lambda x: target - level(x), Interval(tiny, 1.0)))
+    return delta, abs(level(delta) - target)
+
+
+def edge_distance(rho: float, top: float, what: str) -> float:
+    """delta = 1 - rho top for a fixed rho; RegimeError, naming ``what``, unless 0 <= rho top < 1."""
+    if not 0.0 <= rho * top < 1.0:
+        raise RegimeError(f"{what} requires 0 <= rho * top < 1, got rho * top = {rho * top!r}")
+    return 1.0 - rho * top
 
 
 def sym_eigvals(M: np.ndarray) -> np.ndarray:

@@ -160,41 +160,42 @@ def mp_stieltjes_neg(law: MPLaw, sigma2: float) -> float:
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     g = law.gamma
-    a = 1.0 - 1.0 / g + sigma2
+    a = (g - 1.0) / g + sigma2  # 1 - 1/g, without cancellation as g -> 1+
     # rationalized form of (sqrt(a^2 + 4 sigma2/g) - a) / (2 sigma2/g):
     # no cancellation as sigma2 -> 0
     return 2.0 / (math.sqrt(a * a + 4.0 * sigma2 / g) + a)
 
 
-def mp_shrinkage_integrals(law: MPLaw, rho: float, a: float) -> tuple[float, float]:
+def mp_shrinkage_integrals(law: MPLaw, delta: float, a: float) -> tuple[float, float]:
     """Closed forms of int 1/((1 - rho s)^2 (s + a)) dH and int s/((1 - rho s)^2 (s + a)) dH.
 
-    With z = 1/rho and m(z) = int 1/(s - z) dH, partial fractions in z - s
-    give, for q = 1 + a rho,
+    With delta = 1 - rho lp, z = 1/rho and m(z) = int 1/(s - z) dH,
+    partial fractions in z - s give, for q = 1 + a rho,
 
         first  = m'(z) / (rho q) + (m(-a) - m(z)) / q^2,
         second = m'(z) / (rho^2 q) - a (m(-a) - m(z)) / q^2,
 
     where, with c = 1/gamma and R = sqrt((z - lm)(z - lp)),
     m(z) = -2/((z - 1 + c) + R) and m'(z) = -m (c m + 1)/R.  The edge gap
-    z - lp is taken as (1 - rho lp)/rho, so accuracy holds up as rho
-    approaches 1/lp, where both integrals diverge.  At rho = 0 the result
-    is exactly (m(-a), 1 - a m(-a)).  Requires 0 <= rho < 1/lp and a > 0.
+    z - lp = delta lp/(1 - delta) is exact in delta, so accuracy holds up
+    as delta -> 0, where both integrals diverge.  delta = 1 (rho = 0) gives
+    exactly (m(-a), 1 - a m(-a)).  Requires 0 < delta <= 1 and a > 0.
     """
-    lp, lm = law.lambda_plus, law.lambda_minus
-    if not (rho >= 0.0 and rho * lp < 1.0):
-        raise DomainError(f"requires 0 <= rho < 1/lambda_plus = {1.0 / lp!r}, got rho={rho!r}")
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"requires an edge distance 0 < delta <= 1, got delta={delta!r}")
     m_a = mp_stieltjes_neg(law, a)
-    if rho == 0.0:
+    if delta == 1.0:
         return m_a, 1.0 - a * m_a
+    lp, lm = law.lambda_plus, law.lambda_minus
     c = 1.0 / law.gamma
-    gap = (1.0 - rho * lp) / rho
+    inv_rho = lp / (1.0 - delta)
+    gap = delta * inv_rho
     root = math.sqrt((gap + (lp - lm)) * gap)
-    m = -2.0 / ((1.0 / rho - 1.0 + c) + root)
+    m = -2.0 / ((inv_rho - 1.0 + c) + root)
     dm = -m * (c * m + 1.0) / root
-    q = 1.0 + a * rho
+    q = 1.0 + a / inv_rho
     pole = (m_a - m) / (q * q)
-    return dm / (rho * q) + pole, dm / (rho * rho * q) - a * pole
+    return dm * inv_rho / q + pole, dm * inv_rho * inv_rho / q - a * pole
 
 
 def mp_cdf(law: MPLaw, x: float) -> float:

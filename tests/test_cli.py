@@ -18,6 +18,9 @@ from memcost.cost_engine import (
 )
 from memcost.deformed import load_population_spectrum
 from memcost.errors import DomainError
+from memcost.spectra import MPLaw
+
+import mp_reference
 
 
 def run_cli(capsys, *argv):
@@ -251,9 +254,10 @@ def test_rho_command_eps_flag_squares(capsys):
 
 
 def test_rho_grid_keeps_solved_rows_past_the_cap(capsys):
-    # eps2 = 1e5 .. 1e6 need rho past the cap; eps2 = 0 is solved
+    # eps2 = 1e299 .. 1e300 are past the float range of train, which is about
+    # 3e151 at the smallest normal edge distance; eps2 = 0 is solved
     code, out, err = run_cli(
-        capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:100000:1000000"
+        capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:1e299:1e300"
     )
     assert code == 0, err
     header, rows = parse_csv(out)
@@ -264,6 +268,41 @@ def test_rho_grid_keeps_solved_rows_past_the_cap(capsys):
         row = dict(zip(header, r))
         assert row["regime"] == "error"
         assert math.isnan(float(row["rho"])) and math.isnan(float(row["residual"]))
+
+
+def test_rho_grid_reaches_targets_near_the_edge(capsys):
+    # eps2 = 1e5 .. 1e6 need rho within 1e-13 relative of 1/lambda_plus
+    code, out, err = run_cli(
+        capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:100000:1000000"
+    )
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert [dict(zip(header, r))["regime"] for r in rows] == (
+        ["below_threshold"] + ["above_threshold"] * 10
+    )
+    for r in rows[1:]:
+        row = dict(zip(header, r))
+        assert float(row["residual"]) <= 1e-15 * float(row["eps2"])
+        assert float(row["rho"]) <= 1.0 / MPLaw(2.0).lambda_plus
+
+
+@pytest.mark.parametrize("flag", [["--eps2", "0.05"], ["--eps", "0.2"]], ids=["eps2", "eps"])
+def test_rho_grid_excludes_eps2_and_eps(capsys, flag):
+    # the grid alone decides the rows, so a single target beside it is a usage error
+    with pytest.raises(SystemExit) as info:
+        cli.main(["rho", "--gamma", "2", "--sigma2", "0.1", *flag, "--grid", "0:0.01:0.02"])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_rho_needs_one_of_eps2_eps_and_grid(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["rho", "--gamma", "2", "--sigma2", "0.1"])
+    assert info.value.code == 2
+    assert "one of the arguments --eps2 --eps --grid is required" in capsys.readouterr().err
+    # an empty grid spec is given, and refused as a grid
+    code, out, err = run_cli(capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "")
+    assert code == 2 and out == "" and "grid spec" in err
 
 
 def test_cost_curve_regime_structure(capsys):
@@ -294,10 +333,11 @@ def test_cost_curve_costbar_sign_change(capsys):
 
 def test_cost_curve_row_level_error_markers(capsys):
     code, out, _ = run_cli(
-        capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:100:201"
+        capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:1e299:1e300"
     )
     assert code == 0
     header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0]))["regime"] == "below_threshold"
     assert dict(zip(header, rows[-1]))["regime"] == "error"
     assert math.isnan(float(dict(zip(header, rows[-1]))["rho"]))
 
@@ -404,43 +444,83 @@ def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp
     assert "target" in metrics["train_ridge"] and "target" in metrics["ols_gap"]
 
 
-def test_simulate_unreachable_eps2_is_a_refusal_naming_the_trial(capsys):
+def test_simulate_infeasible_rho_refusal_names_the_trial(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "50", "--d", "100", "--sigma2", "0.1", "--seed", "1",
+        "--trials", "1", "--rho", "1.0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("memcost: error: trial 0: rho") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_reaches_eps2_far_past_the_limit_law(capsys):
+    # the design's training error overflows at the smallest edge distance,
+    # so any finite target is reached; the limit law's cost target is not
     code, out, err = run_cli(
         capsys, "simulate", "--n", "50", "--d", "100", "--sigma2", "0.1", "--seed", "1",
         "--trials", "1", "--eps2", "1e300",
     )
-    assert code == 2
-    assert out == ""
-    assert "memcost: error:" in err and "trial 0" in err
+    assert code == 0, err
+    values = {metric: float(value) for _, metric, value in parse_csv(out)[1]}
+    assert set(values) == {"rho", "train_ridge", "cost", "ols_gap"}
+    assert all(math.isfinite(v) and v > 0 for v in values.values())
 
 
-def test_threshold_gamma_near_one_is_near_divergence_refusal(capsys):
-    # rho_ols lies beyond the cap: lhs(cap) is about 610 against rhs about 1e8
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n,d,code", [(1, 2, 2), (5, 6, 0)])
+def test_simulate_eps2_near_the_float_maximum_is_finite_or_refused(capsys, n, d, code):
+    # n = 1: the first design's cost at eps2 = 1.7e308 is past the float range
+    got, out, err = run_cli(
+        capsys, "simulate", "--n", str(n), "--d", str(d), "--sigma2", "0.1", "--seed", "3",
+        "--trials", "3", "--eps2", "1.7e308",
+    )
+    assert got == code, err
+    if code == 2:
+        assert err.startswith("memcost: error: trial 0: the cost") and out == ""
+    else:
+        assert all(math.isfinite(float(value)) for _, _, value in parse_csv(out)[1])
+
+
+def test_threshold_gamma_near_one_is_solved(capsys):
+    # the rho_ols root lies 3.7e-19 (delta) below the edge; the right-hand
+    # side of its equation is about 1e8
     code, out, err = run_cli(capsys, "threshold", "--gamma", "1.0000001", "--sigma2", "0.1")
-    assert code == 2
-    assert out == ""
-    assert "memcost: error:" in err and "cap" in err
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert all(math.isfinite(v) for v in row.values())
+    assert mp_reference.rel(row["eps_ols2"], mp_reference.rho_ols(1.0000001, 0.1)[1]) <= 1e-14
 
 
 @pytest.mark.parametrize(
     "argv, solver",
-    [
-        # a single eps2 past the cap is refused; on a grid it is an error row
-        (["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "1e5"], "rho(eps2)"),
-        # the rho_ols root lies 2.5e-9 (4.4e-9) relative below 1/lambda_plus,
-        # inside RHO_CAP_MARGIN
-        (["threshold", "--gamma", "1.05", "--sigma2", "0.01"], "rho_ols"),
-        (["ols", "--gamma", "1.05", "--sigma2", "0.01"], "rho_ols"),
-        (["threshold", "--gamma", "1.1", "--sigma2", "1e-3"], "rho_ols"),
-        (["ols", "--gamma", "1.1", "--sigma2", "1e-3"], "rho_ols"),
-    ],
-    ids=["rho-eps2", "threshold-1.05", "ols-1.05", "threshold-1.1", "ols-1.1"],
+    # a single eps2 past the float range of train is refused; on a grid it is an error row
+    [(["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "1e300"], "rho(eps2)")],
+    ids=["rho-eps2"],
 )
-def test_multiplier_past_the_cap_is_a_refusal(capsys, argv, solver):
+def test_target_past_float_range_is_a_refusal(capsys, argv, solver):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"memcost: error: {solver}:") and "Traceback" not in err
+
+
+# (gamma, sigma2) where rho_ols lies from 1e-3 to 2.6e-14 (delta) below the edge
+D9_POINTS = [("2", "0.1"), ("1.5", "0.01"), ("1.05", "0.01"), ("1.1", "1e-3"), ("1.01", "1e-4")]
+
+
+@pytest.mark.parametrize("command", ["threshold", "ols"])
+@pytest.mark.parametrize("gamma,sigma2", D9_POINTS)
+def test_rho_ols_near_the_edge_matches_mpmath(capsys, command, gamma, sigma2):
+    code, out, err = run_cli(capsys, command, "--gamma", gamma, "--sigma2", sigma2)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, map(float, rows[0])))
+    assert all(math.isfinite(v) for v in row.values())
+    exact = mp_reference.rho_ols(float(gamma), float(sigma2))[1]
+    assert mp_reference.rel(row["eps_ols2"], exact) <= 1e-14
 
 
 def test_threshold_solves_rho_ols_once(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from memcost.cost_engine import (
 )
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
-from memcost.numerics import RHO_CAP_MARGIN
 from memcost.spectra import MPLaw, mp_integrate, mp_shrinkage_integrals, mp_stieltjes_neg
+
+import mp_reference as ref
 
 NOISE = NoiseLevel(0.1)
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
@@ -100,30 +102,33 @@ def test_solve_rho_rejects_negative_eps2():
 
 
 def test_solve_rho_near_divergence():
-    with pytest.raises(NearDivergenceError):
-        solve_rho(2.0, NOISE, 1e6)
+    # train at the smallest normal delta is about 3e151 at sigma2 = 0.1
+    with pytest.raises(NearDivergenceError, match="float range"):
+        solve_rho(2.0, NOISE, 1e300)
 
 
-def _train_at_cap(gamma, a):
-    law = MPLaw(gamma)
-    return mp_shrinkage_integrals(law, (1.0 - RHO_CAP_MARGIN) / law.lambda_plus, a)[0]
+TINY = sys.float_info.min
 
 
 def test_train_at_zero_is_the_threshold_bit_for_bit():
     for gamma, s2 in GRID:
-        j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 0.0, s2)
+        j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 1.0, s2)
         assert s2**2 * j0 == memorization_threshold(gamma, NoiseLevel(s2))
 
 
 def test_solve_rho_near_divergence_boundary():
-    cap_value = NOISE.sigma2**2 * _train_at_cap(2.0, NOISE.sigma2)
+    # the last reachable target is train at the smallest normal delta
+    top = NOISE.sigma2**2 * mp_shrinkage_integrals(MPLaw(2.0), TINY, NOISE.sigma2)[0]
     with pytest.raises(NearDivergenceError):
-        solve_rho(2.0, NOISE, cap_value)
-    sol = solve_rho(2.0, NOISE, (1.0 - 1e-9) * cap_value)
-    cap = (1.0 - RHO_CAP_MARGIN) / MPLaw(2.0).lambda_plus
-    assert sol.regime is Regime.ABOVE_THRESHOLD and 0.99 * cap < sol.rho < cap
-    # this close to the edge one ulp of rho moves train(rho) by about 1e-8 relative
-    assert sol.residual <= 1e-7 * cap_value
+        solve_rho(2.0, NOISE, top)
+    target = (1.0 - 1e-9) * top
+    sol = solve_rho(2.0, NOISE, target)
+    # delta is about 1e-308, so rho is 1/lambda_plus to rounding
+    assert sol.regime is Regime.ABOVE_THRESHOLD
+    assert sol.rho == 1.0 / MPLaw(2.0).lambda_plus
+    assert sol.residual <= 1e-14 * target
+    point = asymptotic_cost(2.0, NOISE, target)
+    assert math.isfinite(point.cost) and point.cost > 0
 
 
 def test_solve_rho_def_near_divergence_boundary():
@@ -131,24 +136,28 @@ def test_solve_rho_def_near_divergence_boundary():
     law = MPLaw(2.0)
     thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
     scale = TWO_ATOM.kappa * NOISE.sigma2**2
-    cap_lhs = scale * (_train_at_cap(2.0, ks2) - mp_stieltjes_neg(law, ks2))
+    top_lhs = scale * (mp_shrinkage_integrals(law, TINY, ks2)[0] - mp_stieltjes_neg(law, ks2))
     with pytest.raises(NearDivergenceError):
-        solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + cap_lhs)
-    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + (1.0 - 1e-6) * cap_lhs)
+        solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + (1.0 + 1e-12) * top_lhs)
+    eps2 = thresh + (1.0 - 1e-6) * top_lhs
+    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, eps2)
     assert sol.regime is Regime.ABOVE_THRESHOLD
-    assert sol.rho < (1.0 - RHO_CAP_MARGIN) / law.lambda_plus
+    assert sol.rho == 1.0 / law.lambda_plus
+    assert sol.residual <= 1e-14 * eps2
+    assert math.isfinite(anisotropic_cost_lower_bound(2.0, TWO_ATOM, NOISE, eps2))
 
 
 def test_solve_rho_ols_near_divergence_boundary():
-    # at sigma2 = 0.1 the left-hand side at the cap is about 620, while the
-    # right-hand side grows like 1/(sigma2 (1 - 1/gamma)) as gamma -> 1+:
-    # about 980 at gamma = 1.01 (root past the cap), 480 at gamma = 1.02
-    for gamma in (1.0000001, 1.01):
-        with pytest.raises(NearDivergenceError):
-            solve_rho_ols(gamma, NOISE)
-    sol = solve_rho_ols(1.02, NOISE)
-    lp = MPLaw(1.02).lambda_plus
-    assert 1.0 / (2.0 * lp) < sol.rho < (1.0 - RHO_CAP_MARGIN) / lp
+    # as gamma -> 1+ the right-hand side grows like 1/(sigma2 (1 - 1/gamma))
+    # and the root approaches the edge (delta 3.7e-19, 4.0e-9 and 1.7e-8 here);
+    # the solve reaches it to rounding
+    for gamma in (1.0000001, 1.01, 1.02):
+        sol = solve_rho_ols(gamma, NOISE)
+        lp = MPLaw(gamma).lambda_plus
+        assert 1.0 / (2.0 * lp) < sol.rho <= 1.0 / lp
+        delta, exact = ref.rho_ols(gamma, NOISE.sigma2)
+        assert delta < 1e-7
+        assert ref.rel(sol.target_eps2, exact) <= 1e-14
 
 
 def test_cost_at_rho_domain_and_zero():
@@ -383,7 +392,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     noise = NoiseLevel(s2)
     eps2 = multiple * memorization_threshold(2.0, noise)
     rho = solve_rho(2.0, noise, eps2).rho
-    train = s2 * s2 * mp_shrinkage_integrals(law, rho, s2)[0]
+    train = s2 * s2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
@@ -392,6 +401,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     rho_def = solve_rho_def(2.0, pop, noise, eps2_def).rho
     ks2 = pop.kappa * s2
     reached = thresh + pop.kappa * s2 * s2 * (
-        mp_shrinkage_integrals(law, rho_def, ks2)[0] - mp_stieltjes_neg(law, ks2)
+        mp_shrinkage_integrals(law, 1.0 - rho_def * law.lambda_plus, ks2)[0]
+        - mp_stieltjes_neg(law, ks2)
     )
     assert abs(reached - eps2_def) <= 1e-12 * eps2_def

@@ -440,6 +440,15 @@ def test_summarize_se_of_tiny_values_does_not_underflow():
     assert summarize([0.0, 0.0]) == {"mean": 0.0, "se": 0.0}
 
 
+@pytest.mark.filterwarnings("error")
+def test_summarize_values_near_the_float_maximum_do_not_overflow():
+    # the sum of three values near 1.6e308 overflows unless scaled
+    huge = summarize([1.7e308, 1.6e308, 1.5e308])
+    unit = summarize([1.7, 1.6, 1.5])
+    assert huge["mean"] == pytest.approx(1.6e308, rel=1e-15)
+    assert huge["se"] == pytest.approx(unit["se"] * 1e308, rel=1e-15)
+
+
 def test_summarize_mean_se_and_deviation():
     assert summarize([2.0]) == {"mean": 2.0, "se": 0.0}
     stats = summarize([1.0, 2.0, 3.0], target=4.0)
@@ -481,7 +490,8 @@ def test_fixed_multiplier_train_error_approaches_limit():
     config = ExperimentConfig(n=500, d=1000, sigma2=s2, seed=77, trials=1, rho=rho)
     design = sample_design(config, 0)
     _, train = error_growth_trace(design.X, design.sigma_sqrt, s2, rho)
-    limit = s2**2 * mp_shrinkage_integrals(MPLaw(2.0), rho, s2)[0]
+    law = MPLaw(2.0)
+    limit = s2**2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
     assert abs(train - limit) / limit <= 0.05
 
 
@@ -581,3 +591,20 @@ def test_small_noise_eps2_trial_reaches_eps2(sigma2):
     design = sample_design(config, 0)
     train = error_growth_trace(design.X, design.sigma_sqrt, sigma2, metrics.rho)[1]
     assert abs(train - eps2) <= 1e-12 * eps2
+
+
+@pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["iso", "two-atom"])
+@pytest.mark.parametrize("sigma2", [1e-1, 1e-6, 1e-15, 1e-30, 1e-100])
+def test_build_estimator_routes_agree_at_small_noise(pop, sigma2):
+    # the d-side route is the thin-SVD form V diag(lambda/(lambda^2 + d sigma2)) U^T;
+    # the d x d ridge Gram it replaced missed the 1e-10 route check from sigma2 = 1e-6
+    config = ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, rho=0.0, population=pop)
+    design = sample_design(config, 0)
+    X, ss = design.X, design.sigma_sqrt
+    n, d = X.shape
+    ridge_n = np.linalg.solve(X @ X.T + d * sigma2 * np.eye(n), X).T
+    for rho in (0.0, 0.5 * max_feasible_rho(design.Z)):
+        A = build_estimator(X, ss, sigma2, rho).A
+        M = finite_n_lab._constraint_matrix(X, ss, rho)
+        expected = ridge_n - rho * sigma2 * np.linalg.solve(M, ridge_n)
+        assert np.linalg.norm(A - expected) <= 1e-14 * np.linalg.norm(expected)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from memcost import cost_engine as ce
 from memcost import finite_n_lab as lab
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
-from memcost.errors import BracketError, DomainError, NearDivergenceError
-from memcost.numerics import RHO_CAP_MARGIN, Interval, bisect, solve_multiplier, sym_eigvals
+from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
+from memcost.numerics import Interval, bisect, edge_distance, solve_multiplier, sym_eigvals
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
-from memcost.spectra import MPLaw, _cheb_transfer, mp_shrinkage_integrals, mp_stieltjes_neg
+from memcost.spectra import MPLaw, _cheb_transfer, mp_stieltjes_neg
+
+import mp_reference as ref
 
 
 def test_interval_validation():
@@ -128,55 +131,68 @@ def test_bisect_against_fine_grid_scan_oracle():
 # 1 - x_i^2 for the sqrt(1-x^2) weight.
 
 
+TINY = sys.float_info.min
+
+
 def test_solve_multiplier_inactive_and_refusal():
-    level = lambda r: 1.0 / (1.0 - 2.0 * r)  # diverges at 1/top with top = 2
-    assert solve_multiplier(level, 2.0, 1.0, "probe") == (0.0, 0.0)
-    assert solve_multiplier(level, 2.0, 0.5, "probe") == (0.0, 0.0)
-    rho, residual = solve_multiplier(level, 2.0, 4.0, "probe")
-    assert _within_one_float(rho, 0.375) and residual <= 1e-15
-    cap = (1.0 - RHO_CAP_MARGIN) / 2.0
-    with pytest.raises(NearDivergenceError, match=r"^probe: .*cap") as err:
-        solve_multiplier(level, 2.0, level(cap), "probe")
-    assert repr(cap) in str(err.value)
+    level = lambda x: 1.0 / x  # diverges at the edge delta = 0
+    assert solve_multiplier(level, 1.0, "probe") == (1.0, 0.0)
+    assert solve_multiplier(level, 0.5, "probe") == (1.0, 0.0)
+    delta, residual = solve_multiplier(level, 4.0, "probe")
+    assert _within_one_float(delta, 0.25) and residual <= 1e-15
+    # the bracket reaches down to the smallest normal float, and no further
+    delta, _ = solve_multiplier(level, 0.5 * level(TINY), "probe")
+    assert _within_one_float(delta, 2.0 * TINY)
+    for past in (level(TINY), 1e308):
+        with pytest.raises(NearDivergenceError, match=r"^probe: .*float range"):
+            solve_multiplier(level, past, "probe")
+
+
+def test_edge_distance_is_the_one_rho_conversion():
+    assert edge_distance(0.0, 4.0, "rho") == 1.0
+    assert edge_distance(0.125, 4.0, "rho") == 0.5
+    assert edge_distance(math.nextafter(0.25, 0.0), 4.0, "rho") == 2.0**-53
+    for bad in (-1e-300, 0.25, 1.0, math.inf, math.nan):
+        with pytest.raises(RegimeError, match=r"^rho requires 0 <= rho \* top < 1"):
+            edge_distance(bad, 4.0, "rho")
 
 
 _NOISE = NoiseLevel(0.1)
 _TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
-
-
-def _shared_cap(top):
-    return (1.0 - RHO_CAP_MARGIN) / top
+# every route is solved at a target whose root lies this close to the edge
+_EDGE_DELTA = 1e-12
 
 
 def _route_rho(monkeypatch):
-    law = MPLaw(2.0)
-    cap = _shared_cap(law.lambda_plus)
-    level = 0.1**2 * mp_shrinkage_integrals(law, cap, 0.1)[0]
-    return cap, level, lambda target: ce.solve_rho(2.0, _NOISE, target).rho
+    # level: train; output: the cost at the solved delta
+    def solve(target):
+        return ce.asymptotic_cost(2.0, _NOISE, target).cost
+
+    return lambda x: ref.train(2.0, 0.1, x), lambda x: ref.cost(2.0, 0.1, x), solve
 
 
 def _route_rho_ols(monkeypatch):
     # rho_ols takes no target: its right-hand side, the inverse moment, is set instead
-    law = MPLaw(2.0)
-    cap = _shared_cap(law.lambda_plus)
-    level = cap * cap * mp_shrinkage_integrals(law, cap, 0.1)[1]
-
     def solve(target):
         monkeypatch.setattr(ce, "_inverse_moment", lambda law, a: target)
-        return ce.solve_rho_ols(2.0, _NOISE).rho
+        return ce.solve_rho_ols(2.0, _NOISE).target_eps2
 
-    return cap, level, solve
+    return lambda x: ref.ols_level(2.0, 0.1, x), lambda x: ref.train(2.0, 0.1, x), solve
 
 
 def _route_rho_def(monkeypatch):
-    law = MPLaw(2.0)
-    cap = _shared_cap(law.lambda_plus)
     ks2 = _TWO_ATOM.kappa * 0.1
+    j0 = mp_stieltjes_neg(MPLaw(2.0), ks2)
     thresh = deformed_threshold(DeformedLaw(2.0, _TWO_ATOM), 0.1)
-    level = _TWO_ATOM.kappa * 0.1 * 0.1 * (
-        mp_shrinkage_integrals(law, cap, ks2)[0] - mp_stieltjes_neg(law, ks2)
-    )
-    return cap, level, lambda target: ce.solve_rho_def(2.0, _TWO_ATOM, _NOISE, thresh + target).rho
+
+    def level(delta):
+        return _TWO_ATOM.kappa * 0.01 * (ref.shrinkage(2.0, delta, ks2)[0] - j0)
+
+    def solve(target):
+        return ce.anisotropic_cost_lower_bound(2.0, _TWO_ATOM, _NOISE, thresh + target)
+
+    # thresh + target rounds, so the level reached is that of the rounded sum
+    return level, lambda x: ref.cost(2.0, 0.1, x), solve, lambda t: (thresh + t) - thresh
 
 
 def _route_lab_trial(monkeypatch):
@@ -185,8 +201,18 @@ def _route_lab_trial(monkeypatch):
 
     design = lab.sample_design(config(1.0), 0)
     red = lab._reduce(design.Z, design.sigma_sqrt, 0.1)
-    cap = _shared_cap(red.s[0])
-    return cap, red.train(cap), lambda target: lab.trial_metrics(config(target), 0).rho
+    s, a, b = ([ref.mp.mpf(float(v)) for v in vec] for vec in (red.s, red.a, red.b))
+
+    def weighted(w, delta):
+        return ref.mp.fsum(wk / (delta + (1 - delta) * (1 - sk / s[0])) ** 2 for wk, sk in zip(w, s))
+
+    def cost(delta):
+        return ((1 - delta) / s[0]) ** 2 * weighted(b, delta)
+
+    def solve(target):
+        return lab.trial_metrics(config(target), 0).cost
+
+    return lambda x: weighted(a, x), cost, solve
 
 
 @pytest.mark.parametrize(
@@ -194,11 +220,20 @@ def _route_lab_trial(monkeypatch):
     ids=["solve_rho", "solve_rho_ols", "solve_rho_def", "eps2_trial"],
 )
 def test_every_multiplier_solve_shares_one_cap(route, monkeypatch):
-    cap, level, solve = route(monkeypatch)
-    with pytest.raises(NearDivergenceError, match="cap"):
-        solve(level)
-    rho = solve((1.0 - 1e-6) * level)
-    assert 0.99 * cap < rho < cap
+    # one contract for every solve: the bracket [TINY, 1] in delta, a refusal
+    # only past the level at TINY, and full accuracy up to the edge
+    level, output, solve, *reach = route(monkeypatch)
+    with ref.mp.workdps(ref.DPS):
+        # the lab's level overflows at TINY, so every finite target is reached
+        top = float(level(TINY))
+        if math.isfinite(top):
+            with pytest.raises(NearDivergenceError, match="float range"):
+                solve((1 + 1e-12) * top)
+            assert math.isfinite(solve((1 - 1e-12) * top))
+        target = float(level(_EDGE_DELTA))
+        delta = ref.edge_root(level, reach[0](target) if reach else target)
+        assert delta < 1e-10
+        assert ref.rel(solve(target), output(delta)) <= 1e-14
 
 
 def test_chebyshev_rule_k1_midpoint():

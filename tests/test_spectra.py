@@ -1,3 +1,5 @@
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from memcost.spectra import (
     mp_shrinkage_integrals,
     mp_stieltjes_neg,
 )
+
+import mp_reference
 
 GAMMAS = [1.5, 2.0, 4.0, 10.0]
 
@@ -215,11 +219,8 @@ def test_empirical_spectrum_validation():
 
 # closed-form resolvent integrals against the quadrature oracle and mpmath
 
-CAP_FRACTIONS = [1e-6, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6]
-
-
-def _cap(law):
-    return (1.0 - 1e-8) / law.lambda_plus
+# edge distances delta = 1 - rho lambda_plus, from rho near 0 to near the edge
+EDGE_DELTAS = [1 - 1e-6, 0.9, 0.5, 0.1, 1e-3, 1e-6]
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -228,10 +229,10 @@ def test_shrinkage_integrals_match_quadrature(gamma, sigma2):
     law = MPLaw(gamma)
     kappa_s2 = 4.0 * sigma2  # the rho_def integrals run at kappa sigma2
     worst = 0.0
-    for frac in CAP_FRACTIONS:
-        rho = frac * _cap(law)
+    for delta in EDGE_DELTAS:
+        rho = (1.0 - delta) / law.lambda_plus
         for a in (sigma2, kappa_s2):
-            j0, j1 = mp_shrinkage_integrals(law, rho, a)
+            j0, j1 = mp_shrinkage_integrals(law, delta, a)
             q0 = mp_integrate(law, lambda s: 1.0 / ((1.0 - rho * s) ** 2 * (s + a)))
             q1 = mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + a)))
             worst = max(worst, abs(j0 - q0) / q0, abs(j1 - q1) / q1)
@@ -241,13 +242,14 @@ def test_shrinkage_integrals_match_quadrature(gamma, sigma2):
     assert worst <= 1e-10
 
 
-def _mp_shrinkage(gamma, rho, a, dps=30):
+def _mp_shrinkage(gamma, delta, a, dps=30):
     """30-digit tanh-sinh values of both integrals, split at the edge peak."""
     with mp.workdps(dps):
-        g, rho, a = mp.mpf(gamma), mp.mpf(rho), mp.mpf(a)
+        g, delta, a = mp.mpf(gamma), mp.mpf(delta), mp.mpf(a)
         lp, lm = (1 + 1 / mp.sqrt(g)) ** 2, (1 - 1 / mp.sqrt(g)) ** 2
+        rho = (1 - delta) / lp
         c, r = (lp + lm) / 2, (lp - lm) / 2
-        width = mp.sqrt((1 - rho * lp) / (rho * r))
+        width = mp.sqrt(delta / (rho * r))
         pts = [mp.mpf(0)] + [k * width for k in (1, 10, 100) if k * width < mp.pi] + [mp.pi]
 
         def integral(power):
@@ -263,32 +265,42 @@ def _mp_shrinkage(gamma, rho, a, dps=30):
 @pytest.mark.parametrize("frac", [1e-6, 0.5, 0.999])
 @pytest.mark.parametrize("gamma,a", [(1.5, 1e-2), (4.0, 1.0), (10.0, 0.1)])
 def test_shrinkage_integrals_mpmath_spot_checks(frac, gamma, a):
-    law = MPLaw(gamma)
-    rho = frac * _cap(law)
-    got = mp_shrinkage_integrals(law, rho, a)
-    ref = _mp_shrinkage(gamma, rho, a)
+    # rho = frac/lambda_plus
+    got = mp_shrinkage_integrals(MPLaw(gamma), 1.0 - frac, a)
+    ref = _mp_shrinkage(gamma, 1.0 - frac, a)
     for g, r in zip(got, ref):
         assert abs(g - r) / r <= 1e-11
 
 
+@pytest.mark.parametrize("delta", [1e-8, 1e-12, 1e-16, 1e-100, sys.float_info.min])
+@pytest.mark.parametrize("gamma,a", [(1.01, 1e-4), (2.0, 0.1), (10.0, 10.0)])
+def test_shrinkage_integrals_keep_full_precision_at_the_edge(delta, gamma, a):
+    # the edge gap delta lp/(1 - delta) is exact in delta, so no digits are
+    # lost however close delta is to 0
+    got = mp_shrinkage_integrals(MPLaw(gamma), delta, a)
+    for g, r in zip(got, mp_reference.shrinkage(gamma, delta, a)):
+        assert mp_reference.rel(g, r) <= 1e-14
+
+
 def test_shrinkage_integrals_at_zero_are_exact():
+    # rho = 0 is delta = 1
     law = MPLaw(2.0)
     for a in (1e-3, 0.1, 4.0):
         m = mp_stieltjes_neg(law, a)
-        assert mp_shrinkage_integrals(law, 0.0, a) == (m, 1.0 - a * m)
+        assert mp_shrinkage_integrals(law, 1.0, a) == (m, 1.0 - a * m)
 
 
 def test_shrinkage_integrals_continuous_at_zero():
     law = MPLaw(2.0)
-    j0, j1 = mp_shrinkage_integrals(law, 0.0, 0.1)
-    k0, k1 = mp_shrinkage_integrals(law, 1e-12, 0.1)
+    j0, j1 = mp_shrinkage_integrals(law, 1.0, 0.1)
+    k0, k1 = mp_shrinkage_integrals(law, 1.0 - 1e-12 * law.lambda_plus, 0.1)
     assert abs(k0 - j0) <= 1e-10 * j0 and abs(k1 - j1) <= 1e-10 * j1
 
 
 def test_shrinkage_integrals_domain():
     law = MPLaw(2.0)
-    for rho in (-1e-3, 1.0 / law.lambda_plus, 1.0, float("nan")):
+    for delta in (-1e-3, 0.0, 1.0 + 1e-15, 2.0, float("nan")):
         with pytest.raises(DomainError):
-            mp_shrinkage_integrals(law, rho, 0.1)
+            mp_shrinkage_integrals(law, delta, 0.1)
     with pytest.raises(DomainError):
         mp_shrinkage_integrals(law, 0.1, 0.0)
