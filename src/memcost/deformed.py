@@ -86,7 +86,7 @@ class PopulationSpectrum:
 
     @property
     def is_isotropic(self) -> bool:
-        return len(self.atoms) == 1 and self.atoms[0][0] == 1.0
+        return all(value == 1.0 for value, _ in self.atoms)
 
 
 @dataclass(frozen=True)

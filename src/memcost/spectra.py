@@ -55,7 +55,9 @@ class MPLaw:
 
     @property
     def lambda_minus(self) -> float:
-        return (1.0 - 1.0 / math.sqrt(self.gamma)) ** 2
+        # (1 - 1/sqrt(g))^2, rewritten so it does not cancel as g -> 1+
+        root = math.sqrt(self.gamma)
+        return ((self.gamma - 1.0) / (root * (root + 1.0))) ** 2
 
     @property
     def lambda_plus(self) -> float:

@@ -807,3 +807,47 @@ def test_shared_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
     assert [code for code, _, _ in expected] == [code for code, _ in _SHARED_PARSER_SEQUENCE]
     for (_, argv), want in zip(_SHARED_PARSER_SEQUENCE, expected):
         assert _run_captured(capsys, argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", "{tmp}/missing.txt"],
+        ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", "{tmp}"],
+        ["threshold", "--gamma", "2", "--sigma2", "0.1", "--out", "{tmp}/missing/x.csv"],
+        ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.02",
+         "--out", "{tmp}/c.csv", "--gnuplot", "{tmp}/missing/x.gp"],
+        ["simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1",
+         "--trials", "1", "--rho", "0", "--out", "{tmp}/a_file/sub"],
+    ],
+    ids=["pop-missing", "pop-directory", "out-missing-dir", "gnuplot-missing-dir", "simulate-out-under-file"],
+)
+def test_file_errors_are_refusals_that_print_no_table(capsys, tmp_path, argv):
+    (tmp_path / "a_file").write_text("")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_refuses_a_seed_outside_64_bits_before_any_check(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--quick", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "64 unsigned bits" in err
+
+
+def test_population_of_equal_atoms_is_isotropic_and_gets_the_same_targets(capsys, tmp_path):
+    pop = tmp_path / "pop.txt"
+    summaries = []
+    for text in ("1.0 1.0\n", "1.0 0.5\n1.0 0.5\n"):
+        pop.write_text(text)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1",
+            "--trials", "2", "--rho", "0", "--pop", str(pop), "--out", str(tmp_path / "run"),
+        )
+        assert code == 0
+        summaries.append((tmp_path / "run" / "summary.json").read_text())
+    assert summaries[0] == summaries[1]
+    assert "rel_dev" in json.loads(summaries[1])["metrics"]["cost"]

@@ -336,6 +336,14 @@ def test_error_report_validates_identities():
         )
 
 
+def test_error_report_route_dev_is_the_validated_margin():
+    fields = dict(pred_direct=1.0, train_direct=0.5, pred_ridge=0.9, duality_residual=0.0)
+    report = ErrorReport(pred_growth_trace=0.1 * (1 + 1e-10), train_trace=0.5, **fields)
+    assert report.route_dev == pytest.approx(1e-10, rel=1e-4)
+    with pytest.raises(ConsistencyError):
+        ErrorReport(pred_growth_trace=0.1, train_trace=float("nan"), **fields)
+
+
 def test_evaluate_design_full_report():
     design = _design()
     rho = 0.3 * max_feasible_rho(design.Z)
@@ -608,3 +616,43 @@ def test_build_estimator_routes_agree_at_small_noise(pop, sigma2):
         M = finite_n_lab._constraint_matrix(X, ss, rho)
         expected = ridge_n - rho * sigma2 * np.linalg.solve(M, ridge_n)
         assert np.linalg.norm(A - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _mp_trace_errors(Z, X, sigma2, rho, dps=40):
+    """40-digit train and growth of one design from their trace forms.
+
+    train = (sigma2^2/n) tr[(I - rho G_z)^-2 (G_x + sigma2 I)^-1] and
+    growth = rho^2 (sigma2^2/d) tr[G_z (I - rho G_z)^-2 (G_x + sigma2 I)^-1],
+    with G_z = ZZ^T/d and G_x = XX^T/d, each entry taken exactly from its float.
+    """
+    import mpmath as mp
+
+    n, d = Z.shape
+    with mp.workdps(dps):
+        Zm, Xm = mp.matrix(Z.tolist()), mp.matrix(X.tolist())
+        Gz, Gx = Zm * Zm.T / d, Xm * Xm.T / d
+        eye = mp.eye(n)
+        shrink = (eye - mp.mpf(rho) * Gz) ** -1
+        R = shrink * shrink * (Gx + mp.mpf(sigma2) * eye) ** -1
+        s4 = mp.mpf(sigma2) ** 2
+        train = s4 / n * sum(R[k, k] for k in range(n))
+        GzR = Gz * R
+        growth = mp.mpf(rho) ** 2 * s4 / d * sum(GzR[k, k] for k in range(n))
+        return train, growth
+
+
+@pytest.mark.parametrize("sigma2", [1e-6, 10.0])
+@pytest.mark.parametrize("kappa", [4.0, 1000.0])
+@pytest.mark.parametrize("d", [15, 24])
+def test_anisotropic_reduction_matches_40_digit_trace_form(d, kappa, sigma2):
+    import mpmath as mp
+
+    pop = PopulationSpectrum(atoms=((1.0, 0.5), (1.0 / kappa, 0.5)))
+    design = _design(n=12, d=d, seed=3, pop=pop)
+    red = finite_n_lab._reduce(design.Z, design.sigma_sqrt, sigma2)
+    delta = 0.5
+    rho = (1.0 - delta) / red.s[0]
+    train, growth = _mp_trace_errors(design.Z, design.X, sigma2, rho)
+    with mp.workdps(40):
+        assert float(abs(red.train(delta) - train) / train) <= 1e-14
+        assert float(abs(red.growth(delta) - growth) / growth) <= 1e-14

@@ -53,6 +53,13 @@ def test_endpoint_product_identity():
         assert abs(law.lambda_minus * law.lambda_plus - (1 - 1 / gamma) ** 2) < 1e-14
 
 
+@pytest.mark.parametrize("gamma", [1 + 1e-7, 1.0001, 1.01, 2.0, 100.0])
+def test_lower_edge_does_not_cancel_near_gamma_one(gamma):
+    with mp.workdps(mp_reference.DPS):
+        exact = (1 - 1 / mp.sqrt(mp.mpf(gamma))) ** 2
+    assert mp_reference.rel(MPLaw(gamma).lambda_minus, exact) <= 1e-15
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_moments(gamma):
     law = MPLaw(gamma)
