@@ -66,7 +66,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import Interval, bisect
+from .numerics import Interval
 from .spectra import (
     EmpiricalSpectrum,
     MPLaw,

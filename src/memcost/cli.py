@@ -113,11 +113,13 @@ def parse_grid(spec: str) -> list[float]:
     return [v for v in candidates if v <= bound]
 
 
-def _emit(table: OutputTable, args) -> None:
+def _emit(table: OutputTable, args, *extra: tuple[str, str]) -> None:
+    """Write --out, then each (path, text) of ``extra``, then stdout, so a failed write prints nothing."""
     text = table.render(args.format)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    files = [(args.out, text)] if getattr(args, "out", None) else []
+    for path, body in files + list(extra):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
     sys.stdout.write(text)
 
 
@@ -220,12 +222,12 @@ def cmd_cost_curve(args) -> int:
         rows=rows,
         metadata={"config": _config_echo(args, ["gamma", "sigma2", "grid"]), "command": "cost-curve"},
     )
+    script = []
     if args.gnuplot:
         if not args.out:
             raise DomainError("--gnuplot needs --out so the script has a data file to plot")
-        with open(args.gnuplot, "w", encoding="utf-8") as fh:
-            fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
-    _emit(table, args)
+        script.append((args.gnuplot, _GNUPLOT_TEMPLATE.format(csv=args.out)))
+    _emit(table, args, *script)
     return 0
 
 

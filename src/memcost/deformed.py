@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
-from .numerics import Interval, bisect
+from .numerics import Interval, solve_level
 
 __all__ = [
     "PopulationSpectrum",
@@ -104,11 +104,12 @@ class DeformedLaw:
 def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     """Stieltjes transform of the deformed law at -sigma2 < 0.
 
-    Solves the fixed point by bisection of
-    g(m) = m * (sigma2 + int tau/(1 + tau m/gamma) dT) - 1 on (0, 2/sigma2),
-    where g is continuous with a unique positive root and g(2/sigma2) >= 1
-    stays positive in floating point; the returned m equals
-    int 1/(s + sigma2) dG(s) and satisfies the fixed point to 1e-12 relative.
+    Solves the fixed point as the level equation
+    m * (sigma2 + int tau/(1 + tau m/gamma) dT) = 1 on (0, 2/sigma2] with
+    ``numerics.solve_level``; the level rises from 0 and stays >= 1 at
+    2/sigma2 in floating point, so the root is unique and bracketed.  The
+    returned m equals int 1/(s + sigma2) dG(s) and satisfies the fixed
+    point to 1e-12 relative.
     """
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
@@ -116,11 +117,11 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     w = law.population.weights
     g = law.gamma
 
-    def residual(m: float) -> float:
-        return m * (sigma2 + float(np.sum(w * tau / (1.0 + tau * m / g)))) - 1.0
+    def level(m: float) -> float:
+        return m * (sigma2 + float(np.sum(w * tau / (1.0 + tau * m / g))))
 
-    m = bisect(residual, Interval(0.0, 2.0 / sigma2))
-    fp_residual = abs(residual(m))
+    m, reached = solve_level(level, 1.0, Interval(0.0, 2.0 / sigma2))
+    fp_residual = abs(reached - 1.0)
     if fp_residual > 1e-12:
         raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m)
     return m

@@ -1,6 +1,6 @@
-"""Numerical kernel: bracketed bisection, the one multiplier solver built on
-it, the accepted noise-variance range, and the dense symmetric eigenvalue
-contract.
+"""Numerical kernel: the bracketed level solver (Illinois regula falsi in
+log-log), the one multiplier solver built on it, the accepted noise-variance
+range, and the dense symmetric eigenvalue contract.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -8,6 +8,7 @@ so all operations are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,6 @@ from .errors import BracketError, DomainError, NearDivergenceError, RegimeError
 
 __all__ = [
     "Interval",
-    "bisect",
     "sym_eigvals",
 ]
 
@@ -49,58 +49,71 @@ def check_sigma2(sigma2: float) -> None:
         raise DomainError(f"sigma2 must lie in [1e-100, 1e100], got {sigma2}")
 
 
-def bisect(f: Callable[[float], float], bracket: Interval) -> float:
-    """Find a root of a continuous monotone function by pure bisection.
+def solve_level(
+    level: Callable[[float], float], target: float, bracket: Interval,
+    ends: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """x with level(x) = target, for a level positive and monotone on the bracket.
 
-    Halves the bracket until f(mid) == 0 or the midpoint rounds to an
-    endpoint, so the result is within one float of the root at any scale
-    and the loop ends after at most about 2100 steps.  There is no
-    tolerance to tune.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar function, continuous and monotone on the bracket, with
-        f(lo) and f(hi) of opposite sign (or one of them zero).
-    bracket : Interval
-        Initial enclosure of the root.
-
-    Returns
-    -------
-    float
-        A zero of f, or else the float x with the root in (x, next float
-        above x), so the result stays below hi whenever f(hi) != 0.
-        Deterministic: identical inputs yield bit-identical outputs.
-
-    Raises
-    ------
-    BracketError
-        If f does not change sign over the bracket.
+    Each step is a regula falsi step on (log x, log(level/target)), nearly
+    straight for a level diverging like a power of x, with the Illinois
+    modification (Dowell & Jarratt 1971): an end kept through two secant
+    steps in a row has its log ratio halved.  A midpoint step replaces it
+    when the secant point is not strictly inside the bracket, when an end's
+    log ratio is not finite (level 0 or inf), and after two steps in a row
+    that did not halve the bracket.  It stops when the ends are adjacent
+    floats; there is no tolerance.  ``ends`` is (level(lo), level(hi)) if
+    known.  Returns (x, level(x)): an exact root, or else the end on the
+    level > target side.  Raises BracketError without a sign change.
     """
     lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+    vlo, vhi = ends if ends is not None else (level(lo), level(hi))
+    for x, v in ((lo, vlo), (hi, vhi)):
+        if v == target:
+            return x, v
+    if not (vlo < target < vhi or vhi < target < vlo):
         raise BracketError(
-            f"no sign change over [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}",
-            lo=lo, hi=hi, flo=flo, fhi=fhi,
+            f"no sign change over [{lo}, {hi}]: level {vlo} and {vhi}, target {target}",
+            lo=lo, hi=hi, flo=vlo, fhi=vhi,
         )
-    rising = flo < 0.0
+    xs, vs = [lo, hi], [vlo, vhi]
+    fs = [_log_ratio(lo, vlo, target), _log_ratio(hi, vhi, target)]
+    last, slow = None, 0  # end replaced by the last secant step; steps in a row not halving
     while True:
+        lo, hi = xs
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if not lo < mid < hi:
             # lo and hi are adjacent floats
-            return lo
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
+            k = 0 if vs[0] > target else 1
+            return xs[k], vs[k]
+        x, (flo, fhi) = mid, fs
+        if slow < 2 and flo is not None and fhi is not None and flo != fhi:
+            ratio = hi / lo
+            span = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+            # step from the nearer end, so that x keeps every digit near a root
+            t = flo / (flo - fhi)
+            secant = lo * math.exp(t * span) if t < 0.5 else hi * math.exp((t - 1.0) * span)
+            if lo < secant < hi:
+                x = secant
+        v = level(x)
+        if v == target:
+            return x, v
+        k = 0 if (v > target) == (vs[0] > target) else 1
+        xs[k], vs[k], fs[k] = x, v, _log_ratio(x, v, target)
+        if x == mid:
+            # midpoint steps leave the Illinois bookkeeping alone
+            slow = 0
+            continue
+        if k == last and fs[1 - k] is not None:
+            fs[1 - k] *= 0.5
+        last = k
+        slow = 0 if xs[1] - xs[0] <= 0.5 * (hi - lo) else slow + 1
+
+
+def _log_ratio(x: float, v: float, target: float) -> float | None:
+    """log(v/target), or None where it or log x is not a finite number."""
+    r = v / target
+    return math.log(r) if x > 0.0 and 0.0 < r < math.inf else None
 
 
 def solve_multiplier(
@@ -111,20 +124,22 @@ def solve_multiplier(
     A multiplier rho below the spectral edge 1/top is solved in delta =
     1 - rho top, which keeps full relative precision up to the edge, where
     ``level`` diverges; it must decrease on (0, 1].  Returns (1, 0), i.e.
-    rho = 0, when target <= level(1).  Otherwise bisects [tiny, 1], tiny the
+    rho = 0, when target <= level(1).  Otherwise solves on [tiny, 1], tiny the
     smallest normal float, and raises NearDivergenceError (its message
     starting with ``what``) if level(tiny) <= target.
     """
-    if target <= level(1.0):
+    top = level(1.0)
+    if target <= top:
         return 1.0, 0.0
     tiny = float(np.finfo(np.float64).tiny)
-    if not level(tiny) > target:
+    bottom = level(tiny)
+    if not bottom > target:
         raise NearDivergenceError(
             f"{what}: target {target!r} is past the float range of the constraint "
             f"level, which diverges at the spectral edge"
         )
-    delta = float(bisect(lambda x: target - level(x), Interval(tiny, 1.0)))
-    return delta, abs(level(delta) - target)
+    delta, reached = solve_level(level, target, Interval(tiny, 1.0), (bottom, top))
+    return delta, abs(reached - target)
 
 
 def edge_distance(rho: float, top: float, what: str) -> float:

@@ -79,6 +79,12 @@ def rho_ols(gamma, sigma2):
     return delta, train(gamma, sigma2, delta)
 
 
+def power_root(c, k, target):
+    """The float nearest the root x of c x^-k = target."""
+    with mp.workdps(DPS):
+        return float((mp.mpf(c) / mp.mpf(target)) ** (1 / mp.mpf(k)))
+
+
 def rel(got, exact):
     """|got - exact|/|exact| as a float."""
     with mp.workdps(DPS):

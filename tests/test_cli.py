@@ -830,6 +830,18 @@ def test_file_errors_are_refusals_that_print_no_table(capsys, tmp_path, argv):
     assert "memcost: error:" in err and "Traceback" not in err
 
 
+def test_cost_curve_writes_no_gnuplot_script_when_the_csv_fails(capsys, tmp_path):
+    script = tmp_path / "x.gp"
+    code, out, err = run_cli(
+        capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.02",
+        "--out", str(tmp_path / "missing" / "c.csv"), "--gnuplot", str(script),
+    )
+    assert code == 2
+    assert out == ""
+    assert "memcost: error:" in err and "Traceback" not in err
+    assert not script.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_verify_refuses_a_seed_outside_64_bits_before_any_check(capsys, seed):
     code, out, err = run_cli(capsys, "verify", "--quick", "--seed", seed)

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from memcost import cost_engine as ce
+from memcost import deformed
 from memcost import finite_n_lab as lab
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
-from memcost.numerics import Interval, bisect, edge_distance, solve_multiplier, sym_eigvals
+from memcost.numerics import Interval, edge_distance, solve_level, solve_multiplier, sym_eigvals
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
 from memcost.spectra import MPLaw, _cheb_transfer, mp_stieltjes_neg
 
 import mp_reference as ref
+
+TINY = sys.float_info.min
 
 
 def test_interval_validation():
@@ -29,26 +32,31 @@ def _within_one_float(x, root):
     return math.nextafter(root, -math.inf) <= x <= math.nextafter(root, math.inf)
 
 
+# The test_bisect_* names are kept as stable test ids; each checks
+# solve_level, on a positive level where a test's first function was not one.
+
+
 def test_bisect_sqrt2():
-    root = bisect(lambda x: x * x - 2.0, Interval(1.0, 2.0))
+    root, _ = solve_level(lambda x: x * x, 2.0, Interval(1.0, 2.0))
     assert _within_one_float(root, math.sqrt(2.0))
 
 
 def test_bisect_odd_function():
-    # the first midpoint is the root itself
-    assert bisect(lambda x: x, Interval(-1.0, 1.0)) == 0.0
+    # a level that is a straight line in log-log: the first secant point is
+    # the root itself
+    assert solve_level(lambda x: x, 1.0, Interval(0.5, 2.0)) == (1.0, 1.0)
 
 
 def test_bisect_deterministic():
     import mpmath as mp
 
-    f = lambda x: x**3 - 2 * x - 5
+    f = lambda x: x**3 - 2 * x
     with mp.workdps(40):
         true = float(mp.findroot(lambda x: x**3 - 2 * x - 5, 2.1))
-    a = bisect(f, Interval(2.0, 3.0))
-    b = bisect(f, Interval(2.0, 3.0))
+    a = solve_level(f, 5.0, Interval(2.0, 3.0))
+    b = solve_level(f, 5.0, Interval(2.0, 3.0))
     assert a == b  # bit-identical
-    assert _within_one_float(a, true)
+    assert _within_one_float(a[0], true)
 
 
 @pytest.mark.parametrize("root", [1e-30, 1e-300, 5e-324, 0.3, 1e20, 1e300])
@@ -59,27 +67,141 @@ def test_bisect_resolves_any_scale(root):
 
     def f(x):
         calls.append(x)
-        return x - root
+        return x
 
-    assert _within_one_float(bisect(f, Interval(0.0, hi)), root)
-    # the bracket halves until its midpoint rounds to an endpoint
+    assert _within_one_float(solve_level(f, root, Interval(0.0, hi))[0], root)
+    # level(0) = 0 allows only midpoint steps until the lower end moves
     assert len(calls) <= 2 + 1100
 
 
 def test_bisect_decreasing_function():
-    root = bisect(lambda x: math.pi / 7 - x, Interval(0.0, 1.0))
+    root, _ = solve_level(lambda x: math.pi / 7 / x, 1.0, Interval(0.1, 1.0))
     assert _within_one_float(root, math.pi / 7)
 
 
 def test_bisect_rejects_bad_bracket():
     with pytest.raises(BracketError) as info:
-        bisect(lambda x: x * x + 1.0, Interval(-1.0, 1.0))
+        solve_level(lambda x: x * x + 1.0, 0.5, Interval(-1.0, 1.0))
     assert info.value.lo == -1.0 and info.value.hi == 1.0
 
 
 def test_bisect_endpoint_roots():
-    assert bisect(lambda x: x, Interval(0.0, 1.0)) == 0.0
-    assert bisect(lambda x: x - 1.0, Interval(0.0, 1.0)) == 1.0
+    assert solve_level(lambda x: x + 1.0, 1.0, Interval(0.0, 1.0))[0] == 0.0
+    assert solve_level(lambda x: x + 1.0, 2.0, Interval(0.0, 1.0))[0] == 1.0
+
+
+def _counted(level, calls):
+    def counted(x):
+        calls.append(x)
+        return level(x)
+
+    return counted
+
+
+@pytest.mark.parametrize("jump", [0.3, 1e-300, 1e300])
+@pytest.mark.parametrize("lo", [0.0, TINY])
+def test_solve_level_terminates_on_a_step_level(jump, lo):
+    # no secant point helps a step; the midpoint rule still halves the
+    # bracket at least every third step
+    calls = []
+    level = _counted(lambda x: 2.0 if x < jump else 0.5, calls)
+    x, v = solve_level(level, 1.0, Interval(lo, 1.5e300))
+    assert x == math.nextafter(jump, 0.0) and v == 2.0
+    assert len(calls) <= 3300
+
+
+@pytest.mark.parametrize("root", [1e-150, 1e-3, 0.7])
+@pytest.mark.parametrize("lo", [0.0, TINY])
+def test_solve_level_terminates_on_a_level_inf_below_a_cutoff(root, lo):
+    # a level that overflows to inf short of the edge, as a sampled
+    # design's training error does at the smallest edge distances
+    calls = []
+    level = _counted(lambda x: math.inf if x < 1e-200 else root / x, calls)
+    x, v = solve_level(level, 1.0, Interval(lo, 1.0))
+    assert _within_one_float(x, root) and v >= 1.0
+    assert len(calls) <= 3300
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
+def test_solve_level_finds_the_root_of_a_power_law_to_one_float(k):
+    cases = 0
+    for c in (1.0, 2.0**-600, 2.0**600):
+        for target in (1e-300, 1e-100, 1e-10, 0.3, 1.0, 7.0, 1e10, 1e100, 1e300):
+            # x^-k = target/c must be a normal float at the root, or the float
+            # level is not c x^-k there
+            root = ref.power_root(c, k, target)
+            if not (1e-300 < root < 1e300 and 1e-300 < target / c < 1e300):
+                continue
+
+            def level(x):
+                try:
+                    return c * x**-k
+                except OverflowError:
+                    return math.inf
+
+            for bracket in (Interval(TINY, 1e308), Interval(root / 3.0, 5.0 * root)):
+                x, v = solve_level(level, target, bracket)
+                assert _within_one_float(x, root) and v == level(x)
+            cases += 1
+    assert cases >= 10
+
+
+def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
+    # every evaluation of train in a solve: the inactive and cap checks, the
+    # solve itself and the plugged-back residual
+    calls, train = [], ce._train
+    monkeypatch.setattr(ce, "_train", lambda law, s2, x: calls.append(x) or train(law, s2, x))
+    counts = []
+    for gamma in (1.05, 2.0, 4.0):
+        for sigma2 in (1e-6, 0.01, 0.1):
+            threshold = memorization_threshold(gamma, NoiseLevel(sigma2))
+            for factor in (1.5, 3.0, 10.0, 100.0):
+                calls.clear()
+                solve_rho(gamma, NoiseLevel(sigma2), factor * threshold)
+                counts.append(len(calls))
+    assert max(counts) <= 36 and np.median(counts) <= 14
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(
+        lab, "solve_multiplier", lambda level, target, what: solve_multiplier(_counted(level, calls), target, what)
+    )
+    for seed in (1, 2):
+        for sigma2 in (0.01, 0.1, 1.0):
+            threshold = memorization_threshold(2.0, NoiseLevel(sigma2))
+            for factor in (1.2, 2.0, 4.0):
+                calls.clear()
+                config = lab.ExperimentConfig(
+                    n=n, d=2 * n, sigma2=sigma2, seed=seed, trials=1, eps2=factor * threshold
+                )
+                lab.trial_metrics(config, 0)
+                assert 0 < len(calls) <= 20
+
+
+def test_silverstein_level_evaluations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        deformed, "solve_level", lambda level, target, bracket: solve_level(_counted(level, calls), target, bracket)
+    )
+    rng = np.random.default_rng(7)
+    counts = []
+    for _ in range(100):
+        k = int(rng.integers(1, 6))
+        values = np.concatenate([[1.0], rng.uniform(0.01, 1.0, k - 1)])
+        pop = PopulationSpectrum(atoms=tuple(zip(values.tolist(), rng.dirichlet(np.ones(k)).tolist())))
+        calls.clear()
+        deformed.silverstein_solve(DeformedLaw(float(rng.uniform(1.05, 10.0)), pop), float(10 ** rng.uniform(-4, 2)))
+        counts.append(len(calls))
+    assert np.median(counts) <= 16
+
+
+@pytest.mark.parametrize("target", [0.5, 3.0, math.nan])
+def test_solve_level_refuses_a_bracket_without_a_sign_change(target):
+    with pytest.raises(BracketError) as info:
+        solve_level(lambda x: 1.0 / x, target, Interval(0.5, 1.0))
+    assert (info.value.flo, info.value.fhi) == (2.0, 1.0)
 
 
 def _scan_rho_oracle(gamma, sigma2, eps2, lattice_size=10**6, nodes=10**4):
@@ -130,8 +252,6 @@ def test_bisect_against_fine_grid_scan_oracle():
 # nodes cos((2i-1)pi/(2k)) ascending, every weight pi/k, transfer factors
 # 1 - x_i^2 for the sqrt(1-x^2) weight.
 
-
-TINY = sys.float_info.min
 
 
 def test_solve_multiplier_inactive_and_refusal():
