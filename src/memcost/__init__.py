@@ -1,5 +1,10 @@
 """Memorization thresholds, cost-of-not-fitting curves, and a finite-sample
-Monte Carlo laboratory for overparameterized linear regression."""
+Monte Carlo laboratory for overparameterized linear regression.
+
+The package namespace holds the limit-law theory, which needs only the
+standard library; the numpy-backed laboratory is ``memcost.finite_n_lab``
+and the quadrature oracle is ``memcost.oracle``.
+"""
 
 from .cost_engine import (
     BoundConstants,
@@ -28,32 +33,6 @@ from .deformed import (
     parse_population_spectrum,
     silverstein_solve,
 )
-from .finite_n_lab import (
-    AsymptoticTargets,
-    DesignSample,
-    EntryDist,
-    ErrorReport,
-    EstimatorMatrix,
-    ExperimentConfig,
-    GrowthBoundsReport,
-    IdentityCheckReport,
-    apportion_atoms,
-    build_estimator,
-    convergence_report,
-    error_growth_trace,
-    evaluate_design,
-    growth_control_bounds_check,
-    lagrangian_gradient_residual,
-    matrix_identity_checks,
-    max_feasible_rho,
-    min_norm_interpolant_report,
-    monte_carlo_response_check,
-    pred_error_direct,
-    run_trials,
-    sample_design,
-    train_error_direct,
-    trial_metrics,
-)
 from .errors import (
     BracketError,
     ConsistencyError,
@@ -67,16 +46,6 @@ from .errors import (
     SpectrumFormatError,
 )
 from .numerics import Interval
-from .spectra import (
-    EmpiricalSpectrum,
-    MPLaw,
-    bai_yin_check,
-    esd_from_design,
-    kolmogorov_distance,
-    mp_cdf,
-    mp_integrate,
-    mp_shrinkage_integrals,
-    mp_stieltjes_neg,
-)
+from .spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __version__ = "0.1.0"

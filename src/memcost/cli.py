@@ -24,12 +24,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import cost_engine as ce
-from . import finite_n_lab as lab
 from .deformed import PopulationSpectrum, load_population_spectrum
 from .errors import (
     DomainError,
@@ -38,7 +36,10 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .spectra import MPLaw, bai_yin_check, esd_from_design, kolmogorov_distance, mp_stieltjes_neg
+from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
+
+if TYPE_CHECKING:
+    from . import finite_n_lab as lab
 
 __all__ = ["main", "OutputTable", "parse_grid"]
 
@@ -245,23 +246,25 @@ def cmd_ols(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import finite_n_lab as lab
+
     pop = _load_pop(args) or PopulationSpectrum.isotropic()
     config = lab.ExperimentConfig(
         n=args.n, d=args.d, sigma2=1.0, seed=args.seed, trials=1,
         entry_dist=args.dist, population=pop, rho=0.0,
     )
     design = lab.sample_design(config, 0)
-    spec = esd_from_design(design.X)
+    spec = lab.esd_from_design(design.X)
     metadata = {
         "config": _config_echo(args, ["n", "d", "seed", "dist", "pop"]),
         "command": "spectrum",
     }
     if pop.is_isotropic:
         law = MPLaw(args.d / args.n)
-        dev_hi, dev_lo = bai_yin_check(spec, law)
+        dev_hi, dev_lo = lab.bai_yin_check(spec, law)
         metadata["edge_deviation_upper"] = dev_hi
         metadata["edge_deviation_lower"] = dev_lo
-        metadata["kolmogorov_distance"] = kolmogorov_distance(spec, law)
+        metadata["kolmogorov_distance"] = lab.kolmogorov_distance(spec, law)
     rows = [(i + 1, float(v)) for i, v in enumerate(spec.values)]
     _emit(OutputTable(header=["rank", "eigenvalue"], rows=rows, metadata=metadata), args)
     return 0
@@ -269,6 +272,8 @@ def cmd_spectrum(args) -> int:
 
 def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab.AsymptoticTargets:
     """Limit-law targets of a simulate run; a target the law does not define is omitted."""
+    from . import finite_n_lab as lab
+
     gamma = config.gamma_n
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
@@ -288,6 +293,8 @@ def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab
 
 
 def cmd_simulate(args) -> int:
+    from . import finite_n_lab as lab
+
     pop = _load_pop(args) or PopulationSpectrum.isotropic()
     eps2 = _eps2_from_args(args)
     config = lab.ExperimentConfig(
@@ -327,7 +334,10 @@ def cmd_simulate(args) -> int:
 
 def _verify_checks(quick: bool, seed: int, perturb: bool):
     """Yield (name, margin, limit, passed) for the full identity/invariant suite."""
-    from .spectra import mp_integrate, mp_shrinkage_integrals
+    import numpy as np
+
+    from . import finite_n_lab as lab
+    from .oracle import mp_integrate
 
     # quadrature moments of the limit law
     worst = 0.0
@@ -445,6 +455,8 @@ def _verify_checks(quick: bool, seed: int, perturb: bool):
 
 
 def cmd_verify(args) -> int:
+    from . import finite_n_lab as lab
+
     lab.ExperimentConfig.check_seed(args.seed)
     failed = 0
     for name, margin, limit, passed in _verify_checks(args.quick, args.seed, args.perturb):

@@ -13,13 +13,16 @@ sequences to test tolerance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
 from .numerics import Interval, solve_level
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PopulationSpectrum",
@@ -45,28 +48,29 @@ class PopulationSpectrum:
     def __post_init__(self):
         if len(self.atoms) == 0:
             raise DomainError("population spectrum needs at least one atom")
-        vals = np.array([a[0] for a in self.atoms], dtype=np.float64)
-        wts = np.array([a[1] for a in self.atoms], dtype=np.float64)
-        if np.any(vals <= 0):
+        vals = [float(a[0]) for a in self.atoms]
+        wts = [float(a[1]) for a in self.atoms]
+        if any(v <= 0 for v in vals):
             raise DomainError("atom values must be positive")
-        if np.any(wts <= 0):
+        if any(w <= 0 for w in wts):
             raise DomainError("atom weights must be positive")
-        total = wts.sum()
+        total = 0.0
+        for w in wts:  # left to right, as numpy sums a short array
+            total += w
         if abs(total - 1.0) > 1e-9:
             warnings.warn(
                 f"atom weights sum to {total:.6g}; renormalizing to 1", stacklevel=2
             )
-        wts = wts / total
-        top = vals.max()
+        wts = [w / total for w in wts]
+        top = max(vals)
         if abs(top - 1.0) > 1e-12:
             warnings.warn(
                 f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=2
             )
-            vals = vals / top
-        order = np.argsort(-vals)
-        object.__setattr__(
-            self, "atoms", tuple((float(v), float(w)) for v, w in zip(vals[order], wts[order]))
-        )
+            vals = [v / top for v in vals]
+        # a stable sort, descending in value
+        order = sorted(range(len(vals)), key=lambda j: -vals[j])
+        object.__setattr__(self, "atoms", tuple((vals[j], wts[j]) for j in order))
 
     @classmethod
     def isotropic(cls) -> "PopulationSpectrum":
@@ -74,10 +78,14 @@ class PopulationSpectrum:
 
     @property
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([a[0] for a in self.atoms])
 
     @property
     def weights(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([a[1] for a in self.atoms])
 
     @property
@@ -97,7 +105,7 @@ class DeformedLaw:
     population: PopulationSpectrum
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 1.0):
+        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
             raise RegimeError(f"requires gamma > 1, got {self.gamma}")
 
 
@@ -105,22 +113,30 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     """Stieltjes transform of the deformed law at -sigma2 < 0.
 
     Solves the fixed point as the level equation
-    m * (sigma2 + int tau/(1 + tau m/gamma) dT) = 1 on (0, 2/sigma2] with
-    ``numerics.solve_level``; the level rises from 0 and stays >= 1 at
-    2/sigma2 in floating point, so the root is unique and bracketed.  The
-    returned m equals int 1/(s + sigma2) dG(s) and satisfies the fixed
-    point to 1e-12 relative.
+    m * (sigma2 + int tau/(1 + tau m/gamma) dT) = 1 with
+    ``numerics.solve_level``.  The level increases in m, is below 1 at
+    1/(sigma2 + int tau dT) and above it at 1/sigma2, so the root is unique
+    and bracketed there.  Where those ends round onto the root (sigma2 past
+    about 1e15 int tau dT) it solves on (0, 2/sigma2], whose top level stays
+    >= 1 in floating point.  The returned m equals int 1/(s + sigma2) dG(s)
+    and satisfies the fixed point to 1e-12 relative.
     """
     if not sigma2 > 0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    tau = law.population.values
-    w = law.population.weights
+    atoms = law.population.atoms
     g = law.gamma
 
     def level(m: float) -> float:
-        return m * (sigma2 + float(np.sum(w * tau / (1.0 + tau * m / g))))
+        total = 0.0
+        for tau, w in atoms:  # left to right, as numpy sums a short array
+            total += w * tau / (1.0 + tau * m / g)
+        return m * (sigma2 + total)
 
-    m, reached = solve_level(level, 1.0, Interval(0.0, 2.0 / sigma2))
+    mean = sum(w * tau for tau, w in atoms)
+    try:
+        m, reached = solve_level(level, 1.0, Interval(1.0 / (sigma2 + mean), 1.0 / sigma2))
+    except DomainError:  # BracketError, or an empty Interval
+        m, reached = solve_level(level, 1.0, Interval(0.0, 2.0 / sigma2))
     fp_residual = abs(reached - 1.0)
     if fp_residual > 1e-12:
         raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m)

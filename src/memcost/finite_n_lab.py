@@ -8,7 +8,9 @@ error at every multiplier is an O(n) sum.  The reduction is the production
 route; the direct route (d x d Cholesky-checked solves) is its oracle.  The
 two agree to near machine precision conditional on the design, which is the
 backbone of the verification suite; Monte Carlo response draws and
-convergence-to-asymptotics reports sit on top.
+convergence-to-asymptotics reports sit on top.  The empirical spectrum of a
+design and its comparison with the Marchenko-Pastur edges and c.d.f. are
+here too, with the dense symmetric eigenvalue contract.
 
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
@@ -35,10 +37,15 @@ from .errors import (
     RankError,
     RegimeError,
 )
-from .numerics import check_sigma2, edge_distance, solve_multiplier, sym_eigvals
-from .spectra import esd_from_design
+from .numerics import check_sigma2, edge_distance, solve_multiplier
+from .spectra import MPLaw, mp_cdf
 
 __all__ = [
+    "EmpiricalSpectrum",
+    "esd_from_design",
+    "bai_yin_check",
+    "kolmogorov_distance",
+    "sym_eigvals",
     "EntryDist",
     "ExperimentConfig",
     "DesignSample",
@@ -217,6 +224,90 @@ class GrowthBoundsReport:
     train_margin: float
 
 
+@dataclass(frozen=True)
+class EmpiricalSpectrum:
+    """Eigenvalues of (1/d) X X^T for a wide design X, descending."""
+
+    values: np.ndarray
+    n: int
+    d: int
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        if len(v) != self.n:
+            raise DomainError(f"expected {self.n} eigenvalues, got {len(v)}")
+        if self.n > self.d:
+            raise DomainError(f"requires n <= d, got n={self.n}, d={self.d}")
+        if np.any(v < 0):
+            raise DomainError("eigenvalues of a Gram matrix must be nonnegative")
+        if np.any(np.diff(v) > 0):
+            raise DomainError("eigenvalues must be in descending order")
+        object.__setattr__(self, "values", v)
+
+
+def esd_from_design(X: np.ndarray) -> EmpiricalSpectrum:
+    """Empirical spectrum of (1/d) X X^T, from the eigenvalues of the n x n Gram matrix.
+
+    Eigenvalues of a rank-deficient Gram matrix can come out at -eps times
+    the top one; they are clipped to 0.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DomainError(f"expected a matrix, got ndim={X.ndim}")
+    n, d = X.shape
+    if n > d:
+        raise DomainError(f"wide design required (n <= d), got shape {X.shape}")
+    s = np.linalg.eigvalsh(X @ X.T)[::-1] / d
+    return EmpiricalSpectrum(values=np.maximum(s, 0.0), n=n, d=d)
+
+
+def bai_yin_check(spec: EmpiricalSpectrum, law: MPLaw) -> tuple[float, float]:
+    """Relative deviations of the extreme empirical eigenvalues from the edges.
+
+    Returns (|v_max - lp|/lp, |v_min - lm|/lm); measurement only, degenerate
+    spectra (e.g. from X = 0) simply report deviation 1.
+    """
+    if len(spec.values) == 0:
+        raise DomainError("empty spectrum")
+    top = float(spec.values[0])
+    bot = float(spec.values[-1])
+    return (
+        abs(top - law.lambda_plus) / law.lambda_plus,
+        abs(bot - law.lambda_minus) / law.lambda_minus,
+    )
+
+
+def kolmogorov_distance(spec: EmpiricalSpectrum, law: MPLaw) -> float:
+    """Max deviation between empirical and limit c.d.f. on a fixed grid.
+
+    The grid has 100 equispaced points on [lm/2, 2 lp], which makes the
+    comparison deterministic for a given spectrum.
+    """
+    grid = np.linspace(law.lambda_minus / 2.0, 2.0 * law.lambda_plus, 100)
+    # values are descending, so the empirical cdf counts from the tail
+    v_asc = spec.values[::-1]
+    emp = np.searchsorted(v_asc, grid, side="right") / spec.n
+    lim = np.array([mp_cdf(law, float(x)) for x in grid])
+    return float(np.max(np.abs(emp - lim)))
+
+
+def sym_eigvals(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a dense symmetric matrix, no vectors."""
+    M = np.asarray(M, dtype=np.float64)
+    _check_symmetric(M)
+    return np.linalg.eigvalsh(M)
+
+
+def _check_symmetric(M: np.ndarray) -> None:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {M.shape}")
+    scale = np.linalg.norm(M)
+    if scale == 0.0:
+        return
+    if np.linalg.norm(M - M.T) > 1e-12 * scale:
+        raise DomainError("matrix is not symmetric to within 1e-12 relative")
+
+
 def apportion_atoms(population: PopulationSpectrum, d: int) -> np.ndarray:
     """Diagonal covariance values (descending) realizing the atom weights over d slots.
 
@@ -375,6 +466,17 @@ class _Reduction:
     def train(self, delta: float) -> float:
         f = self.factors(delta)
         return float(np.sum(self.a / f / f))
+
+    def bracket(self, eps2: float) -> tuple[float, float]:
+        """Edge distances around the root of train(delta) = eps2.
+
+        Every factor is at least delta and the top one equals it, so
+        a_0/delta^2 <= train(delta) <= sum(a)/delta^2 puts the root in
+        [sqrt(a_0/eps2), sqrt(sum(a)/eps2)].  Each end is moved out by a
+        factor 2: at large eps2 the a_0 term is all of train, and the lower
+        end rounds onto the root.
+        """
+        return float(0.5 * np.sqrt(self.a[0] / eps2)), float(2.0 * np.sqrt(np.sum(self.a) / eps2))
 
     def growth(self, delta: float) -> float:
         f = self.factors(delta)
@@ -627,16 +729,20 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     All three, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
     and anisotropic populations alike.  The solve is the limit law's own
-    (``numerics.solve_multiplier``), in delta = 1 - rho top_eig(ZZ^T/d); the
-    training error overflows at its smallest delta, so every finite eps2 is
-    reached, and only a cost past the float range raises NearDivergenceError.
+    (``numerics.solve_multiplier``), in delta = 1 - rho top_eig(ZZ^T/d), on
+    ``_Reduction.bracket``; the training error overflows at its smallest
+    delta, so every finite eps2 is reached, and only a cost past the float
+    range raises NearDivergenceError.
     A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError.
     """
     design = sample_design(config, trial)
     red = _reduce(design.Z, design.sigma_sqrt, config.sigma2)
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
+    # a sum past the float range is inf, and so is the bracket at eps2 = 0
+    with np.errstate(over="ignore", divide="ignore"):
         if config.eps2 is not None:
-            delta, _ = solve_multiplier(red.train, config.eps2, f"trial {trial} rho(eps2)")
+            delta, _ = solve_multiplier(
+                red.train, config.eps2, f"trial {trial} rho(eps2)", red.bracket(config.eps2)
+            )
             rho = (1.0 - delta) / red.s[0]
         else:
             rho = float(config.rho)

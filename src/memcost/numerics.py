@@ -1,6 +1,7 @@
 """Numerical kernel: the bracketed level solver (Illinois regula falsi in
-log-log), the one multiplier solver built on it, the accepted noise-variance
-range, and the dense symmetric eigenvalue contract.
+log-log), the one multiplier solver built on it, and the accepted
+noise-variance range.  Standard library only; the dense symmetric eigenvalue
+contract is in ``finite_n_lab``, the one module that factors matrices.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -9,17 +10,13 @@ so all operations are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import BracketError, DomainError, NearDivergenceError, RegimeError
 
-__all__ = [
-    "Interval",
-    "sym_eigvals",
-]
+__all__ = ["Interval"]
 
 @dataclass(frozen=True)
 class Interval:
@@ -29,7 +26,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
@@ -95,6 +92,9 @@ def solve_level(
             secant = lo * math.exp(t * span) if t < 0.5 else hi * math.exp((t - 1.0) * span)
             if lo < secant < hi:
                 x = secant
+            else:
+                # the secant root is within rounding of an end: test the float next to it
+                x = math.nextafter(lo, hi) if t < 0.5 else math.nextafter(hi, lo)
         v = level(x)
         if v == target:
             return x, v
@@ -117,21 +117,30 @@ def _log_ratio(x: float, v: float, target: float) -> float | None:
 
 
 def solve_multiplier(
-    level: Callable[[float], float], target: float, what: str
+    level: Callable[[float], float], target: float, what: str,
+    bracket: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Edge distance delta with level(delta) = target, and the residual |level(delta) - target|.
 
     A multiplier rho below the spectral edge 1/top is solved in delta =
     1 - rho top, which keeps full relative precision up to the edge, where
     ``level`` diverges; it must decrease on (0, 1].  Returns (1, 0), i.e.
-    rho = 0, when target <= level(1).  Otherwise solves on [tiny, 1], tiny the
-    smallest normal float, and raises NearDivergenceError (its message
-    starting with ``what``) if level(tiny) <= target.
+    rho = 0, when target <= level(1).  Otherwise solves on ``bracket`` cut to
+    [tiny, 1], tiny the smallest normal float, if the level crosses the
+    target there; else on [tiny, 1], and raises NearDivergenceError (its
+    message starting with ``what``) if level(tiny) <= target.
     """
     top = level(1.0)
     if target <= top:
         return 1.0, 0.0
-    tiny = float(np.finfo(np.float64).tiny)
+    tiny = sys.float_info.min
+    if bracket is not None:
+        lo, hi = max(bracket[0], tiny), min(bracket[1], 1.0)
+        if lo < hi:
+            ends = (level(lo), top if hi == 1.0 else level(hi))
+            if ends[0] >= target >= ends[1]:
+                delta, reached = solve_level(level, target, Interval(lo, hi), ends)
+                return delta, abs(reached - target)
     bottom = level(tiny)
     if not bottom > target:
         raise NearDivergenceError(
@@ -147,20 +156,3 @@ def edge_distance(rho: float, top: float, what: str) -> float:
     if not 0.0 <= rho * top < 1.0:
         raise RegimeError(f"{what} requires 0 <= rho * top < 1, got rho * top = {rho * top!r}")
     return 1.0 - rho * top
-
-
-def sym_eigvals(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a dense symmetric matrix, no vectors."""
-    M = np.asarray(M, dtype=np.float64)
-    _check_symmetric(M)
-    return np.linalg.eigvalsh(M)
-
-
-def _check_symmetric(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.linalg.norm(M)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(M - M.T) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric to within 1e-12 relative")

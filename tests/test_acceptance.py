@@ -35,7 +35,9 @@ from memcost.finite_n_lab import (
     sample_design,
     train_error_direct,
 )
-from memcost.spectra import MPLaw, bai_yin_check, esd_from_design, mp_integrate, mp_stieltjes_neg
+from memcost.finite_n_lab import bai_yin_check, esd_from_design
+from memcost.oracle import mp_integrate
+from memcost.spectra import MPLaw, mp_stieltjes_neg
 
 GAMMA_GRID = (1.5, 2.0, 4.0, 10.0)
 SIGMA2_GRID = (1e-3, 1e-2, 0.1, 1.0)

@@ -605,7 +605,7 @@ def _simulate_values(out):
 
 def test_simulate_nan_rho_is_refused_before_any_trial(capsys, monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(cli.lab, "trial_metrics", lambda config, t: calls.append(t))
+    monkeypatch.setattr("memcost.finite_n_lab.trial_metrics", lambda config, t: calls.append(t))
     base = ["simulate", "--n", "60", "--d", "120", "--sigma2", "0.1", "--seed", "1",
             "--trials", "2", "--rho", "nan"]
     for extra in ([], ["--pop", _pop_file(tmp_path)]):
@@ -681,7 +681,7 @@ def test_simulate_small_noise_gap_matches_mpmath(capsys, tmp_path):
     import mpmath as mp
 
     from memcost import finite_n_lab as lab
-    from memcost.spectra import esd_from_design
+    from memcost.finite_n_lab import esd_from_design
 
     code, out, err = run_cli(
         capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "1e-8", "--seed", "1",
@@ -702,21 +702,51 @@ def test_simulate_small_noise_gap_matches_mpmath(capsys, tmp_path):
     assert target["target"] == pytest.approx(_mp_ols_gap(2.0, 1e-8), rel=1e-10)
 
 
-def test_import_cli_does_not_load_scipy():
+def test_import_cli_does_not_load_scipy(tmp_path):
+    # the asymptotic commands need only the standard library: neither the
+    # import nor any of them loads numpy or scipy; the lab commands then do
     import os
     import subprocess
-    import sys
+    import textwrap
 
     import memcost
 
     src = os.path.dirname(os.path.dirname(memcost.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, memcost.cli; print('scipy' in sys.modules)"
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        import memcost.cli as cli
+        pop = sys.argv[1]
+        asymptotic = [
+            ["threshold", "--gamma", "2", "--sigma2", "0.1"],
+            ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", pop],
+            ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", pop, "--format", "json"],
+            ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "0.04"],
+            ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps", "0.2", "--format", "json"],
+            ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.05"],
+            ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.1:0.1:0.3", "--grid-units", "eps"],
+            ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.05"],
+            ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:0.01:0.05", "--format", "json"],
+            ["ols", "--gamma", "2", "--sigma2", "0.1"],
+            ["ols", "--gamma", "2", "--sigma2", "0.1", "--format", "json"],
+        ]
+        lab = [
+            ["simulate", "--n", "40", "--d", "80", "--sigma2", "0.1", "--seed", "1", "--trials", "2",
+             "--eps2", "0.05", "--pop", pop],
+            ["spectrum", "--n", "20", "--d", "40", "--seed", "3"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            theory = [cli.main(argv) for argv in asymptotic]
+            loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+            after = [cli.main(argv) for argv in lab]
+        print(theory, loaded, after)
+    """)
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe, _pop_file(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == f"{[0] * 11} [] [0, 0]"
 
 
 def test_parser_is_built_on_the_first_main_call_and_only_then():

@@ -22,7 +22,8 @@ from memcost.cost_engine import (
 )
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
-from memcost.spectra import MPLaw, mp_integrate, mp_shrinkage_integrals, mp_stieltjes_neg
+from memcost.oracle import mp_integrate
+from memcost.spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
 import mp_reference as ref
 

@@ -33,7 +33,7 @@ from memcost.finite_n_lab import (
     trial_metrics,
     trial_seed,
 )
-from memcost.spectra import esd_from_design
+from memcost.finite_n_lab import esd_from_design
 
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 

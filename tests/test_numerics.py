@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -9,9 +10,11 @@ from memcost import deformed
 from memcost import finite_n_lab as lab
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
-from memcost.numerics import Interval, edge_distance, solve_level, solve_multiplier, sym_eigvals
+from memcost.finite_n_lab import sym_eigvals
+from memcost.numerics import Interval, edge_distance, solve_level, solve_multiplier
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
-from memcost.spectra import MPLaw, _cheb_transfer, mp_stieltjes_neg
+from memcost.oracle import _cheb_transfer
+from memcost.spectra import MPLaw, mp_stieltjes_neg
 
 import mp_reference as ref
 
@@ -166,7 +169,8 @@ def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
 def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
     calls = []
     monkeypatch.setattr(
-        lab, "solve_multiplier", lambda level, target, what: solve_multiplier(_counted(level, calls), target, what)
+        lab, "solve_multiplier",
+        lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     for seed in (1, 2):
         for sigma2 in (0.01, 0.1, 1.0):
@@ -195,6 +199,48 @@ def test_silverstein_level_evaluations(monkeypatch):
         deformed.silverstein_solve(DeformedLaw(float(rng.uniform(1.05, 10.0)), pop), float(10 ** rng.uniform(-4, 2)))
         counts.append(len(calls))
     assert np.median(counts) <= 16
+
+
+def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
+    # the bracket from a_0/delta^2 <= train <= sum(a)/delta^2 keeps every
+    # target, however far past the threshold, a few secant steps from its root
+    calls = []
+    monkeypatch.setattr(
+        lab, "solve_multiplier",
+        lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
+    )
+    config = lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=1.0)
+    threshold = memorization_threshold(2.0, NoiseLevel(0.1))
+    for eps2 in [factor * threshold for factor in (1.01, 1.5, 3.0)] + [10.0**k for k in range(0, 301, 10)]:
+        calls.clear()
+        lab.trial_metrics(dataclasses.replace(config, eps2=eps2), 0)
+        assert 0 < len(calls) <= 20
+
+
+def test_solve_multiplier_falls_back_when_the_bracket_misses_the_root():
+    level = lambda x: 1.0 / x
+    expected = solve_multiplier(level, 4.0, "probe")
+    assert _within_one_float(expected[0], 0.25)
+    # a bracket around the root, one beside it, an empty one and one past [tiny, 1]
+    for bracket in ((0.2, 0.3), (0.5, 0.9), (0.3, 0.2), (0.0, 2.0), (math.nan, 0.3)):
+        assert solve_multiplier(level, 4.0, "probe", bracket) == expected
+    with pytest.raises(NearDivergenceError, match=r"^probe: .*float range"):
+        solve_multiplier(level, 1e308, "probe", (0.5, 0.9))
+
+
+def test_silverstein_level_evaluations_over_the_sigma2_range(monkeypatch):
+    # the bracket [1/(sigma2 + int tau dT), 1/sigma2] has a finite log level
+    # ratio at both ends, so small sigma2 costs no midpoint walk; past about
+    # sigma2 = 1e16 its ends round onto the root and (0, 2/sigma2] is used
+    calls = []
+    monkeypatch.setattr(
+        deformed, "solve_level", lambda level, target, bracket: solve_level(_counted(level, calls), target, bracket)
+    )
+    law = DeformedLaw(2.0, PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5))))
+    for k in range(-100, 101):
+        calls.clear()
+        deformed.silverstein_solve(law, 10.0**-k)
+        assert 0 < len(calls) <= 20
 
 
 @pytest.mark.parametrize("target", [0.5, 3.0, math.nan])

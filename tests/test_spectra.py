@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 
 from memcost.errors import DomainError, RegimeError
-from memcost.spectra import (
-    EmpiricalSpectrum,
-    MPLaw,
-    bai_yin_check,
-    esd_from_design,
-    kolmogorov_distance,
-    mp_cdf,
-    mp_integrate,
-    mp_shrinkage_integrals,
-    mp_stieltjes_neg,
-)
+from memcost.finite_n_lab import EmpiricalSpectrum, bai_yin_check, esd_from_design, kolmogorov_distance
+from memcost.oracle import mp_integrate
+from memcost.spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
 
 import mp_reference
 
