@@ -36,7 +36,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
+from .spectra import MPLaw
 
 if TYPE_CHECKING:
     from . import finite_n_lab as lab
@@ -332,134 +332,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_checks(quick: bool, seed: int, perturb: bool):
-    """Yield (name, margin, limit, passed) for the full identity/invariant suite."""
-    import numpy as np
-
-    from . import finite_n_lab as lab
-    from .oracle import mp_integrate
-
-    # quadrature moments of the limit law
-    worst = 0.0
-    for gamma in (1.5, 2.0, 4.0, 10.0):
-        law = MPLaw(gamma)
-        worst = max(worst, abs(mp_integrate(law, lambda s: np.ones_like(s)) - 1.0))
-        worst = max(worst, abs(mp_integrate(law, lambda s: s) - 1.0))
-    yield ("limit-law-moments", worst, 1e-10, worst <= 1e-10)
-
-    worst = 0.0
-    for gamma in (1.5, 2.0, 4.0):
-        law = MPLaw(gamma)
-        for s2 in (1e-2, 0.1, 1.0):
-            quad = mp_integrate(law, lambda s: 1.0 / (s + s2))
-            closed = mp_stieltjes_neg(law, s2)
-            worst = max(worst, abs(quad - closed) / closed)
-    yield ("resolvent-closed-form", worst, 1e-9, worst <= 1e-9)
-
-    worst = 0.0
-    for gamma in (1.5, 4.0):
-        law = MPLaw(gamma)
-        for s2 in (1e-2, 1.0):
-            quad = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
-            closed = ce.ols_gap(gamma, ce.NoiseLevel(s2)) * gamma / s2**2
-            worst = max(worst, abs(quad - closed) / closed)
-            for frac in (0.1, 0.5, 0.9):
-                rho = frac / law.lambda_plus
-                closed = mp_shrinkage_integrals(law, 1.0 - frac, s2)
-                for k, val in enumerate(closed):
-                    quad = mp_integrate(
-                        law, lambda s: s**k / ((1.0 - rho * s) ** 2 * (s + s2))
-                    )
-                    worst = max(worst, abs(quad - val) / val)
-    yield ("closed-form-vs-quadrature", worst, 1e-10, worst <= 1e-10)
-
-    n, d = (100, 200) if quick else (200, 400)
-    n_rho = 3 if quick else 10
-    sigma2 = 0.1
-    combos = [
-        (lab.EntryDist.GAUSSIAN, PopulationSpectrum.isotropic()),
-        (lab.EntryDist.RADEMACHER, PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))),
-    ]
-    if not quick:
-        combos += [
-            (lab.EntryDist.RADEMACHER, PopulationSpectrum.isotropic()),
-            (lab.EntryDist.GAUSSIAN, PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))),
-        ]
-
-    worst_identity = 0.0
-    worst_stationarity = 0.0
-    worst_closed_form = 0.0
-    worst_growth = 0.0
-    worst_interp = 0.0
-    rng = np.random.default_rng(seed)
-    for dist, pop in combos:
-        config = lab.ExperimentConfig(
-            n=n, d=d, sigma2=sigma2, seed=int(rng.integers(0, 2**63)), trials=1,
-            entry_dist=dist, population=pop, rho=0.0,
-        )
-        design = lab.sample_design(config, 0)
-        rho_max = lab.max_feasible_rho(design.Z)
-        for rho in rng.uniform(0.02, 0.9, size=n_rho) * rho_max:
-            rho = float(rho)
-            report = lab.evaluate_design(design.X, design.sigma_sqrt, sigma2, rho)
-            worst_identity = max(worst_identity, report.route_dev)
-            resid = report.duality_residual
-            if perturb:
-                A = lab.build_estimator(design.X, design.sigma_sqrt, sigma2, rho).A
-                bump = np.random.default_rng(0).standard_normal(A.shape)
-                A = A + 1e-2 * bump / np.linalg.norm(bump)
-                resid = lab.lagrangian_gradient_residual(
-                    A, design.X, design.sigma_sqrt, sigma2, rho
-                )
-            worst_stationarity = max(worst_stationarity, resid)
-            checks = lab.matrix_identity_checks(design.X, design.sigma_sqrt, sigma2, rho)
-            worst_closed_form = max(worst_closed_form, checks.max_dev)
-            bounds = lab.growth_control_bounds_check(design.Z, pop, sigma2, rho)
-            worst_growth = max(worst_growth, -bounds.pred_margin, -bounds.train_margin)
-        A_ols_train = lab.train_error_direct(
-            np.linalg.pinv(design.X), design.X, sigma2
-        )
-        worst_interp = max(worst_interp, A_ols_train)
-
-    yield ("error-route-identities", worst_identity, 1e-9, worst_identity <= 1e-9)
-    yield ("stationarity-residual", worst_stationarity, 1e-8, worst_stationarity <= 1e-8)
-    yield ("closed-form-residual-identities", worst_closed_form, 1e-9, worst_closed_form <= 1e-9)
-    yield ("isotropic-growth-bounds", worst_growth, 1e-10, worst_growth <= 1e-10)
-    yield ("interpolant-zero-train-error", worst_interp, 1e-16, worst_interp <= 1e-16)
-
-    # feasibility boundary behavior on an isotropic design
-    config = lab.ExperimentConfig(
-        n=n, d=d, sigma2=sigma2, seed=seed, trials=1, rho=0.0,
-    )
-    design = lab.sample_design(config, 0)
-    rho_max = lab.max_feasible_rho(design.Z)
-    ok = True
-    try:
-        lab.build_estimator(design.X, design.sigma_sqrt, sigma2, 0.99 * rho_max)
-    except MemcostError:
-        ok = False
-    try:
-        lab.build_estimator(design.X, design.sigma_sqrt, sigma2, 1.01 * rho_max)
-        ok = False
-    except MemcostError:
-        pass
-    yield ("feasibility-boundary", 0.0 if ok else 1.0, 0.5, ok)
-
-    # training error is strictly increasing in the multiplier
-    rhos = np.linspace(0.0, 0.9 * rho_max, 6)
-    trains = [
-        lab.error_growth_trace(design.X, design.sigma_sqrt, sigma2, float(r))[1] for r in rhos
-    ]
-    increasing = bool(np.all(np.diff(trains) > 0))
-    yield ("train-error-monotone", 0.0 if increasing else 1.0, 0.5, increasing)
-
-
 def cmd_verify(args) -> int:
     from . import finite_n_lab as lab
+    from .oracle import verify_checks
 
     lab.ExperimentConfig.check_seed(args.seed)
     failed = 0
-    for name, margin, limit, passed in _verify_checks(args.quick, args.seed, args.perturb):
+    for name, margin, limit, passed in verify_checks(args.quick, args.seed, args.perturb):
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}: measured {margin:.3e} (limit {limit:.1e})")
         if not passed:

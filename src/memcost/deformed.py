@@ -38,9 +38,10 @@ __all__ = [
 class PopulationSpectrum:
     """Discrete spectrum of the population covariance: atoms (value, weight).
 
-    Values are rescaled so the top value is exactly 1 (with a warning when
-    the input violates that normalization); weights are positive and sum
-    to 1.  ``kappa`` is the resulting condition number 1/min(value).
+    Values and weights must be finite and positive.  Values are rescaled so
+    the top value is exactly 1 (with a warning when the input violates that
+    normalization); weights are scaled to sum to 1.  ``kappa`` is the
+    resulting condition number 1/min(value).
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -50,10 +51,10 @@ class PopulationSpectrum:
             raise DomainError("population spectrum needs at least one atom")
         vals = [float(a[0]) for a in self.atoms]
         wts = [float(a[1]) for a in self.atoms]
-        if any(v <= 0 for v in vals):
-            raise DomainError("atom values must be positive")
-        if any(w <= 0 for w in wts):
-            raise DomainError("atom weights must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in vals):
+            raise DomainError(f"atom values must be finite and positive, got {vals}")
+        if not all(math.isfinite(w) and w > 0 for w in wts):
+            raise DomainError(f"atom weights must be finite and positive, got {wts}")
         total = 0.0
         for w in wts:  # left to right, as numpy sums a short array
             total += w
@@ -174,9 +175,10 @@ def parse_population_spectrum(text: str, *, source: str = "<string>") -> Populat
             raise SpectrumFormatError(
                 f"{source}:{lineno}: non-numeric entry in {raw!r}", line=lineno
             ) from None
-        if value <= 0 or weight <= 0:
+        if not all(math.isfinite(v) and v > 0 for v in (value, weight)):
             raise SpectrumFormatError(
-                f"{source}:{lineno}: value and weight must be positive", line=lineno
+                f"{source}:{lineno}: value and weight must be finite and positive, got {raw!r}",
+                line=lineno,
             )
         atoms.append((value, weight))
     if not atoms:

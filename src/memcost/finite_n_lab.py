@@ -1,16 +1,12 @@
-"""Finite-sample Monte Carlo laboratory.
+"""Finite-sample Monte Carlo laboratory: what ``simulate`` and ``spectrum`` run.
 
-Samples wide random designs, builds the duality-optimal constrained linear
-estimator in closed form, and evaluates its exact conditional prediction and
-training errors two ways: directly from the Frobenius-norm definitions, and
-through one spectral reduction of the design to n-vectors, after which every
-error at every multiplier is an O(n) sum.  The reduction is the production
-route; the direct route (d x d Cholesky-checked solves) is its oracle.  The
-two agree to near machine precision conditional on the design, which is the
-backbone of the verification suite; Monte Carlo response draws and
-convergence-to-asymptotics reports sit on top.  The empirical spectrum of a
-design and its comparison with the Marchenko-Pastur edges and c.d.f. are
-here too, with the dense symmetric eigenvalue contract.
+Samples wide random designs and reduces each one, once, to n-vectors (see
+``_reduce``), after which the training error, the cost of not fitting and
+the multiplier solve at any multiplier are O(n) sums.  The empirical
+spectrum of a design and its comparison with the Marchenko-Pastur edges and
+c.d.f. are here too.  The direct routes that check the reduction (the
+closed-form estimator and its Frobenius-norm errors) are in
+``memcost.oracle``, which this module never imports.
 
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
@@ -29,14 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .deformed import PopulationSpectrum
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    FeasibilityError,
-    NearDivergenceError,
-    RankError,
-    RegimeError,
-)
+from .errors import DomainError, NearDivergenceError, RankError, RegimeError
 from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_cdf
 
@@ -45,37 +34,33 @@ __all__ = [
     "esd_from_design",
     "bai_yin_check",
     "kolmogorov_distance",
-    "sym_eigvals",
     "EntryDist",
     "ExperimentConfig",
     "DesignSample",
-    "EstimatorMatrix",
-    "ErrorReport",
-    "IdentityCheckReport",
-    "GrowthBoundsReport",
     "AsymptoticTargets",
     "TrialMetrics",
     "splitmix64",
     "trial_seed",
     "apportion_atoms",
     "sample_design",
-    "max_feasible_rho",
-    "build_estimator",
-    "pred_error_direct",
-    "train_error_direct",
-    "error_growth_trace",
-    "lagrangian_gradient_residual",
-    "matrix_identity_checks",
-    "min_norm_interpolant_report",
-    "monte_carlo_response_check",
-    "growth_control_bounds_check",
-    "evaluate_design",
     "trial_metrics",
     "run_trials",
     "summarize",
     "summarize_trials",
-    "convergence_report",
 ]
+
+# bench/oracles.py reads these oracle routes from this module; they load
+# memcost.oracle on first access, so simulate and spectrum never import it
+_ORACLE_NAMES = ("build_estimator", "pred_error_direct", "train_error_direct")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,75 +141,6 @@ class DesignSample:
 
 
 @dataclass(frozen=True)
-class EstimatorMatrix:
-    """A validated closed-form estimator matrix at multiplier rho."""
-
-    A: np.ndarray
-    rho: float
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Exact conditional errors of one estimator, via both evaluation routes.
-
-    Construction enforces the algebraic identities: ``route_dev``, the
-    reduction route's (``*_trace`` fields) disagreement with the direct
-    route, must be at most 1e-9.
-    """
-
-    pred_direct: float
-    train_direct: float
-    pred_ridge: float
-    pred_growth_trace: float
-    train_trace: float
-    duality_residual: float
-    monte_carlo_pred: Optional[float] = None
-    monte_carlo_train: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.route_dev <= 1e-9:
-            raise ConsistencyError(
-                f"reduction and direct routes disagree by {self.route_dev:.3e} relative: "
-                f"training error {self.train_direct!r} vs {self.train_trace!r}, "
-                f"prediction growth {self.pred_direct - self.pred_ridge!r} "
-                f"vs {self.pred_growth_trace!r}"
-            )
-
-    @property
-    def route_dev(self) -> float:
-        """Larger relative deviation of the reduced training error and growth from direct.
-
-        The growth's scale is floored at 1e-6 of the ridge prediction error:
-        a growth below that is pure cancellation in the direct route.  NaN
-        in any field gives NaN.
-        """
-        growth = self.pred_direct - self.pred_ridge
-        scale = max(abs(growth), abs(self.pred_ridge) * 1e-6, 1e-300)
-        train_dev = abs(self.train_trace - self.train_direct) / max(abs(self.train_direct), 1e-300)
-        return float(np.max([train_dev, abs(self.pred_growth_trace - growth) / scale]))
-
-
-@dataclass(frozen=True)
-class IdentityCheckReport:
-    """Relative Frobenius deviations of the two closed-form residual identities."""
-
-    ax_minus_i_dev: float
-    xa_minus_i_dev: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.ax_minus_i_dev, self.xa_minus_i_dev)
-
-
-@dataclass(frozen=True)
-class GrowthBoundsReport:
-    """Margins of the isotropic-reduction growth bounds (each must be >= -1e-10)."""
-
-    pred_margin: float
-    train_margin: float
-
-
-@dataclass(frozen=True)
 class EmpiricalSpectrum:
     """Eigenvalues of (1/d) X X^T for a wide design X, descending."""
 
@@ -291,23 +207,6 @@ def kolmogorov_distance(spec: EmpiricalSpectrum, law: MPLaw) -> float:
     return float(np.max(np.abs(emp - lim)))
 
 
-def sym_eigvals(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a dense symmetric matrix, no vectors."""
-    M = np.asarray(M, dtype=np.float64)
-    _check_symmetric(M)
-    return np.linalg.eigvalsh(M)
-
-
-def _check_symmetric(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.linalg.norm(M)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(M - M.T) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric to within 1e-12 relative")
-
-
 def apportion_atoms(population: PopulationSpectrum, d: int) -> np.ndarray:
     """Diagonal covariance values (descending) realizing the atom weights over d slots.
 
@@ -341,27 +240,6 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
     return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=Z * sigma_sqrt[None, :])
 
 
-def max_feasible_rho(Z: np.ndarray) -> float:
-    """Supremum of feasible multipliers: 1 / top eigenvalue of ZZ^T/d."""
-    return 1.0 / float(esd_from_design(Z).values[0])
-
-
-def _constraint_matrix(X: np.ndarray, sigma_sqrt: np.ndarray, rho: float) -> np.ndarray:
-    d = X.shape[1]
-    M = (-rho / d) * (X.T @ X)
-    M[np.diag_indices_from(M)] += sigma_sqrt**2
-    return M
-
-
-def _spd_solve(M: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """M^{-1} B for a symmetric M that a Cholesky factorization proves positive definite."""
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise FeasibilityError(f"{what} is not positive definite") from exc
-    return np.linalg.solve(M, B)
-
-
 def _check_rank(s: np.ndarray) -> None:
     """Refuse a descending Gram spectrum whose smallest value is at rounding level of its top."""
     n = len(s)
@@ -370,73 +248,6 @@ def _check_rank(s: np.ndarray) -> None:
             f"design is numerically rank deficient: smallest eigenvalue of XX^T/d "
             f"is {s[-1]:.3e} against a top eigenvalue of {s[0]:.3e}"
         )
-
-
-def build_estimator(
-    X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, rho: float
-) -> EstimatorMatrix:
-    """Closed-form optimal estimator at multiplier rho.
-
-    A(rho) = (I - rho sigma2 M^{-1}) (X^T X + d sigma2 I)^{-1} X^T with
-    M = Sigma - (rho/d) X^T X, which must be positive definite (minimum
-    eigenvalue > 1e-10); rho = 0 gives the ridge matrix, V diag(l/(l^2 +
-    d sigma2)) U^T from the thin SVD X = U diag(l) V^T.  The form routing X^T
-    through the n x n Gram inverse must agree to 1e-10 relative Frobenius.
-    """
-    n, d = X.shape
-    if rho < 0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
-    M = _constraint_matrix(X, sigma_sqrt, rho)
-    if rho == 0.0:
-        min_eig = float(np.min(sigma_sqrt) ** 2)
-    else:
-        min_eig = float(sym_eigvals(M)[0])
-    if min_eig <= 1e-10:
-        raise FeasibilityError(
-            f"rho={rho} infeasible: min eigenvalue of the constraint matrix is {min_eig:.3e}",
-            min_eigenvalue=min_eig,
-        )
-
-    U, lam, Vt = np.linalg.svd(X, full_matrices=False)
-    ridge_d = (Vt.T * (lam / (lam * lam + d * sigma2))) @ U.T
-
-    Kn = X @ X.T + (d * sigma2) * np.eye(n)
-    ridge_n = _spd_solve(Kn, X, "n-side ridge Gram").T
-
-    if rho == 0.0:
-        A2, A1 = ridge_d, ridge_n
-    else:
-        both = _spd_solve(M, np.hstack([ridge_d, ridge_n]), "constraint matrix")
-        A2 = ridge_d - (rho * sigma2) * both[:, :n]
-        A1 = ridge_n - (rho * sigma2) * both[:, n:]
-    dev = np.linalg.norm(A1 - A2) / max(np.linalg.norm(A2), 1e-300)
-    if dev > 1e-10:
-        raise ConsistencyError(
-            f"the two closed-form estimator routes disagree: {dev:.3e} relative"
-        )
-    return EstimatorMatrix(A=A2, rho=float(rho))
-
-
-def pred_error_direct(
-    A: np.ndarray, X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float
-) -> float:
-    """Prediction error (1/d)||S(AX - I)||_F^2 + sigma2 ||S A||_F^2, S = Sigma^(1/2)."""
-    n, d = X.shape
-    R = A @ X
-    R[np.diag_indices_from(R)] -= 1.0
-    R *= sigma_sqrt[:, None]
-    fit = float(np.sum(R**2)) / d
-    var = sigma2 * float(np.sum((sigma_sqrt[:, None] * A) ** 2))
-    return fit + var
-
-
-def train_error_direct(A: np.ndarray, X: np.ndarray, sigma2: float) -> float:
-    """Training error (1/nd)||XAX - X||_F^2 + (sigma2/n)||XA - I||_F^2."""
-    n, d = X.shape
-    XA = X @ A
-    fit = float(np.sum((XA @ X - X) ** 2)) / (n * d)
-    XA[np.diag_indices_from(XA)] -= 1.0
-    return fit + sigma2 * float(np.sum(XA**2)) / n
 
 
 @dataclass(frozen=True)
@@ -513,193 +324,6 @@ def _reduce(Z: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float) -> _Reduction:
     a = (scale / n) * (W2 @ inv)
     return _Reduction(
         s=s, a=a, b=(n / d) * s * a, gap=(scale / d) * float(np.sum(T * inv / sx))
-    )
-
-
-def error_growth_trace(
-    X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, rho: float
-) -> tuple[float, float]:
-    """Reduction route to (prediction-error growth over ridge, training error).
-
-    Reduces the design once (see ``_reduce``) and sums over n-vectors; no
-    d x d matrix is formed.  Requires a numerically full-row-rank design
-    (else RankError) and 0 <= rho < 1/top_eig(ZZ^T/d) (else RegimeError).
-    """
-    red = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2)
-    delta = red.delta(rho)
-    return red.growth(delta), red.train(delta)
-
-
-def lagrangian_gradient_residual(
-    A: np.ndarray, X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, rho: float
-) -> float:
-    """Normalized Frobenius norm of the stationarity-condition gradient at A.
-
-    The gradient is (1/d) M A (XX^T + d sigma2 I) - (1/d)(M - rho sigma2 I) X^T
-    with M = Sigma - (rho/d) X^T X; it vanishes exactly at the closed-form
-    optimum.  The norm is reported relative to ||X||_F / (d sqrt(n)).
-    """
-    n, d = X.shape
-    M = _constraint_matrix(X, sigma_sqrt, rho)
-    Kn = X @ X.T + (d * sigma2) * np.eye(n)
-    term1 = M @ (A @ Kn)
-    term2 = M @ X.T
-    term2 -= (rho * sigma2) * X.T
-    G = (term1 - term2) / d
-    scale = np.linalg.norm(X) / (d * np.sqrt(n))
-    return float(np.linalg.norm(G) / scale)
-
-
-def matrix_identity_checks(
-    X: np.ndarray,
-    sigma_sqrt: np.ndarray,
-    sigma2: float,
-    rho: float,
-    A: Optional[np.ndarray] = None,
-) -> IdentityCheckReport:
-    """Relative deviations of the closed forms of A(rho)X - I and XA(rho) - I.
-
-    A(rho)X - I must equal -d sigma2 M^{-1} Sigma (X^T X + d sigma2 I)^{-1}
-    and XA(rho) - I must equal
-    -d sigma2 X M^{-1} Sigma X^T (XX^T)^{-1} (XX^T + d sigma2 I)^{-1};
-    both hold to 1e-9 relative for any feasible rho.  Pass ``A`` to reuse an
-    already-built estimator.
-    """
-    n, d = X.shape
-    XXt = X @ X.T
-    _check_rank(np.linalg.eigvalsh(XXt)[::-1])
-    if A is None:
-        A = build_estimator(X, sigma_sqrt, sigma2, rho).A
-    sig2vals = sigma_sqrt**2
-    ds2 = d * sigma2
-    M = _constraint_matrix(X, sigma_sqrt, rho)
-    Minv = _spd_solve(M, np.hstack([np.diag(sig2vals), X.T]), "constraint matrix")
-    K = X.T @ X + ds2 * np.eye(d)
-
-    lhs1 = A @ X
-    lhs1[np.diag_indices_from(lhs1)] -= 1.0
-    rhs1 = -ds2 * _spd_solve(K, Minv[:, :d].T, "d-side ridge Gram").T
-    dev1 = float(np.linalg.norm(lhs1 - rhs1) / np.linalg.norm(rhs1))
-
-    lhs2 = X @ A
-    lhs2[np.diag_indices_from(lhs2)] -= 1.0
-    B = (Minv[:, d:] * sig2vals[:, None]).T @ X.T
-    rhs2 = -ds2 * _spd_solve(
-        XXt + ds2 * np.eye(n), _spd_solve(XXt, B.T, "design Gram"), "n-side ridge Gram"
-    ).T
-    dev2 = float(np.linalg.norm(lhs2 - rhs2) / np.linalg.norm(rhs2))
-    return IdentityCheckReport(ax_minus_i_dev=dev1, xa_minus_i_dev=dev2)
-
-
-def min_norm_interpolant_report(
-    X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float
-) -> tuple[float, float]:
-    """Prediction error of the minimum-norm interpolant and its gap over ridge.
-
-    Both come from the direct route (the interpolant is pinv(X)).  With
-    G = XX^T, the interpolant minus the ridge matrix is
-    D = d sigma2 X^T G^-1 (G + d sigma2 I)^-1, and the ridge gradient of the
-    prediction error vanishes for any diagonal Sigma, so the gap is exactly
-    (1/d)||S D X||_F^2 + sigma2 ||S D||_F^2: positive terms, without the
-    cancellation of subtracting two errors of order 1.  It is cross-checked
-    against the reduction's gap (see ``_reduce``), and the two must agree
-    to 1e-9.
-    """
-    n, d = X.shape
-    reduced = _reduce(X / sigma_sqrt, sigma_sqrt, sigma2).gap
-    pred_ols = pred_error_direct(np.linalg.pinv(X), X, sigma_sqrt, sigma2)
-    G = X @ X.T
-    ds2 = d * sigma2
-    Dt = ds2 * _spd_solve(G + ds2 * np.eye(n), _spd_solve(G, X, "design Gram"), "n-side ridge Gram")
-    SD = sigma_sqrt[:, None] * Dt.T
-    gap = float(np.sum((SD @ X) ** 2)) / d + sigma2 * float(np.sum(SD**2))
-    if abs(gap - reduced) > 1e-9 * max(abs(reduced), 1e-300):
-        raise ConsistencyError(
-            f"interpolant gap routes disagree: direct {gap!r} vs reduction {reduced!r}"
-        )
-    return pred_ols, gap
-
-
-def monte_carlo_response_check(
-    X: np.ndarray,
-    sigma_sqrt: np.ndarray,
-    sigma2: float,
-    A: np.ndarray,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Sample-mean estimates of the conditional errors from response draws.
-
-    Draws (theta, w) pairs, forms y and the estimate A y, and averages
-    ||Sigma^(1/2)(est - theta)||^2 and (1/n)||X est - y||^2; both estimate
-    the exact conditional errors with O(1/sqrt(samples)) standard error.
-    """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    n, d = X.shape
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal((d, samples)) / np.sqrt(d)
-    w = rng.standard_normal((n, samples)) * np.sqrt(sigma2)
-    y = X @ theta + w
-    est = A @ y
-    pred = np.sum((sigma_sqrt[:, None] * (est - theta)) ** 2, axis=0)
-    train = np.sum((X @ est - y) ** 2, axis=0) / n
-    return float(pred.mean()), float(train.mean())
-
-
-def growth_control_bounds_check(
-    Z: np.ndarray, population: PopulationSpectrum, sigma2: float, rho: float
-) -> GrowthBoundsReport:
-    """Margins of the isotropic-reduction bounds on the anisotropic error growths.
-
-    The prediction-error growth must dominate, and the training-error growth
-    be dominated by, spectral functionals of Z alone (condition-number
-    mitigated); margins are signed so both must be >= -1e-10, with the
-    prediction bound tight at kappa = 1.
-    """
-    n, d = Z.shape
-    kappa = population.kappa
-    red = _reduce(Z, np.sqrt(apportion_atoms(population, d)), sigma2)
-    edge = red.delta(rho)
-    delta_pred = red.growth(edge)
-    delta_train = red.train(edge) - red.train(1.0)
-
-    s = red.s
-    shrink = 1.0 / red.factors(edge) ** 2
-    pred_rhs = (rho**2 * sigma2**2 / d) * float(np.sum(shrink * s / (s + sigma2)))
-    train_rhs = (kappa * sigma2**2 / n) * float(np.sum((shrink - 1.0) / (s + kappa * sigma2)))
-    return GrowthBoundsReport(
-        pred_margin=delta_pred - pred_rhs,
-        train_margin=train_rhs - delta_train,
-    )
-
-
-def evaluate_design(
-    X: np.ndarray,
-    sigma_sqrt: np.ndarray,
-    sigma2: float,
-    rho: float,
-    mc_samples: int = 0,
-    mc_seed: int = 0,
-) -> ErrorReport:
-    """Assemble the full error report for one design at one multiplier."""
-    A = build_estimator(X, sigma_sqrt, sigma2, rho)
-    A0 = A if rho == 0.0 else build_estimator(X, sigma_sqrt, sigma2, 0.0)
-    delta_pred, train_trace = error_growth_trace(X, sigma_sqrt, sigma2, rho)
-    mc_pred = mc_train = None
-    if mc_samples > 0:
-        mc_pred, mc_train = monte_carlo_response_check(
-            X, sigma_sqrt, sigma2, A.A, mc_samples, mc_seed
-        )
-    return ErrorReport(
-        pred_direct=pred_error_direct(A.A, X, sigma_sqrt, sigma2),
-        train_direct=train_error_direct(A.A, X, sigma2),
-        pred_ridge=pred_error_direct(A0.A, X, sigma_sqrt, sigma2),
-        pred_growth_trace=delta_pred,
-        train_trace=train_trace,
-        duality_residual=lagrangian_gradient_residual(A.A, X, sigma_sqrt, sigma2, rho),
-        monte_carlo_pred=mc_pred,
-        monte_carlo_train=mc_train,
     )
 
 
@@ -792,23 +416,3 @@ def summarize_trials(metrics: Sequence[TrialMetrics], targets: AsymptoticTargets
         name: summarize([getattr(m, name) for m in metrics], getattr(targets, name, None))
         for name in ("rho", "train_ridge", "cost", "ols_gap")
     }
-
-
-def convergence_report(
-    configs: Sequence[ExperimentConfig], targets: AsymptoticTargets
-) -> list[dict]:
-    """Aggregate per-trial metrics for each config and compare to the limits.
-
-    Configs are expected to share (aspect ratio, sigma2, population) and
-    vary n; each row is {"n", "d", "trials", "metrics"}, with "metrics"
-    from ``summarize_trials``.
-    """
-    return [
-        {
-            "n": config.n,
-            "d": config.d,
-            "trials": config.trials,
-            "metrics": summarize_trials(run_trials(config, trial_metrics), targets),
-        }
-        for config in configs
-    ]

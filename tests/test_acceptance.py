@@ -24,20 +24,13 @@ from memcost.finite_n_lab import (
     AsymptoticTargets,
     EntryDist,
     ExperimentConfig,
-    build_estimator,
-    convergence_report,
-    error_growth_trace,
-    growth_control_bounds_check,
-    lagrangian_gradient_residual,
-    matrix_identity_checks,
-    max_feasible_rho,
-    pred_error_direct,
     sample_design,
-    train_error_direct,
 )
 from memcost.finite_n_lab import bai_yin_check, esd_from_design
-from memcost.oracle import mp_integrate
+from memcost.oracle import DesignOracle, mp_integrate, pred_error_direct, train_error_direct
 from memcost.spectra import MPLaw, mp_stieltjes_neg
+
+from lab_helpers import convergence_report
 
 GAMMA_GRID = (1.5, 2.0, 4.0, 10.0)
 SIGMA2_GRID = (1e-3, 1e-2, 0.1, 1.0)
@@ -194,16 +187,16 @@ def test_criterion_07_exact_finite_sample_identities():
             n=200, d=400, sigma2=sigma2, seed=500 + idx, trials=1,
             entry_dist=dist, population=pop, rho=0.0,
         )
-        design = sample_design(config, 0)
-        X, ss = design.X, design.sigma_sqrt
-        rho_max = max_feasible_rho(design.Z)
-        A0 = build_estimator(X, ss, sigma2, 0.0)  # also checks the two closed forms agree
+        oracle = DesignOracle(sample_design(config, 0), sigma2, pop)
+        X, ss = oracle.design.X, oracle.design.sigma_sqrt
+        red = oracle.reduction
+        A0 = oracle.estimator(0.0)  # also checks the two closed forms agree
         pred_ridge = pred_error_direct(A0.A, X, ss, sigma2)
         for frac in rng.uniform(0.05, 0.9, 3):
             n_rho += 1
-            rho = float(frac) * rho_max
-            A = build_estimator(X, ss, sigma2, rho)  # raises if the forms disagree > 1e-10
-            delta, train = error_growth_trace(X, ss, sigma2, rho)
+            rho = float(frac) * oracle.rho_max
+            A = oracle.estimator(rho)  # raises if the forms disagree > 1e-10
+            delta, train = red.growth(red.delta(rho)), red.train(red.delta(rho))
             train_direct = train_error_direct(A.A, X, sigma2)
             delta_direct = pred_error_direct(A.A, X, ss, sigma2) - pred_ridge
             worst_identity = max(
@@ -211,12 +204,8 @@ def test_criterion_07_exact_finite_sample_identities():
                 abs(train - train_direct) / train_direct,
                 abs(delta - delta_direct) / abs(delta_direct),
             )
-            worst_identity = max(
-                worst_identity, matrix_identity_checks(X, ss, sigma2, rho, A=A.A).max_dev
-            )
-            worst_stationarity = max(
-                worst_stationarity, lagrangian_gradient_residual(A.A, X, ss, sigma2, rho)
-            )
+            worst_identity = max(worst_identity, *A.identity_devs())
+            worst_stationarity = max(worst_stationarity, A.stationarity())
     ok = worst_identity <= 1e-9 and worst_stationarity <= 1e-8
     _report(
         7, "exact finite-sample identities",
@@ -323,13 +312,11 @@ def test_criterion_10_deformed_law():
     config = ExperimentConfig(
         n=200, d=400, sigma2=0.1, seed=7, trials=1, population=TWO_ATOM, rho=0.0
     )
-    design = sample_design(config, 0)
+    oracle = DesignOracle(sample_design(config, 0), 0.1, TWO_ATOM)
     worst_margin = 0.0
     rng = np.random.default_rng(17)
     for frac in (0.0, *rng.uniform(0.1, 0.9, 3)):
-        rho = float(frac) * max_feasible_rho(design.Z)
-        rep = growth_control_bounds_check(design.Z, TWO_ATOM, 0.1, rho)
-        worst_margin = min(worst_margin, rep.pred_margin, rep.train_margin)
+        worst_margin = min(worst_margin, *oracle.growth_margins(float(frac) * oracle.rho_max))
 
     ok = (
         worst_reduction <= 1e-10

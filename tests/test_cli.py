@@ -223,6 +223,22 @@ def test_threshold_missing_gamma_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["threshold", "simulate"])
+@pytest.mark.parametrize("line", ["nan 0.5", "inf 0.5", "0.5 nan", "0.5 inf"])
+def test_non_finite_population_atom_is_a_line_numbered_refusal(tmp_path, capsys, command, line):
+    pop = tmp_path / "pop.txt"
+    pop.write_text(f"# two atoms\n1.0 0.5\n{line}\n")
+    argv = {
+        "threshold": ["threshold", "--gamma", "2", "--sigma2", "0.1"],
+        "simulate": ["simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1",
+                     "--trials", "1", "--rho", "0"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--pop", str(pop))
+    assert code == 2
+    assert out == ""
+    assert f"memcost: error: {pop}:3:" in err and "Traceback" not in err
+
+
 def test_malformed_population_file(tmp_path, capsys):
     pop = tmp_path / "bad.spec"
     pop.write_text("1.0 0.5\nnot numbers\n")
@@ -540,6 +556,31 @@ def test_verify_quick_passes(capsys):
     assert "[PASS] closed-form-vs-quadrature" in out
 
 
+def test_verify_factors_each_design_once(capsys, monkeypatch):
+    # one lab reduction per design, and at most three SVDs: the oracle's
+    # thin SVD of X plus the two of an anisotropic reduction
+    import numpy as np
+
+    from memcost import finite_n_lab as lab
+
+    calls = {"sample_design": 0, "_reduce": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for namespace, name in ((lab, "sample_design"), (lab, "_reduce"), (np.linalg, "svd")):
+        monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
+    code, out, _ = run_cli(capsys, "verify", "--quick")
+    assert code == 0, out
+    assert calls["sample_design"] == 3
+    assert calls["_reduce"] == calls["sample_design"]
+    assert calls["svd"] <= 3 * calls["sample_design"]
+
+
 def test_verify_perturbation_negative_control(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--perturb")
     assert code == 1
@@ -739,14 +780,34 @@ def test_import_cli_does_not_load_scipy(tmp_path):
             theory = [cli.main(argv) for argv in asymptotic]
             loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
             after = [cli.main(argv) for argv in lab]
-        print(theory, loaded, after)
+            oracle_after_lab = "memcost.oracle" in sys.modules
+            verify = cli.main(["verify", "--quick"])
+        print(theory, loaded, after, oracle_after_lab, verify, "memcost.oracle" in sys.modules)
     """)
     result = subprocess.run(
         [sys.executable, "-c", probe, _pop_file(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == f"{[0] * 11} [] [0, 0]"
+    assert result.stdout.strip() == f"{[0] * 11} [] [0, 0] False 0 True"
+
+    # the lab alone never loads the oracle; the names bench/oracles.py reads
+    # from the lab resolve to the oracle's functions on first access
+    probe = textwrap.dedent("""
+        import sys
+        import memcost.finite_n_lab
+        bare = "memcost.oracle" in sys.modules
+        from memcost.finite_n_lab import build_estimator, pred_error_direct, train_error_direct
+        from memcost import oracle
+        same = (build_estimator, pred_error_direct, train_error_direct) == (
+            oracle.build_estimator, oracle.pred_error_direct, oracle.train_error_direct)
+        print(bare, same)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False True"
 
 
 def test_parser_is_built_on_the_first_main_call_and_only_then():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ def test_population_rejects_bad_atoms():
         PopulationSpectrum(atoms=((1.0, -0.5),))
     with pytest.raises(DomainError):
         PopulationSpectrum(atoms=())
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)],
+    ids=["value-nan", "value-inf", "weight-nan", "weight-inf"],
+)
+def test_population_rejects_non_finite_atoms(atom):
+    with pytest.raises(DomainError, match="finite and positive"):
+        PopulationSpectrum(atoms=((1.0, 0.5), atom))
+    text = "1.0 0.5\n{!r} {!r}\n".format(*atom)
+    with pytest.raises(SpectrumFormatError, match="finite and positive") as info:
+        parse_population_spectrum(text)
+    assert info.value.line == 2
 
 
 def test_parse_population_file_format():

@@ -11,29 +11,25 @@ from memcost.finite_n_lab import (
     AsymptoticTargets,
     DesignSample,
     EntryDist,
-    ErrorReport,
     ExperimentConfig,
     apportion_atoms,
-    build_estimator,
-    convergence_report,
-    error_growth_trace,
-    evaluate_design,
-    growth_control_bounds_check,
-    lagrangian_gradient_residual,
-    matrix_identity_checks,
-    max_feasible_rho,
-    min_norm_interpolant_report,
-    monte_carlo_response_check,
-    pred_error_direct,
     run_trials,
     sample_design,
     splitmix64,
     summarize,
-    train_error_direct,
     trial_metrics,
     trial_seed,
 )
 from memcost.finite_n_lab import esd_from_design
+from memcost.oracle import (
+    DesignOracle,
+    ErrorReport,
+    build_estimator,
+    pred_error_direct,
+    train_error_direct,
+)
+
+from lab_helpers import convergence_report, monte_carlo_response_check
 
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 
@@ -44,6 +40,15 @@ def _design(n=120, d=240, seed=42, dist=EntryDist.GAUSSIAN, pop=None):
         population=pop or PopulationSpectrum.isotropic(), rho=0.0,
     )
     return sample_design(config, 0)
+
+
+def _oracle(design, pop=None, sigma2=0.1):
+    return DesignOracle(design, sigma2, pop or PopulationSpectrum.isotropic())
+
+
+def max_feasible_rho(Z):
+    """1 / top eigenvalue of ZZ^T/d, from the Gram eigenvalues."""
+    return 1.0 / float(esd_from_design(Z).values[0])
 
 
 def test_splitmix64_mixes_and_is_deterministic():
@@ -111,11 +116,11 @@ def test_ridge_estimator_at_zero_multiplier():
 
 
 def test_estimator_feasibility_boundary():
-    design = _design()
-    rho_max = max_feasible_rho(design.Z)
-    build_estimator(design.X, design.sigma_sqrt, 0.1, 0.99 * rho_max)
+    oracle = _oracle(_design())
+    assert oracle.rho_max == max_feasible_rho(oracle.design.Z)
+    oracle.estimator(0.99 * oracle.rho_max)
     with pytest.raises(FeasibilityError) as info:
-        build_estimator(design.X, design.sigma_sqrt, 0.1, 1.01 * rho_max)
+        oracle.estimator(1.01 * oracle.rho_max)
     assert info.value.min_eigenvalue < 0
 
 
@@ -165,25 +170,26 @@ def test_ridge_prediction_error_closed_form():
 
 
 def test_growth_trace_zero_at_zero_multiplier():
-    design = _design()
-    delta, train = error_growth_trace(design.X, design.sigma_sqrt, 0.1, 0.0)
-    assert delta == 0.0
-    assert train > 0
+    red = _oracle(_design()).reduction
+    edge = red.delta(0.0)
+    assert red.growth(edge) == 0.0
+    assert red.train(edge) > 0
 
 
 @pytest.mark.parametrize("dist", [EntryDist.GAUSSIAN, EntryDist.RADEMACHER])
 @pytest.mark.parametrize("pop", [None, TWO_ATOM])
 def test_trace_identities_match_direct(dist, pop):
-    design = _design(dist=dist, pop=pop)
-    X, ss = design.X, design.sigma_sqrt
+    oracle = _oracle(_design(dist=dist, pop=pop), pop)
+    X, ss = oracle.design.X, oracle.design.sigma_sqrt
     rng = np.random.default_rng(5)
-    rho_max = max_feasible_rho(design.Z)
-    A0 = build_estimator(X, ss, 0.1, 0.0).A
-    pred0 = pred_error_direct(A0, X, ss, 0.1)
+    rho_max = max_feasible_rho(oracle.design.Z)
+    pred0 = pred_error_direct(oracle.estimator(0.0).A, X, ss, 0.1)
+    assert pred0 == oracle.pred_ridge
+    red = oracle.reduction
     for rho in rng.uniform(0.05, 0.9, 3) * rho_max:
         rho = float(rho)
-        A = build_estimator(X, ss, 0.1, rho).A
-        delta, train = error_growth_trace(X, ss, 0.1, rho)
+        A = oracle.estimator(rho).A
+        delta, train = red.growth(red.delta(rho)), red.train(red.delta(rho))
         direct_train = train_error_direct(A, X, 0.1)
         direct_delta = pred_error_direct(A, X, ss, 0.1) - pred0
         assert abs(train - direct_train) <= 1e-9 * direct_train
@@ -192,25 +198,24 @@ def test_trace_identities_match_direct(dist, pop):
 
 def test_growth_trace_requires_full_rank():
     X = np.zeros((10, 20))
+    oracle = _oracle(DesignSample(Z=X, sigma_sqrt=np.ones(20), X=X))
     with pytest.raises(RankError):
-        error_growth_trace(X, np.ones(20), 0.1, 0.0)
+        oracle.reduction
+    with pytest.raises(RankError):
+        oracle.interpolant()
 
 
 def test_stationarity_at_optimum_and_perturbed():
-    design = _design()
-    X, ss = design.X, design.sigma_sqrt
-    rho = 0.4 * max_feasible_rho(design.Z)
-    A = build_estimator(X, ss, 0.1, rho).A
-    assert lagrangian_gradient_residual(A, X, ss, 0.1, rho) <= 1e-8
-    bump = np.random.default_rng(0).standard_normal(A.shape)
+    oracle = _oracle(_design())
+    est = oracle.estimator(0.4 * max_feasible_rho(oracle.design.Z))
+    assert est.stationarity() <= 1e-8
+    bump = np.random.default_rng(0).standard_normal(est.A.shape)
     bump /= np.linalg.norm(bump)
-    assert lagrangian_gradient_residual(A + 1e-2 * bump, X, ss, 0.1, rho) > 1e-4
+    assert est.stationarity(est.A + 1e-2 * bump) > 1e-4
 
 
 def test_stationarity_of_ridge_at_zero():
-    design = _design()
-    A0 = build_estimator(design.X, design.sigma_sqrt, 0.1, 0.0).A
-    assert lagrangian_gradient_residual(A0, design.X, design.sigma_sqrt, 0.1, 0.0) <= 1e-8
+    assert _oracle(_design()).estimator(0.0).stationarity() <= 1e-8
 
 
 def test_residual_identity_zero_multiplier_isotropic():
@@ -225,15 +230,14 @@ def test_residual_identity_zero_multiplier_isotropic():
 
 @pytest.mark.parametrize("pop", [None, TWO_ATOM])
 def test_residual_identities_random_multiplier(pop):
-    design = _design(n=100, d=200, pop=pop)
-    rho = 0.6 * max_feasible_rho(design.Z)
-    report = matrix_identity_checks(design.X, design.sigma_sqrt, 0.1, rho)
-    assert report.max_dev <= 1e-9
+    oracle = _oracle(_design(n=100, d=200, pop=pop), pop)
+    rho = 0.6 * max_feasible_rho(oracle.design.Z)
+    assert max(oracle.estimator(rho).identity_devs()) <= 1e-9
 
 
 def test_min_norm_interpolant_report_spectral_form():
     design = _design(n=100, d=200)
-    pred_ols, gap = min_norm_interpolant_report(design.X, design.sigma_sqrt, 0.1)
+    pred_ols, gap = _oracle(design).interpolant()
     n, d = design.X.shape
     XXt = design.X @ design.X.T
     expected_pred = (d - n) / d + 0.1 * np.trace(np.linalg.inv(XXt))
@@ -243,10 +247,7 @@ def test_min_norm_interpolant_report_spectral_form():
 
 def test_min_norm_interpolant_gap_shrinks_with_noise():
     design = _design(n=100, d=200)
-    gaps = [
-        min_norm_interpolant_report(design.X, design.sigma_sqrt, s2)[1]
-        for s2 in (0.1, 0.01, 0.001)
-    ]
+    gaps = [_oracle(design, sigma2=s2).interpolant()[1] for s2 in (0.1, 0.01, 0.001)]
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
@@ -258,7 +259,7 @@ def test_min_norm_interpolant_gap_holds_down_to_the_smallest_noise(pop):
     design = sample_design(config, 0)
     for k in [*range(1, 11), *range(15, 101, 5)]:
         s2 = 10.0**-k
-        _, gap = min_norm_interpolant_report(design.X, design.sigma_sqrt, s2)
+        _, gap = _oracle(design, pop, sigma2=s2).interpolant()
         reduced = finite_n_lab._reduce(design.Z, design.sigma_sqrt, s2).gap
         assert abs(gap - reduced) <= 1e-9 * reduced
 
@@ -293,35 +294,31 @@ def test_monte_carlo_noiseless_interpolant_projects():
 
 
 def test_growth_bounds_isotropic_equality():
-    design = _design()
-    rho = 0.5 * max_feasible_rho(design.Z)
-    rep = growth_control_bounds_check(design.Z, PopulationSpectrum.isotropic(), 0.1, rho)
-    assert abs(rep.pred_margin) <= 1e-10
-    assert rep.train_margin >= -1e-10
+    oracle = _oracle(_design())
+    pred_margin, train_margin = oracle.growth_margins(0.5 * max_feasible_rho(oracle.design.Z))
+    assert abs(pred_margin) <= 1e-10
+    assert train_margin >= -1e-10
 
 
 def test_growth_bounds_two_atom_margins():
-    design = _design(n=200, d=400, pop=TWO_ATOM)
+    oracle = _oracle(_design(n=200, d=400, pop=TWO_ATOM), TWO_ATOM)
     rng = np.random.default_rng(8)
-    for rho in rng.uniform(0.1, 0.9, 3) * max_feasible_rho(design.Z):
-        rep = growth_control_bounds_check(design.Z, TWO_ATOM, 0.1, float(rho))
-        assert rep.pred_margin >= -1e-10
-        assert rep.train_margin >= -1e-10
+    for rho in rng.uniform(0.1, 0.9, 3) * max_feasible_rho(oracle.design.Z):
+        pred_margin, train_margin = oracle.growth_margins(float(rho))
+        assert pred_margin >= -1e-10
+        assert train_margin >= -1e-10
 
 
 def test_growth_bounds_zero_multiplier():
-    design = _design(pop=TWO_ATOM)
-    rep = growth_control_bounds_check(design.Z, TWO_ATOM, 0.1, 0.0)
-    assert abs(rep.pred_margin) <= 1e-14
-    assert abs(rep.train_margin) <= 1e-14
+    pred_margin, train_margin = _oracle(_design(pop=TWO_ATOM), TWO_ATOM).growth_margins(0.0)
+    assert abs(pred_margin) <= 1e-14
+    assert abs(train_margin) <= 1e-14
 
 
 def test_growth_bounds_precondition():
-    design = _design()
+    oracle = _oracle(_design())
     with pytest.raises(RegimeError):
-        growth_control_bounds_check(
-            design.Z, PopulationSpectrum.isotropic(), 0.1, 1.5 * max_feasible_rho(design.Z)
-        )
+        oracle.growth_margins(1.5 * max_feasible_rho(oracle.design.Z))
 
 
 def test_error_report_validates_identities():
@@ -346,13 +343,15 @@ def test_error_report_route_dev_is_the_validated_margin():
 
 def test_evaluate_design_full_report():
     design = _design()
-    rho = 0.3 * max_feasible_rho(design.Z)
-    report = evaluate_design(design.X, design.sigma_sqrt, 0.1, rho, mc_samples=500, mc_seed=1)
+    est = _oracle(design).estimator(0.3 * max_feasible_rho(design.Z))
+    report = est.report()
+    mc_pred, mc_train = monte_carlo_response_check(
+        design.X, design.sigma_sqrt, 0.1, est.A, samples=500, seed=1
+    )
     assert report.duality_residual <= 1e-8
-    assert report.monte_carlo_pred is not None
-    assert abs(report.monte_carlo_pred - report.pred_direct) / report.pred_direct < 0.3
+    assert abs(mc_pred - report.pred_direct) / report.pred_direct < 0.3
     # the reduction's training error against the response draws
-    assert abs(report.monte_carlo_train - report.train_trace) / report.train_trace < 0.3
+    assert abs(mc_train - report.train_trace) / report.train_trace < 0.3
 
 
 @pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
@@ -472,21 +471,18 @@ def test_stationarity_twenty_random_multipliers_per_design():
         (EntryDist.GAUSSIAN, PopulationSpectrum.isotropic()),
         (EntryDist.RADEMACHER, TWO_ATOM),
     ]:
-        design = _design(n=80, d=160, seed=31, dist=dist, pop=pop)
-        X, ss = design.X, design.sigma_sqrt
-        rho_max = max_feasible_rho(design.Z)
+        oracle = _oracle(_design(n=80, d=160, seed=31, dist=dist, pop=pop), pop)
+        rho_max = max_feasible_rho(oracle.design.Z)
         for frac in rng.uniform(0.0, 0.9, 20):
-            rho = float(frac) * rho_max
-            A = build_estimator(X, ss, 0.1, rho).A
-            assert lagrangian_gradient_residual(A, X, ss, 0.1, rho) <= 1e-8
+            assert oracle.estimator(float(frac) * rho_max).stationarity() <= 1e-8
 
 
 def test_train_error_strictly_increasing_in_multiplier():
     design = _design(n=100, d=200)
-    rho_max = max_feasible_rho(design.Z)
+    red = _oracle(design).reduction
     trains = [
-        error_growth_trace(design.X, design.sigma_sqrt, 0.1, float(r))[1]
-        for r in np.linspace(0.0, 0.9 * rho_max, 8)
+        red.train(red.delta(float(r)))
+        for r in np.linspace(0.0, 0.9 * max_feasible_rho(design.Z), 8)
     ]
     assert all(b > a for a, b in zip(trains, trains[1:]))
 
@@ -496,8 +492,8 @@ def test_fixed_multiplier_train_error_approaches_limit():
 
     rho, s2 = 0.2, 0.1
     config = ExperimentConfig(n=500, d=1000, sigma2=s2, seed=77, trials=1, rho=rho)
-    design = sample_design(config, 0)
-    _, train = error_growth_trace(design.X, design.sigma_sqrt, s2, rho)
+    red = _oracle(sample_design(config, 0), sigma2=s2).reduction
+    train = red.train(red.delta(rho))
     law = MPLaw(2.0)
     limit = s2**2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
     assert abs(train - limit) / limit <= 0.05
@@ -518,18 +514,20 @@ def test_reduction_matches_direct_route(gamma, pop):
     X, ss = design.X, design.sigma_sqrt
     pinv = np.linalg.pinv(X)
     for s2 in (1e-3, 0.1, 2.0):
-        A0 = build_estimator(X, ss, s2, 0.0).A
+        oracle = _oracle(design, pop, sigma2=s2)
+        A0 = oracle.estimator(0.0).A
         pred0 = pred_error_direct(A0, X, ss, s2)
         # differences of direct errors cancel; ErrorReport's convention floors
         # their scale at 1e-6 of the ridge prediction error
         floor = 1e-6 * pred0
         gap = pred_error_direct(pinv, X, ss, s2) - pred0
-        _, reduced_gap = min_norm_interpolant_report(X, ss, s2)
+        _, reduced_gap = oracle.interpolant()
         assert abs(reduced_gap - gap) <= 1e-9 * max(abs(gap), floor)
+        red = oracle.reduction
         for frac in (0.0, 0.3, 0.9):
             rho = frac * max_feasible_rho(design.Z)
-            A = build_estimator(X, ss, s2, rho).A
-            growth, train = error_growth_trace(X, ss, s2, rho)
+            A = oracle.estimator(rho).A
+            growth, train = red.growth(red.delta(rho)), red.train(red.delta(rho))
             direct_train = train_error_direct(A, X, s2)
             direct_growth = pred_error_direct(A, X, ss, s2) - pred0
             assert abs(train - direct_train) <= 1e-9 * direct_train
@@ -548,7 +546,7 @@ def _duplicate_row_design(n, d, pop):
 def test_duplicate_row_design_is_rank_error(monkeypatch, n, d, pop):
     design = _duplicate_row_design(n, d, pop)
     with pytest.raises(RankError):
-        error_growth_trace(design.X, design.sigma_sqrt, 0.1, 0.0)
+        _oracle(design, pop).reduction
     monkeypatch.setattr(finite_n_lab, "sample_design", lambda config, trial: design)
     config = ExperimentConfig(n=n, d=d, sigma2=0.1, seed=0, trials=1, population=pop, rho=0.0)
     with pytest.raises(RankError):
@@ -571,7 +569,7 @@ def test_trial_metrics_never_forms_a_d_by_d_matrix(monkeypatch, pop):
         raise AssertionError("d x d route called from trial_metrics")
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(finite_n_lab, "build_estimator", refuse)
+    monkeypatch.setattr(DesignOracle, "__init__", refuse)
     th = memorization_threshold(2.0, NoiseLevel(0.1))
     for constraint in ({"rho": 0.2}, {"eps2": 3.0 * th}):
         config = ExperimentConfig(
@@ -596,8 +594,8 @@ def test_small_noise_eps2_trial_reaches_eps2(sigma2):
     config = ExperimentConfig(n=50, d=100, sigma2=sigma2, seed=3, trials=1, eps2=eps2)
     metrics = trial_metrics(config, 0)
     assert metrics.rho > 0.0
-    design = sample_design(config, 0)
-    train = error_growth_trace(design.X, design.sigma_sqrt, sigma2, metrics.rho)[1]
+    red = _oracle(sample_design(config, 0), sigma2=sigma2).reduction
+    train = red.train(red.delta(metrics.rho))
     assert abs(train - eps2) <= 1e-12 * eps2
 
 
@@ -613,7 +611,7 @@ def test_build_estimator_routes_agree_at_small_noise(pop, sigma2):
     ridge_n = np.linalg.solve(X @ X.T + d * sigma2 * np.eye(n), X).T
     for rho in (0.0, 0.5 * max_feasible_rho(design.Z)):
         A = build_estimator(X, ss, sigma2, rho).A
-        M = finite_n_lab._constraint_matrix(X, ss, rho)
+        M = np.diag(ss**2) - (rho / d) * (X.T @ X)
         expected = ridge_n - rho * sigma2 * np.linalg.solve(M, ridge_n)
         assert np.linalg.norm(A - expected) <= 1e-14 * np.linalg.norm(expected)
 

@@ -10,10 +10,9 @@ from memcost import deformed
 from memcost import finite_n_lab as lab
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
-from memcost.finite_n_lab import sym_eigvals
 from memcost.numerics import Interval, edge_distance, solve_level, solve_multiplier
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
-from memcost.oracle import _cheb_transfer
+from memcost.oracle import _cheb_transfer, sym_eigvals
 from memcost.spectra import MPLaw, mp_stieltjes_neg
 
 import mp_reference as ref
