@@ -130,12 +130,25 @@ def _load_pop(args) -> PopulationSpectrum | None:
     return None
 
 
+def _eps_squared(eps: float) -> float:
+    """eps**2 for a training-error floor eps >= 0; a negative or nan floor is refused."""
+    if not eps >= 0.0:
+        raise DomainError(f"the training-error floor eps must be nonnegative, got {eps!r}")
+    return eps * eps
+
+
 def _eps2_from_args(args) -> float | None:
     if getattr(args, "eps2", None) is not None:
         return args.eps2
     if getattr(args, "eps", None) is not None:
-        return args.eps**2
+        return _eps_squared(args.eps)
     return None
+
+
+def _eps2_grid(args) -> list[float]:
+    """The --grid points as eps2 values, squaring them under --grid-units eps."""
+    grid = parse_grid(args.grid)
+    return [_eps_squared(g) for g in grid] if args.grid_units == "eps" else grid
 
 
 def _config_echo(args, keys) -> dict:
@@ -170,9 +183,7 @@ def cmd_threshold(args) -> int:
 def cmd_rho(args) -> int:
     noise = ce.NoiseLevel(args.sigma2)
     if args.grid is not None:
-        grid = parse_grid(args.grid)
-        if args.grid_units == "eps":
-            grid = [g * g for g in grid]
+        grid = _eps2_grid(args)
     else:  # the parser requires exactly one of --eps2, --eps and --grid
         grid = [_eps2_from_args(args)]
     rows = []
@@ -207,9 +218,7 @@ plot '{csv}' using 1:3 with lines title 'cost', \\
 
 def cmd_cost_curve(args) -> int:
     noise = ce.NoiseLevel(args.sigma2)
-    grid = parse_grid(args.grid)
-    if args.grid_units == "eps":
-        grid = [g * g for g in grid]
+    grid = _eps2_grid(args)
     rows = []
     for e2 in grid:
         try:

@@ -11,9 +11,12 @@ closed-form estimator and its Frobenius-norm errors) are in
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
 functionals), so ``sigma_sqrt`` arguments are d-vectors holding its square
-root.  Trials are independent, deterministically seeded, and run one at a
-time in trial order, so outputs are reproducible bit for bit for a fixed BLAS
-build and thread count.
+root.  For an isotropic population the design X *is* the entry array Z
+(read-only), so an isotropic trial allocates one n x d float
+array (the RNG fill), one n x n Gram matrix and n-vectors.  Trials are
+independent, deterministically seeded, and run one at a time in trial
+order, so outputs are reproducible bit for bit for a fixed BLAS build and
+thread count.
 """
 
 from __future__ import annotations
@@ -133,7 +136,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DesignSample:
-    """One sampled design: standardized entries Z, diagonal sqrt-covariance, X = Z diag(sigma_sqrt)."""
+    """One sampled design: standardized entries Z, diagonal sqrt-covariance, X = Z diag(sigma_sqrt).
+
+    For an isotropic population X is Z itself, the same array, not a copy;
+    ``sample_design`` returns Z read-only, so neither can be written through.
+    """
 
     Z: np.ndarray
     sigma_sqrt: np.ndarray
@@ -227,17 +234,29 @@ def apportion_atoms(population: PopulationSpectrum, d: int) -> np.ndarray:
 
 
 def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
-    """Draw the design for one trial, deterministically from (seed, trial)."""
-    if trial >= config.trials:
+    """Draw the design for one trial, deterministically from (seed, trial).
+
+    Trials are numbered 0 .. trials - 1; any other index raises DomainError.
+    The entries fill one n x d array: Rademacher signs are the integer draw
+    cast to float and mapped to 2b - 1 in place.  Z is returned read-only.
+    For an isotropic population X is that same array (X is Z); only an
+    anisotropic one allocates X = Z diag(sigma_sqrt) as a second n x d array.
+    """
+    if not 0 <= trial < config.trials:
         raise DomainError(f"trial {trial} out of range for {config.trials} trials")
     rng = np.random.default_rng(trial_seed(config.seed, trial))
     n, d = config.n, config.d
     if config.entry_dist is EntryDist.GAUSSIAN:
         Z = rng.standard_normal((n, d))
     else:
-        Z = 2.0 * rng.integers(0, 2, size=(n, d)).astype(np.float64) - 1.0
+        Z = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+        Z += Z
+        Z -= 1.0
+    # an isotropic X is this same array, so a write to either would change both
+    Z.flags.writeable = False
     sigma_sqrt = np.sqrt(apportion_atoms(config.population, d))
-    return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=Z * sigma_sqrt[None, :])
+    X = Z if config.population.is_isotropic else Z * sigma_sqrt[None, :]
+    return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=X)
 
 
 def _check_rank(s: np.ndarray) -> None:
@@ -294,7 +313,7 @@ class _Reduction:
         return float(np.sum(((1.0 - delta) / self.s[0]) ** 2 * self.b / f / f))
 
 
-def _reduce(Z: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float) -> _Reduction:
+def _reduce(design: DesignSample, sigma2: float) -> _Reduction:
     """The spectral reduction of the design X = Z S, S = diag(sigma_sqrt).
 
     With thin SVDs Z = U_z diag(mu) V_z^T and X = U diag(lambda) V^T,
@@ -306,22 +325,25 @@ def _reduce(Z: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float) -> _Reduction:
         gap = (sigma2^2/d) sum_j T_j/(s'_j (s'_j + sigma2)),  T_j = v_j^T Sigma v_j,
 
     a gap of positive terms that stays accurate as sigma2 -> 0.  Isotropic
-    designs are the case W = I, s' = s and T = 1, from the Gram eigenvalues.
+    designs are the case W = I, s' = s and T = 1, from the Gram eigenvalues
+    alone: their reduction allocates one n x n Gram matrix and n-vectors.
     """
+    Z, sigma_sqrt = design.Z, design.sigma_sqrt
     n, d = Z.shape
     scale = sigma2 * sigma2
     if np.all(sigma_sqrt == 1.0):
         s = sx = esd_from_design(Z).values
-        W2, T = np.eye(n), 1.0
+        W2, T = None, 1.0
     else:
         Uz, mu, _ = np.linalg.svd(Z, full_matrices=False)
-        U, lam, Vt = np.linalg.svd(Z * sigma_sqrt, full_matrices=False)
+        U, lam, Vt = np.linalg.svd(design.X, full_matrices=False)
         s, sx = mu**2 / d, lam**2 / d
         W2, T = (Uz.T @ U) ** 2, Vt**2 @ sigma_sqrt**2
     _check_rank(s)
     _check_rank(sx)
     inv = 1.0 / (sx + sigma2)
-    a = (scale / n) * (W2 @ inv)
+    # W = I: each entry of I @ inv is inv_k plus exact zeros, so inv itself
+    a = (scale / n) * (inv if W2 is None else W2 @ inv)
     return _Reduction(
         s=s, a=a, b=(n / d) * s * a, gap=(scale / d) * float(np.sum(T * inv / sx))
     )
@@ -360,7 +382,7 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError.
     """
     design = sample_design(config, trial)
-    red = _reduce(design.Z, design.sigma_sqrt, config.sigma2)
+    red = _reduce(design, config.sigma2)
     # a sum past the float range is inf, and so is the bracket at eps2 = 0
     with np.errstate(over="ignore", divide="ignore"):
         if config.eps2 is not None:

@@ -221,7 +221,7 @@ class DesignOracle:
     @cached_property
     def reduction(self):
         """The lab's production reduction of this design (``finite_n_lab._reduce``)."""
-        return lab._reduce(self.design.Z, self.design.sigma_sqrt, self.sigma2)
+        return lab._reduce(self.design, self.sigma2)
 
     @property
     def rho_max(self) -> float:

@@ -269,6 +269,27 @@ def test_rho_command_eps_flag_squares(capsys):
     assert float(rows[0][0]) == pytest.approx(2 * th, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps", "-0.3"],
+        ["rho", "--gamma", "2", "--sigma2", "0.1", "--eps", "nan"],
+        ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid=-0.1:0.1:0.3", "--grid-units", "eps"],
+        ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid=-0.1:0.1:0.3",
+         "--grid-units", "eps"],
+        ["simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1",
+         "--trials", "1", "--eps", "-0.3"],
+    ],
+    ids=["rho-eps", "rho-eps-nan", "rho-grid-eps", "cost-curve-grid-eps", "simulate-eps"],
+)
+def test_negative_eps_is_refused_not_squared(capsys, argv):
+    # (-0.3)^2 = 0.09 is a valid eps2, so squaring first would hide the sign
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("memcost: error:") and "eps must be nonnegative" in err
+
+
 def test_rho_grid_keeps_solved_rows_past_the_cap(capsys):
     # eps2 = 1e299 .. 1e300 are past the float range of train, which is about
     # 3e151 at the smallest normal edge distance; eps2 = 0 is solved

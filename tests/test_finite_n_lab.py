@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,48 @@ def test_rademacher_entries_are_signs():
 def test_isotropic_population_gives_identity_diagonal():
     design = _design()
     assert np.all(design.sigma_sqrt == 1.0)
-    assert design.X is not design.Z or np.array_equal(design.X, design.Z)
+    # X = Z diag(1) is Z exactly, so the isotropic design is one array
+    assert design.X is design.Z and not design.Z.flags.writeable
+    aniso = _design(pop=TWO_ATOM)
+    assert aniso.X is not aniso.Z
+    assert np.array_equal(aniso.X, aniso.Z * aniso.sigma_sqrt[None, :])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rademacher_signs_match_the_out_of_place_map(seed):
+    n, d = 30, 70
+    config = ExperimentConfig(
+        n=n, d=d, sigma2=0.1, seed=seed, trials=3, entry_dist=EntryDist.RADEMACHER, rho=0.0
+    )
+    for t in range(config.trials):
+        rng = np.random.default_rng(trial_seed(seed, t))
+        expected = 2.0 * rng.integers(0, 2, size=(n, d)).astype(np.float64) - 1.0
+        assert np.array_equal(sample_design(config, t).Z, expected)
+
+
+@pytest.mark.parametrize("dist", list(EntryDist))
+def test_isotropic_reduction_weights_equal_the_identity_rotation(dist):
+    sigma2 = 0.1
+    design = _design(n=50, d=90, seed=5, dist=dist)
+    red = finite_n_lab._reduce(design, sigma2)
+    n = design.Z.shape[0]
+    expected = (sigma2 * sigma2 / n) * (np.eye(n) @ (1.0 / (red.s + sigma2)))
+    assert np.array_equal(red.a, expected)
+
+
+def test_isotropic_trial_allocates_one_design_array():
+    # the draw, the Gram matrix and n-vectors: about (1 + n/d) n d 8 bytes;
+    # a second n x d array (X as a copy of Z) would put the peak past 2 n d 8
+    n, d = 200, 800
+    config = ExperimentConfig(n=n, d=d, sigma2=0.1, seed=3, trials=1, rho=0.3)
+    trial_metrics(config, 0)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        trial_metrics(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8
 
 
 def test_design_is_deterministic_per_seed_and_trial():
@@ -104,6 +146,16 @@ def test_trials_differ():
     assert not np.array_equal(sample_design(config, 0).Z, sample_design(config, 1).Z)
     with pytest.raises(DomainError):
         sample_design(config, 2)
+
+
+@pytest.mark.parametrize("trial", [-1, -3])
+def test_negative_trial_index_is_refused(trial):
+    # trial_seed would take the index mod 2^64, a stream no trial of the run uses
+    config = ExperimentConfig(n=20, d=40, sigma2=0.1, seed=1, trials=2, rho=0.0)
+    with pytest.raises(DomainError, match="out of range"):
+        sample_design(config, trial)
+    with pytest.raises(DomainError, match="out of range"):
+        trial_metrics(config, trial)
 
 
 def test_ridge_estimator_at_zero_multiplier():
@@ -260,7 +312,7 @@ def test_min_norm_interpolant_gap_holds_down_to_the_smallest_noise(pop):
     for k in [*range(1, 11), *range(15, 101, 5)]:
         s2 = 10.0**-k
         _, gap = _oracle(design, pop, sigma2=s2).interpolant()
-        reduced = finite_n_lab._reduce(design.Z, design.sigma_sqrt, s2).gap
+        reduced = finite_n_lab._reduce(design, s2).gap
         assert abs(gap - reduced) <= 1e-9 * reduced
 
 
@@ -647,7 +699,7 @@ def test_anisotropic_reduction_matches_40_digit_trace_form(d, kappa, sigma2):
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (1.0 / kappa, 0.5)))
     design = _design(n=12, d=d, seed=3, pop=pop)
-    red = finite_n_lab._reduce(design.Z, design.sigma_sqrt, sigma2)
+    red = finite_n_lab._reduce(design, sigma2)
     delta = 0.5
     rho = (1.0 - delta) / red.s[0]
     train, growth = _mp_trace_errors(design.Z, design.X, sigma2, rho)

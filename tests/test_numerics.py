@@ -365,7 +365,7 @@ def _route_lab_trial(monkeypatch):
         return lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=eps2)
 
     design = lab.sample_design(config(1.0), 0)
-    red = lab._reduce(design.Z, design.sigma_sqrt, 0.1)
+    red = lab._reduce(design, 0.1)
     s, a, b = ([ref.mp.mpf(float(v)) for v in vec] for vec in (red.s, red.a, red.b))
 
     def weighted(w, delta):
