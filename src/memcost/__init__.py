@@ -45,7 +45,6 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import Interval
 from .spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __version__ = "0.1.0"

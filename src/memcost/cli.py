@@ -75,7 +75,9 @@ class OutputTable:
             "config": self.metadata.get("config", {}),
             "metadata": {"version": __version__, **{k: v for k, v in self.metadata.items() if k != "config"}},
             "columns": self.header,
-            "rows": [list(row) for row in self.rows],
+            # JSON has no NaN or infinity, so a non-finite cell is null
+            "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                     for row in self.rows],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -274,7 +276,7 @@ def cmd_spectrum(args) -> int:
         metadata["edge_deviation_upper"] = dev_hi
         metadata["edge_deviation_lower"] = dev_lo
         metadata["kolmogorov_distance"] = lab.kolmogorov_distance(spec, law)
-    rows = [(i + 1, float(v)) for i, v in enumerate(spec.values)]
+    rows = [(i + 1, float(v)) for i, v in enumerate(spec)]
     _emit(OutputTable(header=["rank", "eigenvalue"], rows=rows, metadata=metadata), args)
     return 0
 
@@ -311,7 +313,7 @@ def cmd_simulate(args) -> int:
         entry_dist=args.dist, population=pop, rho=args.rho, eps2=eps2,
     )
     noise = ce.NoiseLevel(args.sigma2)
-    metrics = lab.run_trials(config, lab.trial_metrics)
+    metrics = [lab.trial_metrics(config, t) for t in range(config.trials)]
     targets = _simulate_targets(config, noise)
 
     stats = lab.summarize_trials(metrics, targets)

@@ -357,8 +357,10 @@ def threshold_report(
     eps_def2 = bound = None
     if pop is not None:
         eps_def2 = deformed_threshold(DeformedLaw(gamma, pop), noise.sigma2)
-        kappa = pop.kappa
-        bound = kappa * noise.sigma2**2 * mp_stieltjes_neg(law, kappa * noise.sigma2)
+        # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
+        # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
+        x = pop.kappa * noise.sigma2
+        bound = noise.sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
     return ThresholdReport(
         eps_sigma2=eps_sigma2,
         eps_sigma2_approx=threshold_approx(gamma, noise),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
-from .numerics import Interval, solve_level
+from .numerics import solve_level
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,9 +135,9 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
 
     mean = sum(w * tau for tau, w in atoms)
     try:
-        m, reached = solve_level(level, 1.0, Interval(1.0 / (sigma2 + mean), 1.0 / sigma2))
-    except DomainError:  # BracketError, or an empty Interval
-        m, reached = solve_level(level, 1.0, Interval(0.0, 2.0 / sigma2))
+        m, reached = solve_level(level, 1.0, 1.0 / (sigma2 + mean), 1.0 / sigma2)
+    except DomainError:  # BracketError, or ends that rounded together
+        m, reached = solve_level(level, 1.0, 0.0, 2.0 / sigma2)
     fp_residual = abs(reached - 1.0)
     if fp_residual > 1e-12:
         raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_cdf
 
 __all__ = [
-    "EmpiricalSpectrum",
     "esd_from_design",
     "bai_yin_check",
     "kolmogorov_distance",
@@ -47,7 +46,6 @@ __all__ = [
     "apportion_atoms",
     "sample_design",
     "trial_metrics",
-    "run_trials",
     "summarize",
     "summarize_trials",
 ]
@@ -147,29 +145,8 @@ class DesignSample:
     X: np.ndarray
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Eigenvalues of (1/d) X X^T for a wide design X, descending."""
-
-    values: np.ndarray
-    n: int
-    d: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if len(v) != self.n:
-            raise DomainError(f"expected {self.n} eigenvalues, got {len(v)}")
-        if self.n > self.d:
-            raise DomainError(f"requires n <= d, got n={self.n}, d={self.d}")
-        if np.any(v < 0):
-            raise DomainError("eigenvalues of a Gram matrix must be nonnegative")
-        if np.any(np.diff(v) > 0):
-            raise DomainError("eigenvalues must be in descending order")
-        object.__setattr__(self, "values", v)
-
-
-def esd_from_design(X: np.ndarray) -> EmpiricalSpectrum:
-    """Empirical spectrum of (1/d) X X^T, from the eigenvalues of the n x n Gram matrix.
+def esd_from_design(X: np.ndarray) -> np.ndarray:
+    """The n eigenvalues of (1/d) X X^T, descending, from the n x n Gram matrix.
 
     Eigenvalues of a rank-deficient Gram matrix can come out at -eps times
     the top one; they are clipped to 0.
@@ -181,35 +158,34 @@ def esd_from_design(X: np.ndarray) -> EmpiricalSpectrum:
     if n > d:
         raise DomainError(f"wide design required (n <= d), got shape {X.shape}")
     s = np.linalg.eigvalsh(X @ X.T)[::-1] / d
-    return EmpiricalSpectrum(values=np.maximum(s, 0.0), n=n, d=d)
+    return np.maximum(s, 0.0)
 
 
-def bai_yin_check(spec: EmpiricalSpectrum, law: MPLaw) -> tuple[float, float]:
-    """Relative deviations of the extreme empirical eigenvalues from the edges.
+def bai_yin_check(spec: np.ndarray, law: MPLaw) -> tuple[float, float]:
+    """Relative deviations of the ends of a descending spectrum from the edges.
 
     Returns (|v_max - lp|/lp, |v_min - lm|/lm); measurement only, degenerate
     spectra (e.g. from X = 0) simply report deviation 1.
     """
-    if len(spec.values) == 0:
+    if len(spec) == 0:
         raise DomainError("empty spectrum")
-    top = float(spec.values[0])
-    bot = float(spec.values[-1])
+    top = float(spec[0])
+    bot = float(spec[-1])
     return (
         abs(top - law.lambda_plus) / law.lambda_plus,
         abs(bot - law.lambda_minus) / law.lambda_minus,
     )
 
 
-def kolmogorov_distance(spec: EmpiricalSpectrum, law: MPLaw) -> float:
-    """Max deviation between empirical and limit c.d.f. on a fixed grid.
+def kolmogorov_distance(spec: np.ndarray, law: MPLaw) -> float:
+    """Max deviation between the c.d.f. of a descending spectrum and the limit's, on a fixed grid.
 
     The grid has 100 equispaced points on [lm/2, 2 lp], which makes the
     comparison deterministic for a given spectrum.
     """
     grid = np.linspace(law.lambda_minus / 2.0, 2.0 * law.lambda_plus, 100)
-    # values are descending, so the empirical cdf counts from the tail
-    v_asc = spec.values[::-1]
-    emp = np.searchsorted(v_asc, grid, side="right") / spec.n
+    # the empirical cdf counts from the tail
+    emp = np.searchsorted(spec[::-1], grid, side="right") / len(spec)
     lim = np.array([mp_cdf(law, float(x)) for x in grid])
     return float(np.max(np.abs(emp - lim)))
 
@@ -332,7 +308,7 @@ def _reduce(design: DesignSample, sigma2: float) -> _Reduction:
     n, d = Z.shape
     scale = sigma2 * sigma2
     if np.all(sigma_sqrt == 1.0):
-        s = sx = esd_from_design(Z).values
+        s = sx = esd_from_design(Z)
         W2, T = None, 1.0
     else:
         Uz, mu, _ = np.linalg.svd(Z, full_matrices=False)
@@ -397,14 +373,6 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
     if not np.isfinite(cost):
         raise NearDivergenceError(f"trial {trial}: the cost at eps2={config.eps2!r} overflows")
     return TrialMetrics(trial=trial, rho=rho, train_ridge=red.train(1.0), cost=cost, ols_gap=red.gap)
-
-
-def run_trials(config: ExperimentConfig, fn: Callable[[ExperimentConfig, int], object]) -> list:
-    """[fn(config, trial) for every trial], run one at a time in trial order.
-
-    The only parallelism is the BLAS library's own threads inside each trial.
-    """
-    return [fn(config, t) for t in range(config.trials)]
 
 
 def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:

@@ -1,7 +1,7 @@
 """Numerical kernel: the bracketed level solver (Illinois regula falsi in
 log-log), the one multiplier solver built on it, and the accepted
-noise-variance range.  Standard library only; the dense symmetric eigenvalue
-contract is in ``finite_n_lab``, the one module that factors matrices.
+noise-variance range.  Standard library only: the matrix factorizations are
+in ``finite_n_lab`` and ``oracle``.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -11,29 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, NearDivergenceError, RegimeError
-
-__all__ = ["Interval"]
-
-@dataclass(frozen=True)
-class Interval:
-    """A finite open-ended search or integration domain [lo, hi], lo < hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def check_sigma2(sigma2: float) -> None:
@@ -47,10 +27,10 @@ def check_sigma2(sigma2: float) -> None:
 
 
 def solve_level(
-    level: Callable[[float], float], target: float, bracket: Interval,
+    level: Callable[[float], float], target: float, lo: float, hi: float,
     ends: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """x with level(x) = target, for a level positive and monotone on the bracket.
+    """x with level(x) = target, for a level positive and monotone on [lo, hi].
 
     Each step is a regula falsi step on (log x, log(level/target)), nearly
     straight for a level diverging like a power of x, with the Illinois
@@ -61,9 +41,11 @@ def solve_level(
     that did not halve the bracket.  It stops when the ends are adjacent
     floats; there is no tolerance.  ``ends`` is (level(lo), level(hi)) if
     known.  Returns (x, level(x)): an exact root, or else the end on the
-    level > target side.  Raises BracketError without a sign change.
+    level > target side.  Raises DomainError unless lo < hi are both finite,
+    and BracketError without a sign change.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"a bracket needs finite ends lo < hi, got [{lo}, {hi}]")
     vlo, vhi = ends if ends is not None else (level(lo), level(hi))
     for x, v in ((lo, vlo), (hi, vhi)):
         if v == target:
@@ -127,27 +109,31 @@ def solve_multiplier(
     ``level`` diverges; it must decrease on (0, 1].  Returns (1, 0), i.e.
     rho = 0, when target <= level(1).  Otherwise solves on ``bracket`` cut to
     [tiny, 1], tiny the smallest normal float, if the level crosses the
-    target there; else on [tiny, 1], and raises NearDivergenceError (its
-    message starting with ``what``) if level(tiny) <= target.
+    target there; else on [tiny, 1].  Raises NearDivergenceError (its
+    message starting with ``what``) for a target past the float range of the
+    level: if level(tiny) <= target, or if the level overflows short of it.
     """
     top = level(1.0)
     if target <= top:
         return 1.0, 0.0
     tiny = sys.float_info.min
+    solved = None
     if bracket is not None:
         lo, hi = max(bracket[0], tiny), min(bracket[1], 1.0)
         if lo < hi:
             ends = (level(lo), top if hi == 1.0 else level(hi))
             if ends[0] >= target >= ends[1]:
-                delta, reached = solve_level(level, target, Interval(lo, hi), ends)
-                return delta, abs(reached - target)
-    bottom = level(tiny)
-    if not bottom > target:
+                solved = solve_level(level, target, lo, hi, ends)
+    if solved is None:
+        bottom = level(tiny)
+        if bottom > target:
+            solved = solve_level(level, target, tiny, 1.0, (bottom, top))
+    if solved is None or solved[1] == math.inf:
         raise NearDivergenceError(
             f"{what}: target {target!r} is past the float range of the constraint "
             f"level, which diverges at the spectral edge"
         )
-    delta, reached = solve_level(level, target, Interval(tiny, 1.0), (bottom, top))
+    delta, reached = solved
     return delta, abs(reached - target)
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .numerics import Interval
 
 __all__ = [
     "MPLaw",
@@ -52,10 +51,6 @@ class MPLaw:
     def lambda_plus(self) -> float:
         return (1.0 + 1.0 / math.sqrt(self.gamma)) ** 2
 
-    @property
-    def support(self) -> Interval:
-        return Interval(self.lambda_minus, self.lambda_plus)
-
 
 def mp_stieltjes_neg(law: MPLaw, sigma2: float) -> float:
     """Closed form of int 1/(s + sigma2) dH(s) for sigma2 > 0.
@@ -68,9 +63,9 @@ def mp_stieltjes_neg(law: MPLaw, sigma2: float) -> float:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     g = law.gamma
     a = (g - 1.0) / g + sigma2  # 1 - 1/g, without cancellation as g -> 1+
-    # rationalized form of (sqrt(a^2 + 4 sigma2/g) - a) / (2 sigma2/g):
-    # no cancellation as sigma2 -> 0
-    return 2.0 / (math.sqrt(a * a + 4.0 * sigma2 / g) + a)
+    # rationalized form of (sqrt(a^2 + 4 sigma2/g) - a) / (2 sigma2/g): no cancellation
+    # as sigma2 -> 0, and hypot and the halved sum do not overflow where a^2 would
+    return 1.0 / (0.5 * math.hypot(a, 2.0 * math.sqrt(sigma2 / g)) + 0.5 * a)
 
 
 def mp_shrinkage_integrals(law: MPLaw, delta: float, a: float) -> tuple[float, float]:
@@ -93,12 +88,15 @@ def mp_shrinkage_integrals(law: MPLaw, delta: float, a: float) -> tuple[float, f
     m_a = mp_stieltjes_neg(law, a)
     if delta == 1.0:
         return m_a, 1.0 - a * m_a
-    lp, lm = law.lambda_plus, law.lambda_minus
     c = 1.0 / law.gamma
-    inv_rho = lp / (1.0 - delta)
+    u = math.sqrt(c)
+    inv_rho = law.lambda_plus / (1.0 - delta)
     gap = delta * inv_rho
-    root = math.sqrt((gap + (lp - lm)) * gap)
-    m = -2.0 / ((inv_rho - 1.0 + c) + root)
+    # z - lm = gap + 4u and z - 1 + c = gap + 2u(1 + u) for u = 1/sqrt(gamma):
+    # the rounded edges are both 1 from gamma near 1e32, and the product under
+    # the root underflows at the smallest gap
+    root = math.sqrt(gap + 4.0 * u) * math.sqrt(gap)
+    m = -2.0 / ((gap + 2.0 * u * (1.0 + u)) + root)
     dm = -m * (c * m + 1.0) / root
     q = 1.0 + a / inv_rho
     pole = (m_a - m) / (q * q)

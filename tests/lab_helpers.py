@@ -9,7 +9,6 @@ from memcost.errors import DomainError
 from memcost.finite_n_lab import (
     AsymptoticTargets,
     ExperimentConfig,
-    run_trials,
     summarize_trials,
     trial_metrics,
 )
@@ -56,7 +55,9 @@ def convergence_report(
             "n": config.n,
             "d": config.d,
             "trials": config.trials,
-            "metrics": summarize_trials(run_trials(config, trial_metrics), targets),
+            "metrics": summarize_trials(
+                [trial_metrics(config, t) for t in range(config.trials)], targets
+            ),
         }
         for config in configs
     ]

@@ -16,9 +16,9 @@ def _stieltjes(c, a):
     return 2 / (mp.sqrt(big * big + 4 * a * c) + big)
 
 
-def shrinkage(gamma, delta, a):
-    """Both shrinkage integrals of the Marchenko-Pastur law at edge distance delta."""
-    with mp.workdps(DPS):
+def shrinkage(gamma, delta, a, dps=DPS):
+    """Both shrinkage integrals of the Marchenko-Pastur law at edge distance delta, at ``dps`` digits."""
+    with mp.workdps(dps):
         g, delta, a = mp.mpf(gamma), mp.mpf(delta), mp.mpf(a)
         c = 1 / g
         lp, lm = (1 + mp.sqrt(c)) ** 2, (1 - mp.sqrt(c)) ** 2

@@ -290,7 +290,7 @@ def test_criterion_10_deformed_law():
         n=2000, d=4000, sigma2=0.1, seed=99, trials=1, population=TWO_ATOM, rho=0.0
     )
     spec = esd_from_design(sample_design(config, 0).X)
-    simulated = float(np.mean(1.0 / (spec.values + 0.1)))
+    simulated = float(np.mean(1.0 / (spec + 0.1)))
     m = silverstein_solve(DeformedLaw(2.0, TWO_ATOM), 0.1)
     sim_dev = abs(m - simulated) / simulated
 

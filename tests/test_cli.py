@@ -534,14 +534,54 @@ def test_threshold_gamma_near_one_is_solved(capsys):
 @pytest.mark.parametrize(
     "argv, solver",
     # a single eps2 past the float range of train is refused; on a grid it is an error row
-    [(["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "1e300"], "rho(eps2)")],
-    ids=["rho-eps2"],
+    # past gamma near 1e206 the integral under train overflows short of 1e187/sigma2^2
+    [(["rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", "1e300"], "rho(eps2)"),
+     (["rho", "--gamma", "1e207", "--sigma2", "1e-61", "--eps2", "1e187"], "rho(eps2)")],
+    ids=["rho-eps2", "rho-eps2-overflow"],
 )
 def test_target_past_float_range_is_a_refusal(capsys, argv, solver):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"memcost: error: {solver}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma", ["1e32", "1e40", "1e100", "1e308"])
+def test_asymptotic_commands_past_gamma_1e32(capsys, tmp_path, gamma):
+    # the rounded edges are both 1 from gamma near 1e32; every command used to
+    # end in a ZeroDivisionError or a math domain error there
+    pop = tmp_path / "pop.txt"
+    pop.write_text("1.0 0.5\n0.5 0.5\n")
+    for argv in (["threshold"], ["threshold", "--pop", str(pop)], ["ols"], ["rho", "--eps2", "1"],
+                 ["cost-curve", "--grid", "0.001:0.1:0.5"]):
+        code, out, err = run_cli(capsys, *argv, "--gamma", gamma, "--sigma2", "0.1")
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        cells = [v for r in rows for h, v in zip(header, r) if h != "regime"]
+        assert rows and all(math.isfinite(float(v)) for v in cells)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0.01:1e299:1e300"],
+    ["rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:1e299:1e300"],
+], ids=["cost-curve", "rho-grid"])
+def test_json_error_rows_are_strict_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    rows = [dict(zip(payload["columns"], r)) for r in payload["rows"]]
+    errors = [r for r in rows if r["regime"] == "error"]
+    assert errors and len(errors) < len(rows)
+    for row in errors:
+        assert all(v is None for k, v in row.items() if k not in ("eps2", "regime"))
+    # CSV keeps nan
+    code, out, err = run_cli(capsys, *argv)
+    header, csv_rows = parse_csv(out)
+    assert code == 0 and math.isnan(float(dict(zip(header, csv_rows[-1]))["rho"]))
 
 
 # (gamma, sigma2) where rho_ols lies from 1e-3 to 2.6e-14 (delta) below the edge
@@ -751,7 +791,7 @@ def test_simulate_small_noise_gap_matches_mpmath(capsys, tmp_path):
     )
     assert code == 0, err
     config = lab.ExperimentConfig(n=100, d=200, sigma2=1e-8, seed=1, trials=1, rho=0.0)
-    s = esd_from_design(lab.sample_design(config, 0).Z).values
+    s = esd_from_design(lab.sample_design(config, 0).Z)
     with mp.workdps(50):
         s2 = mp.mpf(1e-8)
         # -n/d + sigma2 tr((XX^T)^-1) + (1/d) tr(XX^T (XX^T + d sigma2)^-1), exactly

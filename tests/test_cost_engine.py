@@ -371,6 +371,23 @@ def test_threshold_report_assembles_family():
     assert plain.eps_def2 is None and plain.eps_def2_upper_bound is None
 
 
+def test_deformed_threshold_upper_bound_holds_past_overflow():
+    # m(-x) squared 1 - 1/gamma + x, and so the bound read 0 or nan from
+    # kappa sigma2 = 1.3e154 (0 at gamma = 2, sigma2 = 0.1, smallest atom 1e-300).
+    # Both sides tend to sigma2 as it grows, and their exact gap, about
+    # E[tau]/sigma2 relative, is far below rounding: allow the bound 2 ulps under.
+    for gamma in (1.05, 2.0, 10.0):
+        for k in (6, 20, 100, 154, 155, 200, 300):
+            pop = PopulationSpectrum(atoms=((1.0, 0.5), (10.0**-k, 0.5)))
+            for j in range(-100, 101, 10):
+                report = threshold_report(gamma, NoiseLevel(10.0**j), pop)
+                assert math.isfinite(report.eps_def2_upper_bound)
+                assert report.eps_def2_upper_bound >= report.eps_def2 * (1.0 - 4e-16)
+    pop = PopulationSpectrum(atoms=((1.0, 0.5), (1e-300, 0.5)))
+    report = threshold_report(2.0, NOISE, pop)
+    assert report.eps_def2 < report.eps_def2_upper_bound == pytest.approx(0.1, rel=1e-15)
+
+
 def test_ols_gap_matches_mpmath_down_to_tiny_noise():
     # ols_gap also passes its own 1e-10 quadrature check at every point
     import mpmath as mp

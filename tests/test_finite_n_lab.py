@@ -14,7 +14,6 @@ from memcost.finite_n_lab import (
     EntryDist,
     ExperimentConfig,
     apportion_atoms,
-    run_trials,
     sample_design,
     splitmix64,
     summarize,
@@ -49,7 +48,7 @@ def _oracle(design, pop=None, sigma2=0.1):
 
 def max_feasible_rho(Z):
     """1 / top eigenvalue of ZZ^T/d, from the Gram eigenvalues."""
-    return 1.0 / float(esd_from_design(Z).values[0])
+    return 1.0 / float(esd_from_design(Z)[0])
 
 
 def test_splitmix64_mixes_and_is_deterministic():
@@ -461,11 +460,20 @@ def test_trial_metrics_anisotropic_path():
     assert m.cost > 0 and m.train_ridge > 0 and m.ols_gap > 0
 
 
-def test_run_trials_is_trial_metrics_in_trial_order():
+def test_run_trials_is_trial_metrics_in_trial_order(capsys):
+    # simulate runs trial_metrics for each trial, in trial order
+    from memcost import cli
+
     config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=5, trials=4, rho=0.0)
-    results = run_trials(config, trial_metrics)
-    assert [m.trial for m in results] == [0, 1, 2, 3]
-    assert results == [trial_metrics(config, t) for t in range(config.trials)]
+    code = cli.main(["simulate", "--n", "40", "--d", "80", "--sigma2", "0.1", "--seed", "5",
+                     "--trials", "4", "--rho", "0"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    names = ("rho", "train_ridge", "cost", "ols_gap")
+    expected = [trial_metrics(config, t) for t in range(config.trials)]
+    assert [(int(t), name) for t, name, _ in rows] == [(m.trial, name) for m in expected for name in names]
+    assert [float(v) for _, _, v in rows] == [getattr(m, name) for m in expected for name in names]
 
 
 def test_convergence_report_rows():
@@ -608,7 +616,7 @@ def test_duplicate_row_design_is_rank_error(monkeypatch, n, d, pop):
 def test_near_square_design_runs_and_gram_spectrum_matches_svd():
     config = ExperimentConfig(n=200, d=201, sigma2=0.1, seed=5, trials=1, rho=0.0)
     Z = sample_design(config, 0).Z
-    gram = esd_from_design(Z).values
+    gram = esd_from_design(Z)
     svd = np.linalg.svd(Z, compute_uv=False) ** 2 / Z.shape[1]
     assert np.max(np.abs(gram - svd) / svd) <= 1e-10
     m = trial_metrics(config, 0)

@@ -10,7 +10,7 @@ from memcost import deformed
 from memcost import finite_n_lab as lab
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
-from memcost.numerics import Interval, edge_distance, solve_level, solve_multiplier
+from memcost.numerics import edge_distance, solve_level, solve_multiplier
 from memcost.cost_engine import NoiseLevel, memorization_threshold, solve_rho
 from memcost.oracle import _cheb_transfer, sym_eigvals
 from memcost.spectra import MPLaw, mp_stieltjes_neg
@@ -21,13 +21,14 @@ TINY = sys.float_info.min
 
 
 def test_interval_validation():
-    with pytest.raises(DomainError):
-        Interval(1.0, 1.0)
-    with pytest.raises(DomainError):
-        Interval(2.0, 1.0)
-    with pytest.raises(DomainError):
-        Interval(0.0, float("inf"))
-    assert Interval(0.0, 2.0).width == 2.0
+    # a bracket is two floats; solve_level refuses an empty or infinite one
+    calls = []
+    level = _counted(lambda x: x, calls)
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0), (0.0, float("inf"))):
+        with pytest.raises(DomainError, match="finite ends lo < hi"):
+            solve_level(level, 1.0, lo, hi)
+    assert calls == []  # refused before any evaluation
+    assert solve_level(level, 1.0, 0.0, 2.0) == (1.0, 1.0)
 
 
 def _within_one_float(x, root):
@@ -39,14 +40,14 @@ def _within_one_float(x, root):
 
 
 def test_bisect_sqrt2():
-    root, _ = solve_level(lambda x: x * x, 2.0, Interval(1.0, 2.0))
+    root, _ = solve_level(lambda x: x * x, 2.0, 1.0, 2.0)
     assert _within_one_float(root, math.sqrt(2.0))
 
 
 def test_bisect_odd_function():
     # a level that is a straight line in log-log: the first secant point is
     # the root itself
-    assert solve_level(lambda x: x, 1.0, Interval(0.5, 2.0)) == (1.0, 1.0)
+    assert solve_level(lambda x: x, 1.0, 0.5, 2.0) == (1.0, 1.0)
 
 
 def test_bisect_deterministic():
@@ -55,8 +56,8 @@ def test_bisect_deterministic():
     f = lambda x: x**3 - 2 * x
     with mp.workdps(40):
         true = float(mp.findroot(lambda x: x**3 - 2 * x - 5, 2.1))
-    a = solve_level(f, 5.0, Interval(2.0, 3.0))
-    b = solve_level(f, 5.0, Interval(2.0, 3.0))
+    a = solve_level(f, 5.0, 2.0, 3.0)
+    b = solve_level(f, 5.0, 2.0, 3.0)
     assert a == b  # bit-identical
     assert _within_one_float(a[0], true)
 
@@ -71,25 +72,25 @@ def test_bisect_resolves_any_scale(root):
         calls.append(x)
         return x
 
-    assert _within_one_float(solve_level(f, root, Interval(0.0, hi))[0], root)
+    assert _within_one_float(solve_level(f, root, 0.0, hi)[0], root)
     # level(0) = 0 allows only midpoint steps until the lower end moves
     assert len(calls) <= 2 + 1100
 
 
 def test_bisect_decreasing_function():
-    root, _ = solve_level(lambda x: math.pi / 7 / x, 1.0, Interval(0.1, 1.0))
+    root, _ = solve_level(lambda x: math.pi / 7 / x, 1.0, 0.1, 1.0)
     assert _within_one_float(root, math.pi / 7)
 
 
 def test_bisect_rejects_bad_bracket():
     with pytest.raises(BracketError) as info:
-        solve_level(lambda x: x * x + 1.0, 0.5, Interval(-1.0, 1.0))
+        solve_level(lambda x: x * x + 1.0, 0.5, -1.0, 1.0)
     assert info.value.lo == -1.0 and info.value.hi == 1.0
 
 
 def test_bisect_endpoint_roots():
-    assert solve_level(lambda x: x + 1.0, 1.0, Interval(0.0, 1.0))[0] == 0.0
-    assert solve_level(lambda x: x + 1.0, 2.0, Interval(0.0, 1.0))[0] == 1.0
+    assert solve_level(lambda x: x + 1.0, 1.0, 0.0, 1.0)[0] == 0.0
+    assert solve_level(lambda x: x + 1.0, 2.0, 0.0, 1.0)[0] == 1.0
 
 
 def _counted(level, calls):
@@ -107,7 +108,7 @@ def test_solve_level_terminates_on_a_step_level(jump, lo):
     # bracket at least every third step
     calls = []
     level = _counted(lambda x: 2.0 if x < jump else 0.5, calls)
-    x, v = solve_level(level, 1.0, Interval(lo, 1.5e300))
+    x, v = solve_level(level, 1.0, lo, 1.5e300)
     assert x == math.nextafter(jump, 0.0) and v == 2.0
     assert len(calls) <= 3300
 
@@ -119,7 +120,7 @@ def test_solve_level_terminates_on_a_level_inf_below_a_cutoff(root, lo):
     # design's training error does at the smallest edge distances
     calls = []
     level = _counted(lambda x: math.inf if x < 1e-200 else root / x, calls)
-    x, v = solve_level(level, 1.0, Interval(lo, 1.0))
+    x, v = solve_level(level, 1.0, lo, 1.0)
     assert _within_one_float(x, root) and v >= 1.0
     assert len(calls) <= 3300
 
@@ -141,8 +142,8 @@ def test_solve_level_finds_the_root_of_a_power_law_to_one_float(k):
                 except OverflowError:
                     return math.inf
 
-            for bracket in (Interval(TINY, 1e308), Interval(root / 3.0, 5.0 * root)):
-                x, v = solve_level(level, target, bracket)
+            for lo, hi in ((TINY, 1e308), (root / 3.0, 5.0 * root)):
+                x, v = solve_level(level, target, lo, hi)
                 assert _within_one_float(x, root) and v == level(x)
             cases += 1
     assert cases >= 10
@@ -186,7 +187,7 @@ def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
 def test_silverstein_level_evaluations(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        deformed, "solve_level", lambda level, target, bracket: solve_level(_counted(level, calls), target, bracket)
+        deformed, "solve_level", lambda level, target, lo, hi: solve_level(_counted(level, calls), target, lo, hi)
     )
     rng = np.random.default_rng(7)
     counts = []
@@ -227,13 +228,22 @@ def test_solve_multiplier_falls_back_when_the_bracket_misses_the_root():
         solve_multiplier(level, 1e308, "probe", (0.5, 0.9))
 
 
+def test_solve_multiplier_refuses_a_level_that_overflows_short_of_the_target():
+    # a small scale times a sum that overflows near the edge: the level is inf
+    # at tiny, yet every finite value it takes is below the target
+    level = lambda x: 1e-122 * (1e300 / x)
+    with pytest.raises(NearDivergenceError, match=r"^probe: .*float range"):
+        solve_multiplier(level, 1e187, "probe")
+    assert _within_one_float(solve_multiplier(level, 1e186, "probe")[0], 1e-8)
+
+
 def test_silverstein_level_evaluations_over_the_sigma2_range(monkeypatch):
     # the bracket [1/(sigma2 + int tau dT), 1/sigma2] has a finite log level
     # ratio at both ends, so small sigma2 costs no midpoint walk; past about
     # sigma2 = 1e16 its ends round onto the root and (0, 2/sigma2] is used
     calls = []
     monkeypatch.setattr(
-        deformed, "solve_level", lambda level, target, bracket: solve_level(_counted(level, calls), target, bracket)
+        deformed, "solve_level", lambda level, target, lo, hi: solve_level(_counted(level, calls), target, lo, hi)
     )
     law = DeformedLaw(2.0, PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5))))
     for k in range(-100, 101):
@@ -245,7 +255,7 @@ def test_silverstein_level_evaluations_over_the_sigma2_range(monkeypatch):
 @pytest.mark.parametrize("target", [0.5, 3.0, math.nan])
 def test_solve_level_refuses_a_bracket_without_a_sign_change(target):
     with pytest.raises(BracketError) as info:
-        solve_level(lambda x: 1.0 / x, target, Interval(0.5, 1.0))
+        solve_level(lambda x: 1.0 / x, target, 0.5, 1.0)
     assert (info.value.flo, info.value.fhi) == (2.0, 1.0)
 
 

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import mpmath as mp
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from memcost.errors import DomainError, RegimeError
-from memcost.finite_n_lab import EmpiricalSpectrum, bai_yin_check, esd_from_design, kolmogorov_distance
+from memcost.finite_n_lab import bai_yin_check, esd_from_design, kolmogorov_distance
 from memcost.oracle import mp_integrate
 from memcost.spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
 
@@ -14,29 +15,32 @@ import mp_reference
 GAMMAS = [1.5, 2.0, 4.0, 10.0]
 
 
+# the support of the law is [lambda_minus, lambda_plus]
+
+
 def test_support_gamma_2():
-    iv = MPLaw(2.0).support
-    assert abs(iv.lo - 0.0857864376269049) < 1e-15
-    assert abs(iv.hi - 2.9142135623730951) < 1e-15
+    law = MPLaw(2.0)
+    assert abs(law.lambda_minus - 0.0857864376269049) < 1e-15
+    assert abs(law.lambda_plus - 2.9142135623730951) < 1e-15
 
 
 def test_support_gamma_4():
-    iv = MPLaw(4.0).support
-    assert abs(iv.lo - 0.25) < 1e-15
-    assert abs(iv.hi - 2.25) < 1e-15
+    law = MPLaw(4.0)
+    assert abs(law.lambda_minus - 0.25) < 1e-15
+    assert abs(law.lambda_plus - 2.25) < 1e-15
 
 
 def test_support_large_gamma_limit():
-    iv = MPLaw(1e10).support
-    assert abs(iv.lo - 1.0) < 1e-4
-    assert abs(iv.hi - 1.0) < 1e-4
+    law = MPLaw(1e10)
+    assert abs(law.lambda_minus - 1.0) < 1e-4
+    assert abs(law.lambda_plus - 1.0) < 1e-4
 
 
 def test_support_rejects_low_gamma():
     with pytest.raises(RegimeError):
-        MPLaw(1.0).support
+        MPLaw(1.0)
     with pytest.raises(RegimeError):
-        MPLaw(0.5).support
+        MPLaw(0.5)
 
 
 def test_endpoint_product_identity():
@@ -162,12 +166,14 @@ def test_esd_padded_identity():
     n, d = 2, 4
     X = np.sqrt(d) * np.hstack([np.eye(n), np.zeros((n, d - n))])
     spec = esd_from_design(X)
-    assert np.allclose(spec.values, [1.0, 1.0], atol=1e-14)
+    assert spec.shape == (n,) and spec.dtype == np.float64
+    assert np.all(spec >= 0.0) and np.all(np.diff(spec) <= 0.0)
+    assert np.allclose(spec, [1.0, 1.0], atol=1e-14)
 
 
 def test_esd_zero_matrix():
     spec = esd_from_design(np.zeros((3, 6)))
-    assert np.allclose(spec.values, 0.0)
+    assert np.allclose(spec, 0.0)
 
 
 def test_esd_clips_rounding_negatives_of_rank_deficient_designs():
@@ -177,7 +183,7 @@ def test_esd_clips_rounding_negatives_of_rank_deficient_designs():
         X = np.random.default_rng(seed).standard_normal((50, 100))
         X[-1] = X[0]
         spec = esd_from_design(X)
-        assert 0.0 <= spec.values[-1] <= 1e-13 * spec.values[0]
+        assert 0.0 <= spec[-1] <= 1e-13 * spec[0]
 
 
 def test_esd_rejects_tall():
@@ -194,10 +200,7 @@ def test_esd_kolmogorov_close_to_limit():
 
 def test_bai_yin_exact_endpoints():
     law = MPLaw(2.0)
-    spec = EmpiricalSpectrum(
-        values=np.array([law.lambda_plus, 1.0, law.lambda_minus]), n=3, d=6
-    )
-    hi, lo = bai_yin_check(spec, law)
+    hi, lo = bai_yin_check(np.array([law.lambda_plus, 1.0, law.lambda_minus]), law)
     assert hi == 0.0 and lo == 0.0
 
 
@@ -205,15 +208,6 @@ def test_bai_yin_zero_design_flags_unit_deviation():
     spec = esd_from_design(np.zeros((3, 6)))
     hi, lo = bai_yin_check(spec, MPLaw(2.0))
     assert hi == 1.0 and lo == 1.0
-
-
-def test_empirical_spectrum_validation():
-    with pytest.raises(DomainError):
-        EmpiricalSpectrum(values=np.array([1.0, 2.0]), n=2, d=4)  # ascending
-    with pytest.raises(DomainError):
-        EmpiricalSpectrum(values=np.array([2.0, -1.0]), n=2, d=4)
-    with pytest.raises(DomainError):
-        EmpiricalSpectrum(values=np.array([2.0, 1.0]), n=2, d=1)
 
 
 # closed-form resolvent integrals against the quadrature oracle and mpmath
@@ -279,6 +273,22 @@ def test_shrinkage_integrals_keep_full_precision_at_the_edge(delta, gamma, a):
     got = mp_shrinkage_integrals(MPLaw(gamma), delta, a)
     for g, r in zip(got, mp_reference.shrinkage(gamma, delta, a)):
         assert mp_reference.rel(g, r) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", [1e32, 1e100, 1e200, 1e308])
+def test_shrinkage_integrals_hold_past_gamma_1e32(gamma):
+    # the rounded edges are both 1 from gamma near 1e32, so the support width
+    # and z - 1 + c are formed from 1/sqrt(gamma), not from them; the support
+    # is 4e-154 wide at 1e308, and 700 digits resolve it
+    law = MPLaw(gamma)
+    for delta in (sys.float_info.min, 1e-100, 1e-20, 1e-8, 0.5):
+        for a in (1e-6, 0.1, 10.0):
+            got = mp_shrinkage_integrals(law, delta, a)
+            for g, r in zip(got, mp_reference.shrinkage(gamma, delta, a, dps=700)):
+                if r < sys.float_info.max:
+                    assert mp_reference.rel(g, r) <= 1e-14
+                else:
+                    assert g == math.inf
 
 
 def test_shrinkage_integrals_at_zero_are_exact():
