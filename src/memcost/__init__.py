@@ -15,7 +15,6 @@ from .cost_engine import (
     ThresholdReport,
     anisotropic_cost_lower_bound,
     asymptotic_cost,
-    cost_at_rho,
     cost_linear_bound,
     memorization_threshold,
     ols_gap,

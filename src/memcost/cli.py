@@ -36,6 +36,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
+from .numerics import constrain
 from .spectra import MPLaw
 
 if TYPE_CHECKING:
@@ -289,11 +290,9 @@ def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
         return lab.AsymptoticTargets()
+    red = ce.LimitReduction(gamma, noise)
     try:
-        if config.eps2 is not None:
-            cost = ce.asymptotic_cost(gamma, noise, config.eps2).cost
-        else:
-            cost = ce.cost_at_rho(gamma, noise, config.rho)
+        cost = red.growth(constrain(red, config.eps2, config.rho, "")[0])
     except (NearDivergenceError, RegimeError):
         cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
     return lab.AsymptoticTargets(

@@ -12,8 +12,9 @@ solving train(rho) = eps2 determines the asymptotic cost of not fitting.
 Both integrals, and those of the rho_ols and rho_def equations, are
 evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``)
 in the edge distance delta = 1 - rho lambda_plus, which every multiplier is
-solved for by ``numerics.solve_multiplier``, the finite-n lab's solver too;
-rho = (1 - delta)/lambda_plus is formed only for output.
+solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
+from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
+a design.  rho = (1 - delta)/lambda_plus is formed only for output.
 
 Everything is exposed in eps^2 units (squared training error).
 """
@@ -44,7 +45,6 @@ __all__ = [
     "memorization_threshold",
     "threshold_approx",
     "solve_rho",
-    "cost_at_rho",
     "asymptotic_cost",
     "cost_linear_bound",
     "ols_gap",
@@ -147,15 +147,28 @@ class BoundConstants:
             raise DomainError("bound constants must be positive")
 
 
-def _train(law: MPLaw, sigma2: float, delta: float) -> float:
-    """train at edge distance delta; at delta = 1 it is memorization_threshold bit for bit."""
-    return sigma2**2 * mp_shrinkage_integrals(law, delta, sigma2)[0]
+class LimitReduction:
+    """train and cost in delta = 1 - rho lambda_plus: the twin of ``finite_n_lab._Reduction``.
 
+    At delta = 1, train is memorization_threshold bit for bit and growth (the cost) is 0.
+    """
 
-def _cost(law: MPLaw, sigma2: float, delta: float) -> float:
-    """cost at edge distance delta; 0 at delta = 1."""
-    rho = (1.0 - delta) / law.lambda_plus
-    return rho * rho / law.gamma * sigma2 * sigma2 * mp_shrinkage_integrals(law, delta, sigma2)[1]
+    def __init__(self, gamma: float, noise: NoiseLevel):
+        self.law, self.sigma2 = MPLaw(gamma), noise.sigma2
+        self.top = self.law.lambda_plus
+
+    def delta(self, rho: float, context: str = "") -> float:
+        return edge_distance(rho, self.top, f"{context}rho with top = lambda_plus")
+
+    def train(self, delta: float) -> float:
+        return self.sigma2**2 * mp_shrinkage_integrals(self.law, delta, self.sigma2)[0]
+
+    def growth(self, delta: float) -> float:
+        rho, s2 = (1.0 - delta) / self.top, self.sigma2
+        return rho * rho / self.law.gamma * s2 * s2 * mp_shrinkage_integrals(self.law, delta, s2)[1]
+
+    def bracket(self, eps2: float) -> None:
+        return None  # so solve_multiplier keeps [tiny, 1]
 
 
 def _inverse_moment(law: MPLaw, a: float) -> float:
@@ -208,29 +221,19 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     """
     if not 0.0 <= eps2 < math.inf:
         raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-    law = MPLaw(gamma)
-    delta, residual = solve_multiplier(lambda x: _train(law, noise.sigma2, x), eps2, "rho(eps2)")
-    return RhoSolution(delta, law.lambda_plus, residual, eps2)
-
-
-def cost_at_rho(gamma: float, noise: NoiseLevel, rho: float) -> float:
-    """Cost at a given multiplier: (rho^2/gamma) int sigma2^2 s/((1 - rho s)^2 (s + sigma2)) dH.
-
-    Zero at rho = 0.  Raises DomainError unless 0 <= rho < 1/lambda_plus.
-    """
-    law = MPLaw(gamma)
-    delta = edge_distance(rho, law.lambda_plus, "rho with top = lambda_plus")
-    return _cost(law, noise.sigma2, delta)
+    red = LimitReduction(gamma, noise)
+    delta, residual = solve_multiplier(red.train, eps2, "rho(eps2)")
+    return RhoSolution(delta, red.top, residual, eps2)
 
 
 def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
     """Asymptotic cost of not fitting at eps2, plus the interpolant-relative cost.
 
-    cost = cost_at_rho(rho(eps2)), which is 0 below the threshold;
-    costbar = cost - ols_gap(gamma, sigma2).
+    cost = ``LimitReduction.growth`` at rho(eps2), which is 0 below the
+    threshold; costbar = cost - ols_gap(gamma, sigma2).
     """
     sol = solve_rho(gamma, noise, eps2)
-    cost = _cost(MPLaw(gamma), noise.sigma2, sol.delta)
+    cost = LimitReduction(gamma, noise).growth(sol.delta)
     return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, noise))
 
 
@@ -283,14 +286,14 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     threshold, train at the solved edge distance, which tends to 0 as
     gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
     """
-    law = MPLaw(gamma)
-    s2, lp = noise.sigma2, law.lambda_plus
+    red = LimitReduction(gamma, noise)
+    law, s2, lp = red.law, red.sigma2, red.top
     delta, residual = solve_multiplier(
         lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
         _inverse_moment(law, s2),
         "rho_ols",
     )
-    return RhoSolution(delta, lp, residual, _train(law, s2, delta))
+    return RhoSolution(delta, lp, residual, red.train(delta))
 
 
 def solve_rho_def(
@@ -338,7 +341,7 @@ def anisotropic_cost_lower_bound(
     Only the lower bound is exposed: the exact anisotropic limit is not
     available, and reporting one would overstate what is known.
     """
-    return _cost(MPLaw(gamma), noise.sigma2, solve_rho_def(gamma, pop, noise, eps2).delta)
+    return LimitReduction(gamma, noise).growth(solve_rho_def(gamma, pop, noise, eps2).delta)
 
 
 def threshold_report(

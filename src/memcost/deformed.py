@@ -41,7 +41,7 @@ class PopulationSpectrum:
     Values and weights must be finite and positive.  Values are rescaled so
     the top value is exactly 1 (with a warning when the input violates that
     normalization); weights are scaled to sum to 1.  ``kappa`` is the
-    resulting condition number 1/min(value).
+    resulting condition number 1/min(value), which must be finite.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -69,6 +69,8 @@ class PopulationSpectrum:
                 f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=2
             )
             vals = [v / top for v in vals]
+        if not all(v > 0 and 1.0 / v < math.inf for v in vals):
+            raise DomainError(f"the condition number 1/min(value) overflows for atom values {vals}")
         # a stable sort, descending in value
         order = sorted(range(len(vals)), key=lambda j: -vals[j])
         object.__setattr__(self, "atoms", tuple((vals[j], wts[j]) for j in order))
@@ -175,9 +177,10 @@ def parse_population_spectrum(text: str, *, source: str = "<string>") -> Populat
             raise SpectrumFormatError(
                 f"{source}:{lineno}: non-numeric entry in {raw!r}", line=lineno
             ) from None
-        if not all(math.isfinite(v) and v > 0 for v in (value, weight)):
+        if not (all(math.isfinite(v) and v > 0 for v in (value, weight)) and 1.0 / value < math.inf):
             raise SpectrumFormatError(
-                f"{source}:{lineno}: value and weight must be finite and positive, got {raw!r}",
+                f"{source}:{lineno}: value and weight must be finite and positive, "
+                f"and 1/value finite, got {raw!r}",
                 line=lineno,
             )
         atoms.append((value, weight))

@@ -59,8 +59,11 @@ class FeasibilityError(MemcostError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class RankError(MemcostError):
-    """A design matrix is (numerically) rank deficient where full row rank is required."""
+class RankError(DomainError):
+    """A design matrix is (numerically) rank deficient where full row rank is required.
+
+    A refusal of the input, not a failed check: a sampled design can be singular.
+    """
 
 
 class ConsistencyError(MemcostError):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .deformed import PopulationSpectrum
 from .errors import DomainError, NearDivergenceError, RankError, RegimeError
-from .numerics import check_sigma2, edge_distance, solve_multiplier
+from .numerics import check_sigma2, constrain, edge_distance
 from .spectra import MPLaw, mp_cdf
 
 __all__ = [
@@ -263,8 +263,12 @@ class _Reduction:
     b: np.ndarray
     gap: float
 
+    @property
+    def top(self) -> float:
+        return float(self.s[0])
+
     def delta(self, rho: float, context: str = "") -> float:
-        return edge_distance(rho, float(self.s[0]), f"{context}rho with top = top_eig(ZZ^T)/d")
+        return edge_distance(rho, self.top, f"{context}rho with top = top_eig(ZZ^T)/d")
 
     def factors(self, delta: float) -> np.ndarray:
         return delta + (1.0 - delta) * (1.0 - self.s / self.s[0])
@@ -350,29 +354,27 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
 
     All three, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
-    and anisotropic populations alike.  The solve is the limit law's own
-    (``numerics.solve_multiplier``), in delta = 1 - rho top_eig(ZZ^T/d), on
-    ``_Reduction.bracket``; the training error overflows at its smallest
-    delta, so every finite eps2 is reached, and only a cost past the float
-    range raises NearDivergenceError.
-    A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError.
+    and anisotropic populations alike.  The constraint goes through the
+    limit law's own route (``numerics.constrain``), in delta =
+    1 - rho top_eig(ZZ^T/d), on ``_Reduction.bracket``; the training error
+    overflows at its smallest delta, so every finite eps2 is reached, and
+    only a cost past the float range raises NearDivergenceError.
+    A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError, and a
+    numerically rank-deficient design RankError naming its trial_seed.
     """
+    where = f"trial {trial}: "
     design = sample_design(config, trial)
-    red = _reduce(design, config.sigma2)
+    try:
+        red = _reduce(design, config.sigma2)
+    except RankError as exc:
+        raise RankError(f"{where}{exc} (trial_seed {trial_seed(config.seed, trial)})") from None
     # a sum past the float range is inf, and so is the bracket at eps2 = 0
     with np.errstate(over="ignore", divide="ignore"):
-        if config.eps2 is not None:
-            delta, _ = solve_multiplier(
-                red.train, config.eps2, f"trial {trial} rho(eps2)", red.bracket(config.eps2)
-            )
-            rho = (1.0 - delta) / red.s[0]
-        else:
-            rho = float(config.rho)
-            delta = red.delta(rho, f"trial {trial}: ")
+        delta, rho = constrain(red, config.eps2, config.rho, where)
         cost = red.growth(delta)
     if not np.isfinite(cost):
-        raise NearDivergenceError(f"trial {trial}: the cost at eps2={config.eps2!r} overflows")
-    return TrialMetrics(trial=trial, rho=rho, train_ridge=red.train(1.0), cost=cost, ols_gap=red.gap)
+        raise NearDivergenceError(f"{where}the cost at eps2={config.eps2!r} overflows")
+    return TrialMetrics(trial=trial, rho=float(rho), train_ridge=red.train(1.0), cost=cost, ols_gap=red.gap)
 
 
 def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:

@@ -1,7 +1,7 @@
 """Numerical kernel: the bracketed level solver (Illinois regula falsi in
-log-log), the one multiplier solver built on it, and the accepted
-noise-variance range.  Standard library only: the matrix factorizations are
-in ``finite_n_lab`` and ``oracle``.
+log-log), the one multiplier solver built on it, the one constraint route
+(``constrain``) and the accepted noise-variance range.  Standard library
+only: the matrix factorizations are in ``finite_n_lab`` and ``oracle``.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -135,6 +135,17 @@ def solve_multiplier(
         )
     delta, reached = solved
     return delta, abs(reached - target)
+
+
+def constrain(red, eps2: float | None, rho: float | None, what: str) -> tuple[float, float]:
+    """(delta, rho) for an eps2 target solved on ``red.train``, or else for a fixed rho.
+
+    ``red`` is a ``LimitReduction`` or a design's ``_Reduction``; ``what`` prefixes every error.
+    """
+    if eps2 is None:
+        return red.delta(rho, what), rho
+    delta, _ = solve_multiplier(red.train, eps2, f"{what}rho(eps2)", red.bracket(eps2))
+    return delta, (1.0 - delta) / red.top
 
 
 def edge_distance(rho: float, top: float, what: str) -> float:

@@ -226,7 +226,7 @@ class DesignOracle:
     @property
     def rho_max(self) -> float:
         """Supremum of feasible multipliers: 1 / top eigenvalue of ZZ^T/d."""
-        return 1.0 / float(self.reduction.s[0])
+        return 1.0 / self.reduction.top
 
     @cached_property
     def pred_ridge(self) -> float:

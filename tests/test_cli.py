@@ -9,7 +9,9 @@ import pytest
 
 from memcost import cli
 from memcost.cost_engine import (
+    LimitReduction,
     NoiseLevel,
+    asymptotic_cost,
     memorization_threshold,
     ols_gap,
     solve_rho,
@@ -237,6 +239,41 @@ def test_non_finite_population_atom_is_a_line_numbered_refusal(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert f"memcost: error: {pop}:3:" in err and "Traceback" not in err
+
+
+def test_population_atom_with_an_overflowing_reciprocal_is_a_refusal(tmp_path, capsys):
+    # a subnormal atom used to print kappa = inf with exit 0
+    pop = tmp_path / "pop.txt"
+    argv = ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", str(pop)]
+    pop.write_text("1.0 0.5\n1e-320 0.5\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"memcost: error: {pop}:2:" in err
+    pop.write_text("1.0 0.5\n1e-300 0.5\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert float(dict(zip(header, rows[0]))["kappa"]) == 1.0 / 1e-300
+
+
+@pytest.mark.parametrize(
+    "argv, trial",
+    [(["--n", "2", "--d", "3", "--seed", "0", "--trials", "40", "--dist", "rademacher"], 4),
+     (["--n", "3", "--d", "4", "--seed", "1", "--trials", "1", "--pop", "ATOMS"], 0)],
+    ids=["rademacher-equal-rows", "atom-1e-300"],
+)
+def test_rank_deficient_design_is_a_refusal_naming_its_trial(tmp_path, capsys, argv, trial):
+    # a small sign design has two equal rows with positive probability, and an
+    # atom of 1e-300 leaves a column scale at rounding level
+    from memcost.finite_n_lab import trial_seed
+
+    pop = tmp_path / "pop.txt"
+    pop.write_text("1.0 0.5\n1e-300 0.5\n")
+    argv = [str(pop) if a == "ATOMS" else a for a in argv]
+    code, out, err = run_cli(capsys, "simulate", *argv, "--sigma2", "0.1", "--rho", "0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"memcost: error: trial {trial}: design is numerically rank deficient")
+    assert f"(trial_seed {trial_seed(int(argv[argv.index('--seed') + 1]), trial)})" in err
 
 
 def test_malformed_population_file(tmp_path, capsys):
@@ -481,6 +518,22 @@ def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp
     assert "target" in metrics["train_ridge"] and "target" in metrics["ols_gap"]
 
 
+@pytest.mark.parametrize("flag", ["--eps2", "--rho"])
+def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, flag):
+    noise = NoiseLevel(0.1)
+    value = 2.0 * memorization_threshold(2.0, noise) if flag == "--eps2" else 0.2
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "60", "--d", "120", "--sigma2", "0.1", "--seed", "7",
+        "--trials", "2", flag, repr(value), "--out", str(tmp_path / "s"),
+    )
+    assert code == 0, err
+    target = json.loads((tmp_path / "s" / "summary.json").read_text())["metrics"]["cost"]["target"]
+    if flag == "--eps2":
+        assert target == asymptotic_cost(2.0, noise, value).cost
+    else:
+        assert target == LimitReduction(2.0, noise).growth(1.0 - value * MPLaw(2.0).lambda_plus)
+
+
 def test_simulate_infeasible_rho_refusal_names_the_trial(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--n", "50", "--d", "100", "--sigma2", "0.1", "--seed", "1",
@@ -646,6 +699,80 @@ def test_verify_perturbation_negative_control(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--perturb")
     assert code == 1
     assert "[FAIL] stationarity-residual" in out
+
+
+# The theory functions that `verify` does not call yet.  A check that reaches
+# one takes it off this list; no name is ever added to it.
+VERIFY_UNREACHED = {
+    "memorization_threshold", "threshold_approx", "solve_rho", "asymptotic_cost",
+    "cost_linear_bound", "solve_rho_ols", "solve_rho_def", "anisotropic_cost_lower_bound",
+    "threshold_report", "silverstein_solve", "deformed_threshold", "mp_cdf",
+}
+
+
+def _verify_reach(capsys, monkeypatch, drop=()):
+    """(theory functions, those that `verify --quick` calls) without the checks named in ``drop``.
+
+    The theory functions are those in the ``__all__`` of ``cost_engine``,
+    ``deformed`` and ``spectra``, file parsing aside.  The calls made up to a
+    check's yield are that check's, so a dropped check takes them with it.
+    """
+    import inspect
+
+    from memcost import cost_engine, deformed, oracle, spectra
+
+    theory = {
+        getattr(module, name).__code__: name
+        for module in (cost_engine, deformed, spectra)
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name)) and not name.endswith("population_spectrum")
+    }
+    reached, segment = set(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in theory:
+            segment.add(theory[frame.f_code])
+
+    checks = oracle.verify_checks
+
+    def traced(*args):
+        rows = checks(*args)
+        while True:
+            segment.clear()
+            outer = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
+            finally:
+                sys.setprofile(outer)
+            if row[0] not in drop:
+                reached.update(segment)
+                yield row
+
+    monkeypatch.setattr(oracle, "verify_checks", traced)
+    code, out, _ = run_cli(capsys, "verify", "--quick")
+    assert code == 0, out
+    return set(theory.values()), reached
+
+
+def _check_verify_reach(theory, reached):
+    assert VERIFY_UNREACHED <= theory
+    missing = sorted(theory - reached - VERIFY_UNREACHED)
+    assert not missing, f"verify --quick never calls {missing}"
+    assert not reached & VERIFY_UNREACHED, f"take {sorted(reached & VERIFY_UNREACHED)} off the allowlist"
+
+
+def test_verify_reaches_every_theory_function_off_the_allowlist(capsys, monkeypatch):
+    _check_verify_reach(*_verify_reach(capsys, monkeypatch))
+
+
+def test_verify_reach_fails_without_a_check(capsys, monkeypatch):
+    # closed-form-vs-quadrature is the only check that calls ols_gap
+    theory, reached = _verify_reach(capsys, monkeypatch, drop={"closed-form-vs-quadrature"})
+    with pytest.raises(AssertionError, match="ols_gap"):
+        _check_verify_reach(theory, reached)
 
 
 def test_spectrum_command(capsys):

@@ -6,11 +6,11 @@ import pytest
 
 from memcost.cost_engine import (
     BoundConstants,
+    LimitReduction,
     NoiseLevel,
     Regime,
     anisotropic_cost_lower_bound,
     asymptotic_cost,
-    cost_at_rho,
     cost_linear_bound,
     memorization_threshold,
     ols_gap,
@@ -161,10 +161,11 @@ def test_solve_rho_ols_near_divergence_boundary():
         assert ref.rel(sol.target_eps2, exact) <= 1e-14
 
 
-def test_cost_at_rho_domain_and_zero():
-    assert cost_at_rho(2.0, NOISE, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        cost_at_rho(2.0, NOISE, 1.0 / MPLaw(2.0).lambda_plus)
+def test_limit_growth_domain_and_zero():
+    red = LimitReduction(2.0, NOISE)
+    assert red.growth(red.delta(0.0)) == 0.0
+    with pytest.raises(RegimeError):
+        red.delta(1.0 / MPLaw(2.0).lambda_plus)
 
 
 def test_solve_rho_monotone_in_eps2():

@@ -58,6 +58,18 @@ def test_population_rejects_non_finite_atoms(atom):
     assert info.value.line == 2
 
 
+def test_population_refuses_a_value_whose_reciprocal_overflows():
+    # kappa = 1/min(value) is inf below about 5.6e-309; 1e-300 is still a condition number
+    with pytest.raises(DomainError, match="overflows"):
+        PopulationSpectrum(atoms=((1.0, 0.5), (1e-320, 0.5)))
+    with pytest.warns(UserWarning, match="rescaling"), pytest.raises(DomainError, match="overflows"):
+        PopulationSpectrum(atoms=((4.0, 0.5), (1e-308, 0.5)))
+    with pytest.raises(SpectrumFormatError, match="1/value finite") as info:
+        parse_population_spectrum("1.0 0.5\n1e-320 0.5\n")
+    assert info.value.line == 2
+    assert parse_population_spectrum("1.0 0.5\n1e-300 0.5\n").kappa == 1.0 / 1e-300
+
+
 def test_parse_population_file_format():
     text = "# condition number two\n1.0 0.5\n\n0.5 0.5  # tail atom\n"
     pop = parse_population_spectrum(text)

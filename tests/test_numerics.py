@@ -8,6 +8,7 @@ import pytest
 from memcost import cost_engine as ce
 from memcost import deformed
 from memcost import finite_n_lab as lab
+from memcost import numerics
 from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
 from memcost.numerics import edge_distance, solve_level, solve_multiplier
@@ -152,8 +153,8 @@ def test_solve_level_finds_the_root_of_a_power_law_to_one_float(k):
 def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
     # every evaluation of train in a solve: the inactive and cap checks, the
     # solve itself and the plugged-back residual
-    calls, train = [], ce._train
-    monkeypatch.setattr(ce, "_train", lambda law, s2, x: calls.append(x) or train(law, s2, x))
+    calls, train = [], ce.LimitReduction.train
+    monkeypatch.setattr(ce.LimitReduction, "train", lambda red, x: calls.append(x) or train(red, x))
     counts = []
     for gamma in (1.05, 2.0, 4.0):
         for sigma2 in (1e-6, 0.01, 0.1):
@@ -169,7 +170,7 @@ def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
 def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
     calls = []
     monkeypatch.setattr(
-        lab, "solve_multiplier",
+        numerics, "solve_multiplier",
         lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     for seed in (1, 2):
@@ -206,7 +207,7 @@ def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
     # target, however far past the threshold, a few secant steps from its root
     calls = []
     monkeypatch.setattr(
-        lab, "solve_multiplier",
+        numerics, "solve_multiplier",
         lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     config = lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=1.0)
