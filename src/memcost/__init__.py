@@ -9,7 +9,6 @@ and the quadrature oracle is ``memcost.oracle``.
 from .cost_engine import (
     BoundConstants,
     CostPoint,
-    NoiseLevel,
     Regime,
     RhoSolution,
     ThresholdReport,

@@ -36,7 +36,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import constrain
+from .numerics import check_sigma2, constrain
 from .spectra import MPLaw
 
 if TYPE_CHECKING:
@@ -159,9 +159,8 @@ def _config_echo(args, keys) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    noise = ce.NoiseLevel(args.sigma2)
     pop = _load_pop(args)
-    report = ce.threshold_report(args.gamma, noise, pop)
+    report = ce.threshold_report(args.gamma, args.sigma2, pop)
     header = ["gamma", "sigma2", "eps_sigma2", "eps_sigma2_approx", "eps_ols2", "rho_ols"]
     row = [
         args.gamma,
@@ -184,7 +183,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    noise = ce.NoiseLevel(args.sigma2)
+    check_sigma2(args.sigma2)  # before the grid, which may be empty
     if args.grid is not None:
         grid = _eps2_grid(args)
     else:  # the parser requires exactly one of --eps2, --eps and --grid
@@ -192,7 +191,7 @@ def cmd_rho(args) -> int:
     rows = []
     for e2 in grid:
         try:
-            sol = ce.solve_rho(args.gamma, noise, e2)
+            sol = ce.solve_rho(args.gamma, args.sigma2, e2)
             rows.append((e2, sol.rho, sol.regime.value, sol.residual))
         except NearDivergenceError:
             if args.grid is None:
@@ -220,12 +219,12 @@ plot '{csv}' using 1:3 with lines title 'cost', \\
 
 
 def cmd_cost_curve(args) -> int:
-    noise = ce.NoiseLevel(args.sigma2)
+    check_sigma2(args.sigma2)  # before the grid, which may be empty
     grid = _eps2_grid(args)
     rows = []
     for e2 in grid:
         try:
-            point = ce.asymptotic_cost(args.gamma, noise, e2)
+            point = ce.asymptotic_cost(args.gamma, args.sigma2, e2)
             regime = ce.Regime.of(point.rho).value
             rows.append((e2, point.rho, point.cost, point.costbar, regime))
         except NearDivergenceError:
@@ -245,9 +244,8 @@ def cmd_cost_curve(args) -> int:
 
 
 def cmd_ols(args) -> int:
-    noise = ce.NoiseLevel(args.sigma2)
-    sol = ce.solve_rho_ols(args.gamma, noise)
-    gap = ce.ols_gap(args.gamma, noise)
+    sol = ce.solve_rho_ols(args.gamma, args.sigma2)
+    gap = ce.ols_gap(args.gamma, args.sigma2)
     table = OutputTable(
         header=["gamma", "sigma2", "rho_ols", "eps_ols2", "residual", "ols_gap"],
         rows=[(args.gamma, args.sigma2, sol.rho, sol.target_eps2, sol.residual, gap)],
@@ -282,23 +280,23 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _simulate_targets(config: lab.ExperimentConfig, noise: ce.NoiseLevel) -> lab.AsymptoticTargets:
+def _simulate_targets(config: lab.ExperimentConfig) -> lab.AsymptoticTargets:
     """Limit-law targets of a simulate run; a target the law does not define is omitted."""
     from . import finite_n_lab as lab
 
-    gamma = config.gamma_n
+    gamma, s2 = config.gamma_n, config.sigma2
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
         return lab.AsymptoticTargets()
-    red = ce.LimitReduction(gamma, noise)
+    red = ce.LimitReduction(gamma, s2)
     try:
         cost = red.growth(constrain(red, config.eps2, config.rho, "")[0])
     except (NearDivergenceError, RegimeError):
         cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
     return lab.AsymptoticTargets(
-        train_ridge=ce.memorization_threshold(gamma, noise),
+        train_ridge=ce.memorization_threshold(gamma, s2),
         cost=cost,
-        ols_gap=ce.ols_gap(gamma, noise),
+        ols_gap=ce.ols_gap(gamma, s2),
     )
 
 
@@ -311,9 +309,8 @@ def cmd_simulate(args) -> int:
         n=args.n, d=args.d, sigma2=args.sigma2, seed=args.seed, trials=args.trials,
         entry_dist=args.dist, population=pop, rho=args.rho, eps2=eps2,
     )
-    noise = ce.NoiseLevel(args.sigma2)
     metrics = [lab.trial_metrics(config, t) for t in range(config.trials)]
-    targets = _simulate_targets(config, noise)
+    targets = _simulate_targets(config)
 
     stats = lab.summarize_trials(metrics, targets)
     rows = [(m.trial, name, getattr(m, name)) for m in metrics for name in stats]

@@ -16,7 +16,9 @@ solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
 from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
 a design.  rho = (1 - delta)/lambda_plus is formed only for output.
 
-Everything is exposed in eps^2 units (squared training error).
+Everything is exposed in eps^2 units (squared training error).  The noise
+variance sigma2 is a plain float; every function here refuses one outside
+[1e-100, 1e100] (``numerics.check_sigma2``) before any other argument.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
 __all__ = [
-    "NoiseLevel",
     "Regime",
     "RhoSolution",
     "CostPoint",
@@ -53,16 +54,6 @@ __all__ = [
     "anisotropic_cost_lower_bound",
     "threshold_report",
 ]
-
-@dataclass(frozen=True)
-class NoiseLevel:
-    """Label noise variance, 1e-100 <= sigma2 <= 1e100 (see ``check_sigma2``)."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        check_sigma2(self.sigma2)
-
 
 class Regime(str, Enum):
     BELOW_THRESHOLD = "below_threshold"
@@ -151,10 +142,12 @@ class LimitReduction:
     """train and cost in delta = 1 - rho lambda_plus: the twin of ``finite_n_lab._Reduction``.
 
     At delta = 1, train is memorization_threshold bit for bit and growth (the cost) is 0.
+    sigma2 is checked (``check_sigma2``) before gamma.
     """
 
-    def __init__(self, gamma: float, noise: NoiseLevel):
-        self.law, self.sigma2 = MPLaw(gamma), noise.sigma2
+    def __init__(self, gamma: float, sigma2: float):
+        check_sigma2(sigma2)
+        self.law, self.sigma2 = MPLaw(gamma), sigma2
         self.top = self.law.lambda_plus
 
     def delta(self, rho: float, context: str = "") -> float:
@@ -188,24 +181,23 @@ def _inverse_moment(law: MPLaw, a: float) -> float:
     return 4.0 / (one_c * (big + root) * tail)
 
 
-def memorization_threshold(gamma: float, noise: NoiseLevel) -> float:
+def memorization_threshold(gamma: float, sigma2: float) -> float:
     """Largest eps2 whose constraint is asymptotically free: train(0).
 
     Evaluated in closed form as sigma2^2 * int 1/(s + sigma2) dH(s).
     """
-    law = MPLaw(gamma)
-    return noise.sigma2**2 * mp_stieltjes_neg(law, noise.sigma2)
+    return LimitReduction(gamma, sigma2).train(1.0)
 
 
-def threshold_approx(gamma: float, noise: NoiseLevel) -> float:
+def threshold_approx(gamma: float, sigma2: float) -> float:
     """Small-noise approximation sigma2^2 / (sigma2 + 1 - 1/gamma)."""
+    check_sigma2(sigma2)
     if not gamma > 1:
         raise RegimeError(f"requires gamma > 1, got {gamma}")
-    s2 = noise.sigma2
-    return s2 * s2 / (s2 + 1.0 - 1.0 / gamma)
+    return sigma2 * sigma2 / (sigma2 + 1.0 - 1.0 / gamma)
 
 
-def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
+def solve_rho(gamma: float, sigma2: float, eps2: float) -> RhoSolution:
     """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
 
     Returns rho = 0 (constraint inactive) for eps2 at or below the
@@ -215,30 +207,31 @@ def solve_rho(gamma: float, noise: NoiseLevel, eps2: float) -> RhoSolution:
     Raises
     ------
     DomainError
-        Unless 0 <= eps2 < inf.
+        Unless sigma2 is in range (checked first) and 0 <= eps2 < inf.
     NearDivergenceError
         If eps2 is past the float range of train.
     """
+    check_sigma2(sigma2)
     if not 0.0 <= eps2 < math.inf:
         raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-    red = LimitReduction(gamma, noise)
+    red = LimitReduction(gamma, sigma2)
     delta, residual = solve_multiplier(red.train, eps2, "rho(eps2)")
     return RhoSolution(delta, red.top, residual, eps2)
 
 
-def asymptotic_cost(gamma: float, noise: NoiseLevel, eps2: float) -> CostPoint:
+def asymptotic_cost(gamma: float, sigma2: float, eps2: float) -> CostPoint:
     """Asymptotic cost of not fitting at eps2, plus the interpolant-relative cost.
 
     cost = ``LimitReduction.growth`` at rho(eps2), which is 0 below the
     threshold; costbar = cost - ols_gap(gamma, sigma2).
     """
-    sol = solve_rho(gamma, noise, eps2)
-    cost = LimitReduction(gamma, noise).growth(sol.delta)
-    return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, noise))
+    sol = solve_rho(gamma, sigma2, eps2)
+    cost = LimitReduction(gamma, sigma2).growth(sol.delta)
+    return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, sigma2))
 
 
 def cost_linear_bound(
-    gamma: float, noise: NoiseLevel, kappa: float = 1.0, anisotropic: Optional[bool] = None
+    gamma: float, sigma2: float, kappa: float = 1.0, anisotropic: Optional[bool] = None
 ) -> BoundConstants:
     """Constants of the linear growth guarantee cost >= C * eps2 for eps2 >= c * sigma2^2.
 
@@ -249,6 +242,7 @@ def cost_linear_bound(
     quadratic in the lower edge).  Pass ``anisotropic=True`` to force the
     mitigated family at kappa = 1.
     """
+    check_sigma2(sigma2)
     if kappa < 1:
         raise DomainError(f"kappa must be >= 1, got {kappa}")
     law = MPLaw(gamma)
@@ -257,26 +251,26 @@ def cost_linear_bound(
     if anisotropic is None:
         anisotropic = kappa != 1.0
     if anisotropic:
-        c = 2.0 * kappa / (lm + kappa * noise.sigma2)
+        c = 2.0 * kappa / (lm + kappa * sigma2)
         C = lm * shrink / (kappa * lp**2 * gamma)
     else:
-        c = 2.0 / (lm * lm + noise.sigma2)
+        c = 2.0 / (lm * lm + sigma2)
         C = shrink * lm / (lp**2 * gamma)
     return BoundConstants(c_small=c, C_growth=C, kappa=kappa)
 
 
-def ols_gap(gamma: float, noise: NoiseLevel) -> float:
+def ols_gap(gamma: float, sigma2: float) -> float:
     """Asymptotic prediction-error gap of the minimum-norm interpolant over ridge.
 
     The gap is (sigma2^2/gamma) int 1/(s (s + sigma2)) dH, with the
     integral in closed form (``_inverse_moment``).  The small-noise limit
     of gap/sigma2^2 is 1/(gamma (1 - 1/gamma)^3).
     """
-    s2 = noise.sigma2
-    return s2 * s2 / gamma * _inverse_moment(MPLaw(gamma), s2)
+    check_sigma2(sigma2)
+    return sigma2 * sigma2 / gamma * _inverse_moment(MPLaw(gamma), sigma2)
 
 
-def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
+def solve_rho_ols(gamma: float, sigma2: float) -> RhoSolution:
     """Multiplier rho_ols at which the interpolant-relative cost changes sign.
 
     Solves rho^2 int s/((1 - rho s)^2 (s + sigma2)) dH =
@@ -286,7 +280,7 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
     threshold, train at the solved edge distance, which tends to 0 as
     gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
     """
-    red = LimitReduction(gamma, noise)
+    red = LimitReduction(gamma, sigma2)
     law, s2, lp = red.law, red.sigma2, red.top
     delta, residual = solve_multiplier(
         lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
@@ -297,7 +291,7 @@ def solve_rho_ols(gamma: float, noise: NoiseLevel) -> RhoSolution:
 
 
 def solve_rho_def(
-    gamma: float, pop: PopulationSpectrum, noise: NoiseLevel, eps2: float
+    gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float
 ) -> RhoSolution:
     """Multiplier rho_def for anisotropic covariance with spectrum ``pop``.
 
@@ -311,17 +305,17 @@ def solve_rho_def(
     Below the deformed threshold the cost is zero and this raises a
     regime error; exactly at it, rho_def = 0.
     """
+    check_sigma2(sigma2)
     law = MPLaw(gamma)
-    s2 = noise.sigma2
     kappa = pop.kappa
-    ks2 = kappa * s2
-    thresh = deformed_threshold(DeformedLaw(gamma, pop), s2)
+    ks2 = kappa * sigma2
+    thresh = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
     rhs = eps2 - thresh
     if rhs < 0:
         raise RegimeError(
             f"eps2={eps2} is below the deformed threshold {thresh}; no cost there"
         )
-    scale = kappa * s2 * s2
+    scale = kappa * sigma2 * sigma2
     j0 = mp_stieltjes_neg(law, ks2)
     # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
     delta, residual = solve_multiplier(
@@ -333,7 +327,7 @@ def solve_rho_def(
 
 
 def anisotropic_cost_lower_bound(
-    gamma: float, pop: PopulationSpectrum, noise: NoiseLevel, eps2: float
+    gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float
 ) -> float:
     """Proved lower bound on the anisotropic cost of not fitting at eps2.
 
@@ -341,15 +335,15 @@ def anisotropic_cost_lower_bound(
     Only the lower bound is exposed: the exact anisotropic limit is not
     available, and reporting one would overstate what is known.
     """
-    return LimitReduction(gamma, noise).growth(solve_rho_def(gamma, pop, noise, eps2).delta)
+    return LimitReduction(gamma, sigma2).growth(solve_rho_def(gamma, pop, sigma2, eps2).delta)
 
 
 def threshold_report(
-    gamma: float, noise: NoiseLevel, pop: Optional[PopulationSpectrum] = None
+    gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None
 ) -> ThresholdReport:
     """Assemble the threshold family, checking the expected ordering."""
-    eps_sigma2 = memorization_threshold(gamma, noise)
-    ols = solve_rho_ols(gamma, noise)
+    eps_sigma2 = memorization_threshold(gamma, sigma2)
+    ols = solve_rho_ols(gamma, sigma2)
     eps_ols2 = ols.target_eps2
     law = MPLaw(gamma)
     ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
@@ -359,14 +353,14 @@ def threshold_report(
         )
     eps_def2 = bound = None
     if pop is not None:
-        eps_def2 = deformed_threshold(DeformedLaw(gamma, pop), noise.sigma2)
+        eps_def2 = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
         # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
         # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
-        x = pop.kappa * noise.sigma2
-        bound = noise.sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
+        x = pop.kappa * sigma2
+        bound = sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
     return ThresholdReport(
         eps_sigma2=eps_sigma2,
-        eps_sigma2_approx=threshold_approx(gamma, noise),
+        eps_sigma2_approx=threshold_approx(gamma, sigma2),
         eps_ols2=eps_ols2,
         rho_ols=ols.rho,
         eps_def2=eps_def2,

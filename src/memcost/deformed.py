@@ -60,13 +60,13 @@ class PopulationSpectrum:
             total += w
         if abs(total - 1.0) > 1e-9:
             warnings.warn(
-                f"atom weights sum to {total:.6g}; renormalizing to 1", stacklevel=2
+                f"atom weights sum to {total:.6g}; renormalizing to 1", stacklevel=3
             )
         wts = [w / total for w in wts]
         top = max(vals)
         if abs(top - 1.0) > 1e-12:
             warnings.warn(
-                f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=2
+                f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=3
             )
             vals = [v / top for v in vals]
         if not all(v > 0 and 1.0 / v < math.inf for v in vals):
@@ -142,7 +142,7 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
         m, reached = solve_level(level, 1.0, 0.0, 2.0 / sigma2)
     fp_residual = abs(reached - 1.0)
     if fp_residual > 1e-12:
-        raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12", last=m)
+        raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12")
     return m
 
 
@@ -159,9 +159,10 @@ def parse_population_spectrum(text: str, *, source: str = "<string>") -> Populat
     """Parse `value weight` lines into a population spectrum.
 
     Blank lines and `#` comments are allowed; malformed lines raise a
-    parse error carrying the 1-based line number.
+    parse error carrying the 1-based line number, and so does a value whose
+    reciprocal overflows only once the values are rescaled to a top of 1.
     """
-    atoms = []
+    atoms, linenos = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,8 +185,19 @@ def parse_population_spectrum(text: str, *, source: str = "<string>") -> Populat
                 line=lineno,
             )
         atoms.append((value, weight))
+        linenos.append(lineno)
     if not atoms:
         raise SpectrumFormatError(f"{source}: no atoms found", line=None)
+    top = max(value for value, _ in atoms)
+    if abs(top - 1.0) > 1e-12:  # PopulationSpectrum divides every value by the top
+        for lineno, (value, _) in zip(linenos, atoms):
+            scaled = value / top
+            if not (scaled > 0 and 1.0 / scaled < math.inf):
+                raise SpectrumFormatError(
+                    f"{source}:{lineno}: 1/value overflows once value {value!r} is rescaled "
+                    f"by the top value {top!r}",
+                    line=lineno,
+                )
     return PopulationSpectrum(atoms=tuple(atoms))
 
 

@@ -14,28 +14,11 @@ class RegimeError(DomainError):
 
 
 class BracketError(DomainError):
-    """A root bracket does not enclose a sign change.
-
-    Attributes:
-        lo, hi: the rejected bracket endpoints.
-        flo, fhi: function values at those endpoints.
-    """
-
-    def __init__(self, msg, lo=None, hi=None, flo=None, fhi=None):
-        super().__init__(msg)
-        self.lo, self.hi, self.flo, self.fhi = lo, hi, flo, fhi
+    """A root bracket does not enclose a sign change; the message names its ends and levels."""
 
 
 class ConvergenceError(MemcostError):
-    """An iterative solver ran out of iterations.
-
-    Attributes:
-        last: last iterate or bracket reached before giving up.
-    """
-
-    def __init__(self, msg, last=None):
-        super().__init__(msg)
-        self.last = last
+    """An iterative solver ran out of iterations."""
 
 
 class NearDivergenceError(MemcostError):
@@ -48,15 +31,7 @@ class NearDivergenceError(MemcostError):
 
 
 class FeasibilityError(MemcostError):
-    """The requested multiplier leaves the positive-definite feasibility set.
-
-    Attributes:
-        min_eigenvalue: offending minimum eigenvalue of the constraint matrix.
-    """
-
-    def __init__(self, msg, min_eigenvalue=None):
-        super().__init__(msg)
-        self.min_eigenvalue = min_eigenvalue
+    """The requested multiplier leaves the positive-definite feasibility set."""
 
 
 class RankError(DomainError):

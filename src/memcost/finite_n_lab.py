@@ -13,7 +13,8 @@ realized as a diagonal matrix (without loss of generality for the error
 functionals), so ``sigma_sqrt`` arguments are d-vectors holding its square
 root.  For an isotropic population the design X *is* the entry array Z
 (read-only), so an isotropic trial allocates one n x d float
-array (the RNG fill), one n x n Gram matrix and n-vectors.  Trials are
+array (the RNG fill; a Rademacher draw adds a transient 4-byte n x d
+integer array), one n x n Gram matrix and n-vectors.  Trials are
 independent, deterministically seeded, and run one at a time in trial
 order, so outputs are reproducible bit for bit for a fixed BLAS build and
 thread count.
@@ -213,8 +214,11 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
     """Draw the design for one trial, deterministically from (seed, trial).
 
     Trials are numbered 0 .. trials - 1; any other index raises DomainError.
-    The entries fill one n x d array: Rademacher signs are the integer draw
-    cast to float and mapped to 2b - 1 in place.  Z is returned read-only.
+    The entries fill one n x d float array.  A Rademacher sign is 2b - 1 for
+    b the top bit of one 32-bit draw, the bit rng.integers(0, 2) keeps, so
+    the signs are that stream's: the draw is held as 4-byte integers, shifted
+    in place to -b, cast to float and mapped to -2(-b) - 1 in place.  Z is
+    returned read-only.
     For an isotropic population X is that same array (X is Z); only an
     anisotropic one allocates X = Z diag(sigma_sqrt) as a second n x d array.
     """
@@ -225,8 +229,10 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
     if config.entry_dist is EntryDist.GAUSSIAN:
         Z = rng.standard_normal((n, d))
     else:
-        Z = rng.integers(0, 2, size=(n, d)).astype(np.float64)
-        Z += Z
+        bits = rng.integers(0, 2**32, size=(n, d), dtype=np.uint32).view(np.int32)
+        bits >>= 31  # arithmetic shift: -1 where the top bit is set, else 0
+        Z = bits.astype(np.float64)
+        Z *= -2.0
         Z -= 1.0
     # an isotropic X is this same array, so a write to either would change both
     Z.flags.writeable = False

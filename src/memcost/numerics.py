@@ -52,8 +52,7 @@ def solve_level(
             return x, v
     if not (vlo < target < vhi or vhi < target < vlo):
         raise BracketError(
-            f"no sign change over [{lo}, {hi}]: level {vlo} and {vhi}, target {target}",
-            lo=lo, hi=hi, flo=vlo, fhi=vhi,
+            f"no sign change over [{lo}, {hi}]: level {vlo} and {vhi}, target {target}"
         )
     xs, vs = [lo, hi], [vlo, vhi]
     fs = [_log_ratio(lo, vlo, target), _log_ratio(hi, vhi, target)]

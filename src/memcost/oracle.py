@@ -104,8 +104,7 @@ def mp_integrate(law: MPLaw, f) -> float:
         prev = cur
     raise ConvergenceError(
         f"quadrature did not stabilize to {_ADAPTIVE_RTOL} relative "
-        f"within {_NODE_BUDGET} nodes",
-        last=prev,
+        f"within {_NODE_BUDGET} nodes"
     )
 
 
@@ -266,8 +265,7 @@ class DesignOracle:
         min_eig = float(np.min(ss) ** 2) if rho == 0.0 else float(sym_eigvals(M)[0])
         if min_eig <= 1e-10:
             raise FeasibilityError(
-                f"rho={rho} infeasible: min eigenvalue of the constraint matrix is {min_eig:.3e}",
-                min_eigenvalue=min_eig,
+                f"rho={rho} infeasible: min eigenvalue of the constraint matrix is {min_eig:.3e}"
             )
         rhs = np.hstack([self.ridge, self.ridge_n, X.T, np.diag(ss**2)])
         if rho == 0.0:  # M = Sigma
@@ -436,7 +434,7 @@ def verify_checks(quick: bool, seed: int, perturb: bool):
         law = MPLaw(gamma)
         for s2 in (1e-2, 1.0):
             quad = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
-            closed = ce.ols_gap(gamma, ce.NoiseLevel(s2)) * gamma / s2**2
+            closed = ce.ols_gap(gamma, s2) * gamma / s2**2
             worst = max(worst, abs(quad - closed) / closed)
             for frac in (0.1, 0.5, 0.9):
                 rho = frac / law.lambda_plus

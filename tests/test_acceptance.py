@@ -10,7 +10,6 @@ import numpy as np
 
 from memcost import cli
 from memcost.cost_engine import (
-    NoiseLevel,
     asymptotic_cost,
     cost_linear_bound,
     memorization_threshold,
@@ -71,8 +70,7 @@ def test_criterion_02_threshold_expansion():
     t0 = time.time()
     deviations = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        noise = NoiseLevel(s2)
-        ratio = memorization_threshold(2.0, noise) / threshold_approx(2.0, noise)
+        ratio = memorization_threshold(2.0, s2) / threshold_approx(2.0, s2)
         deviations.append(abs(1.0 - ratio))
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     ok = monotone and deviations[-1] <= 0.05
@@ -90,16 +88,14 @@ def test_criterion_03_rho_solver_residuals_and_monotonicity():
     for _ in range(50):
         gamma = float(np.exp(rng.uniform(math.log(1.3), math.log(10.0))))
         s2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1.0))))
-        noise = NoiseLevel(s2)
-        eps2 = memorization_threshold(gamma, noise) * float(
+        eps2 = memorization_threshold(gamma, s2) * float(
             np.exp(rng.uniform(math.log(1.05), math.log(40.0)))
         )
-        sol = solve_rho(gamma, noise, eps2)
+        sol = solve_rho(gamma, s2, eps2)
         assert sol.rho > 0
         worst = max(worst, sol.residual)
-    noise = NoiseLevel(0.1)
-    th = memorization_threshold(2.0, noise)
-    rhos = [solve_rho(2.0, noise, float(e)).rho for e in np.linspace(0.5 * th, 8 * th, 20)]
+    th = memorization_threshold(2.0, 0.1)
+    rhos = [solve_rho(2.0, 0.1, float(e)).rho for e in np.linspace(0.5 * th, 8 * th, 20)]
     monotone = all(b >= a for a, b in zip(rhos, rhos[1:]))
     ok = worst <= 1e-10 and monotone
     _report(
@@ -114,11 +110,10 @@ def test_criterion_04_linear_growth():
     worst_ratio = float("inf")
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
-            noise = NoiseLevel(s2)
-            bc = cost_linear_bound(gamma, noise)
+            bc = cost_linear_bound(gamma, s2)
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 20.0 * floor, 8):
-                point = asymptotic_cost(gamma, noise, float(eps2))
+                point = asymptotic_cost(gamma, s2, float(eps2))
                 worst_ratio = min(worst_ratio, point.cost / (bc.C_growth * eps2))
     ok = worst_ratio >= 1.0
     _report(
@@ -134,18 +129,17 @@ def test_criterion_05_interpolation_thresholds():
     worst_bar = 0.0
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
-            noise = NoiseLevel(s2)
             law = MPLaw(gamma)
-            eps_s = math.sqrt(memorization_threshold(gamma, noise))
-            sol = solve_rho_ols(gamma, noise)
+            eps_s = math.sqrt(memorization_threshold(gamma, s2))
+            sol = solve_rho_ols(gamma, s2)
             eps_ols = math.sqrt(sol.target_eps2)
             ok &= eps_s < eps_ols <= 2.0 * law.lambda_plus / law.lambda_minus * eps_s
             ok &= sol.rho >= 1.0 / (2.0 * law.lambda_plus)
-            bar_at = asymptotic_cost(gamma, noise, sol.target_eps2).costbar
+            bar_at = asymptotic_cost(gamma, s2, sol.target_eps2).costbar
             worst_bar = max(worst_bar, abs(bar_at))
             ok &= abs(bar_at) <= 1e-8
-            ok &= asymptotic_cost(gamma, noise, 0.9 * sol.target_eps2).costbar < 0
-            ok &= asymptotic_cost(gamma, noise, 1.1 * sol.target_eps2).costbar > 0
+            ok &= asymptotic_cost(gamma, s2, 0.9 * sol.target_eps2).costbar < 0
+            ok &= asymptotic_cost(gamma, s2, 1.1 * sol.target_eps2).costbar > 0
     _report(
         5, "interpolation thresholds",
         bool(ok), f"ordering+bounds hold; worst |costbar| at threshold {worst_bar:.2e} <= 1e-8",
@@ -158,7 +152,7 @@ def test_criterion_06_interpolant_gap_small_noise_law():
     limit_const = 4.0  # 1/(gamma (1-1/gamma)^3) at gamma = 2
     deviations = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        gap = ols_gap(2.0, NoiseLevel(s2))
+        gap = ols_gap(2.0, s2)
         deviations.append(abs(gap / s2**2 - limit_const) / limit_const)
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     ok = monotone and deviations[-1] <= 0.05
@@ -218,12 +212,11 @@ def test_criterion_07_exact_finite_sample_identities():
 
 def test_criterion_08_finite_sample_convergence():
     t0 = time.time()
-    noise = NoiseLevel(0.1)
-    th = memorization_threshold(2.0, noise)
+    th = memorization_threshold(2.0, 0.1)
     targets = AsymptoticTargets(
         train_ridge=th,
-        cost=asymptotic_cost(2.0, noise, 2.0 * th).cost,
-        ols_gap=ols_gap(2.0, noise),
+        cost=asymptotic_cost(2.0, 0.1, 2.0 * th).cost,
+        ols_gap=ols_gap(2.0, 0.1),
     )
     configs = [
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=2024, trials=20, eps2=2.0 * th)

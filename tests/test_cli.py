@@ -10,7 +10,6 @@ import pytest
 from memcost import cli
 from memcost.cost_engine import (
     LimitReduction,
-    NoiseLevel,
     asymptotic_cost,
     memorization_threshold,
     ols_gap,
@@ -75,13 +74,13 @@ def test_threshold_command_values(capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     assert float(row["eps_sigma2"]) == pytest.approx(
-        memorization_threshold(2.0, NoiseLevel(0.1)), abs=1e-15
+        memorization_threshold(2.0, 0.1), abs=1e-15
     )
     assert float(row["eps_ols2"]) == pytest.approx(
-        solve_rho_ols(2.0, NoiseLevel(0.1)).target_eps2, rel=1e-12
+        solve_rho_ols(2.0, 0.1).target_eps2, rel=1e-12
     )
     assert float(row["rho_ols"]) == pytest.approx(
-        solve_rho_ols(2.0, NoiseLevel(0.1)).rho, rel=1e-12
+        solve_rho_ols(2.0, 0.1).rho, rel=1e-12
     )
 
 
@@ -104,7 +103,7 @@ def test_threshold_pop_upper_bound_cell_is_the_report_field(tmp_path, capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     pop = load_population_spectrum(path)
-    report = threshold_report(2.0, NoiseLevel(0.1), pop)
+    report = threshold_report(2.0, 0.1, pop)
     assert float(row["eps_def2_upper_bound"]) == report.eps_def2_upper_bound
     assert float(row["eps_def2"]) == report.eps_def2
 
@@ -174,7 +173,7 @@ def _assert_cells_finite_and_normal(text):
 @pytest.mark.parametrize("s2", [1e-100, 1e100])
 def test_sigma2_range_ends_give_finite_normal_cells(capsys, tmp_path, s2):
     pop = _pop_file(tmp_path)
-    th = memorization_threshold(2.0, NoiseLevel(s2))
+    th = memorization_threshold(2.0, s2)
     sig = repr(s2)
     sim = ["simulate", "--n", "20", "--d", "40", "--sigma2", sig, "--seed", "1",
            "--trials", "3", "--eps2", repr(2.0 * th)]
@@ -242,13 +241,15 @@ def test_non_finite_population_atom_is_a_line_numbered_refusal(tmp_path, capsys,
 
 
 def test_population_atom_with_an_overflowing_reciprocal_is_a_refusal(tmp_path, capsys):
-    # a subnormal atom used to print kappa = inf with exit 0
+    # a subnormal atom used to print kappa = inf with exit 0; 1e-308 is refused
+    # only once the top 4.0 is rescaled to 1, and that used to name no line
     pop = tmp_path / "pop.txt"
     argv = ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", str(pop)]
-    pop.write_text("1.0 0.5\n1e-320 0.5\n")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert f"memcost: error: {pop}:2:" in err
+    for text in ("1.0 0.5\n1e-320 0.5\n", "4.0 0.5\n1e-308 0.5\n"):
+        pop.write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"memcost: error: {pop}:2:" in err
     pop.write_text("1.0 0.5\n1e-300 0.5\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -287,19 +288,19 @@ def test_malformed_population_file(tmp_path, capsys):
 
 
 def test_rho_command_single_point(capsys):
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     code, out, _ = run_cli(
         capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", str(2 * th)
     )
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
-    assert float(row["rho"]) == pytest.approx(solve_rho(2.0, NoiseLevel(0.1), 2 * th).rho)
+    assert float(row["rho"]) == pytest.approx(solve_rho(2.0, 0.1, 2 * th).rho)
     assert row["regime"] == "above_threshold"
 
 
 def test_rho_command_eps_flag_squares(capsys):
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     eps = math.sqrt(2 * th)
     code, out, _ = run_cli(capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--eps", str(eps))
     header, rows = parse_csv(out)
@@ -380,7 +381,7 @@ def test_rho_needs_one_of_eps2_eps_and_grid(capsys):
 
 
 def test_cost_curve_regime_structure(capsys):
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     grid = f"{0.25 * th}:{0.5 * th}:{4 * th}"
     code, out, _ = run_cli(capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", grid)
     assert code == 0
@@ -397,7 +398,7 @@ def test_cost_curve_regime_structure(capsys):
 
 
 def test_cost_curve_costbar_sign_change(capsys):
-    eo2 = solve_rho_ols(2.0, NoiseLevel(0.1)).target_eps2
+    eo2 = solve_rho_ols(2.0, 0.1).target_eps2
     grid = f"{0.8 * eo2}:{0.2 * eo2}:{1.2 * eo2}"
     code, out, _ = run_cli(capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", grid)
     header, rows = parse_csv(out)
@@ -430,7 +431,7 @@ def test_ols_command(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
-    assert float(row["ols_gap"]) == pytest.approx(ols_gap(2.0, NoiseLevel(0.1)), rel=1e-12)
+    assert float(row["ols_gap"]) == pytest.approx(ols_gap(2.0, 0.1), rel=1e-12)
     assert float(row["residual"]) <= 1e-10
 
 
@@ -470,7 +471,7 @@ def test_simulate_summary_contents(tmp_path, capsys):
     )
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
     m = summary["metrics"]["train_ridge"]
-    assert m["target"] == pytest.approx(memorization_threshold(2.0, NoiseLevel(0.1)))
+    assert m["target"] == pytest.approx(memorization_threshold(2.0, 0.1))
     assert "rel_dev" in m and "se" in m
     assert summary["config"]["seed"] == 7
 
@@ -520,8 +521,7 @@ def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp
 
 @pytest.mark.parametrize("flag", ["--eps2", "--rho"])
 def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, flag):
-    noise = NoiseLevel(0.1)
-    value = 2.0 * memorization_threshold(2.0, noise) if flag == "--eps2" else 0.2
+    value = 2.0 * memorization_threshold(2.0, 0.1) if flag == "--eps2" else 0.2
     code, _, err = run_cli(
         capsys, "simulate", "--n", "60", "--d", "120", "--sigma2", "0.1", "--seed", "7",
         "--trials", "2", flag, repr(value), "--out", str(tmp_path / "s"),
@@ -529,9 +529,9 @@ def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, fla
     assert code == 0, err
     target = json.loads((tmp_path / "s" / "summary.json").read_text())["metrics"]["cost"]["target"]
     if flag == "--eps2":
-        assert target == asymptotic_cost(2.0, noise, value).cost
+        assert target == asymptotic_cost(2.0, 0.1, value).cost
     else:
-        assert target == LimitReduction(2.0, noise).growth(1.0 - value * MPLaw(2.0).lambda_plus)
+        assert target == LimitReduction(2.0, 0.1).growth(1.0 - value * MPLaw(2.0).lambda_plus)
 
 
 def test_simulate_infeasible_rho_refusal_names_the_trial(capsys):
@@ -862,7 +862,7 @@ def test_simulate_anisotropic_eps2_matches_direct_route(capsys, tmp_path):
     from memcost.deformed import load_population_spectrum
 
     pop_path = _pop_file(tmp_path)
-    eps2 = 3.0 * memorization_threshold(2.0, NoiseLevel(0.1))
+    eps2 = 3.0 * memorization_threshold(2.0, 0.1)
     code, out, _ = run_cli(
         capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "0.1", "--seed", "1",
         "--trials", "2", "--eps2", repr(eps2), "--pop", pop_path,

@@ -1,13 +1,14 @@
+import inspect
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from memcost import cost_engine as ce
 from memcost.cost_engine import (
     BoundConstants,
     LimitReduction,
-    NoiseLevel,
     Regime,
     anisotropic_cost_lower_bound,
     asymptotic_cost,
@@ -27,24 +28,49 @@ from memcost.spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
 import mp_reference as ref
 
-NOISE = NoiseLevel(0.1)
+SIGMA2 = 0.1
 TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)]
 
 
-def test_noise_level_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        NoiseLevel(0.0)
-    for bad in (math.inf, math.nan, -math.inf, 1e-101, 1e101, 1e-300, 1e300):
-        with pytest.raises(DomainError):
-            NoiseLevel(bad)
-    # the ends of the accepted range are valid
-    NoiseLevel(1e-100)
-    NoiseLevel(1e100)
+# every public function that takes sigma2, called with valid other arguments;
+# e is an eps2 for the rho_def routes
+SIGMA2_CALLS = {
+    "memorization_threshold": lambda s2, e: memorization_threshold(2.0, s2),
+    "threshold_approx": lambda s2, e: threshold_approx(2.0, s2),
+    "solve_rho": lambda s2, e: solve_rho(2.0, s2, 0.0),
+    "asymptotic_cost": lambda s2, e: asymptotic_cost(2.0, s2, 0.0),
+    "cost_linear_bound": lambda s2, e: cost_linear_bound(2.0, s2),
+    "ols_gap": lambda s2, e: ols_gap(2.0, s2),
+    "solve_rho_ols": lambda s2, e: solve_rho_ols(2.0, s2),
+    "solve_rho_def": lambda s2, e: solve_rho_def(2.0, TWO_ATOM, s2, e),
+    "anisotropic_cost_lower_bound": lambda s2, e: anisotropic_cost_lower_bound(2.0, TWO_ATOM, s2, e),
+    "threshold_report": lambda s2, e: threshold_report(2.0, s2, TWO_ATOM),
+}
+
+
+def test_sigma2_calls_cover_every_public_function_of_sigma2():
+    takes_sigma2 = [
+        name for name in ce.__all__
+        if inspect.isfunction(getattr(ce, name))
+        and "sigma2" in inspect.signature(getattr(ce, name)).parameters
+    ]
+    assert sorted(takes_sigma2) == sorted(SIGMA2_CALLS)
+
+
+@pytest.mark.parametrize("name", list(SIGMA2_CALLS))
+def test_sigma2_outside_the_range_is_refused(name):
+    call = SIGMA2_CALLS[name]
+    for bad in (0.0, math.inf, math.nan, -math.inf, 1e-101, 1e101, 1e-300, 1e300):
+        with pytest.raises(DomainError, match=r"^sigma2 must lie in \[1e-100, 1e100\], got "):
+            call(bad, 1.0)
+    # the ends of the accepted range are valid; at the deformed threshold rho_def = 0
+    for good in (1e-100, 1e100):
+        call(good, deformed_threshold(DeformedLaw(2.0, TWO_ATOM), good))
 
 
 def test_threshold_value_gamma2():
-    val = memorization_threshold(2.0, NOISE)
+    val = memorization_threshold(2.0, SIGMA2)
     assert abs(val - 0.014833147735478828) < 1e-12
     # quadrature cross-check of the closed form
     quad = 0.01 * mp_integrate(MPLaw(2.0), lambda s: 1.0 / (s + 0.1))
@@ -52,20 +78,19 @@ def test_threshold_value_gamma2():
 
 
 def test_threshold_approx_direct_substitution():
-    val = threshold_approx(2.0, NoiseLevel(0.01))
+    val = threshold_approx(2.0, 0.01)
     assert abs(val - 1e-4 / 0.51) < 1e-18
 
 
 def test_threshold_approx_large_gamma():
-    val = threshold_approx(1e12, NoiseLevel(0.5))
+    val = threshold_approx(1e12, 0.5)
     assert abs(val - 0.25 / 1.5) < 1e-9
 
 
 def test_threshold_ratio_converges_monotonically():
     ratios = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        noise = NoiseLevel(s2)
-        ratios.append(memorization_threshold(2.0, noise) / threshold_approx(2.0, noise))
+        ratios.append(memorization_threshold(2.0, s2) / threshold_approx(2.0, s2))
     deviations = [abs(1.0 - r) for r in ratios]
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
     assert deviations[-1] <= 0.05
@@ -74,38 +99,38 @@ def test_threshold_ratio_converges_monotonically():
 def test_deformed_path_matches_isotropic_threshold():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
-        a = memorization_threshold(gamma, NOISE)
-        b = deformed_threshold(DeformedLaw(gamma, iso), NOISE.sigma2)
+        a = memorization_threshold(gamma, SIGMA2)
+        b = deformed_threshold(DeformedLaw(gamma, iso), SIGMA2)
         assert abs(a - b) < 1e-10
 
 
 def test_solve_rho_at_threshold_is_inactive():
-    eps2 = memorization_threshold(2.0, NOISE)
-    sol = solve_rho(2.0, NOISE, eps2)
+    eps2 = memorization_threshold(2.0, SIGMA2)
+    sol = solve_rho(2.0, SIGMA2, eps2)
     assert sol.rho == 0.0
     assert sol.regime is Regime.BELOW_THRESHOLD
     assert sol.residual == 0.0
 
 
 def test_solve_rho_below_threshold():
-    eps2 = 0.5 * memorization_threshold(2.0, NOISE)
-    sol = solve_rho(2.0, NOISE, eps2)
+    eps2 = 0.5 * memorization_threshold(2.0, SIGMA2)
+    sol = solve_rho(2.0, SIGMA2, eps2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
-    assert asymptotic_cost(2.0, NOISE, eps2).cost == 0.0
+    assert asymptotic_cost(2.0, SIGMA2, eps2).cost == 0.0
 
 
 def test_solve_rho_rejects_negative_eps2():
     with pytest.raises(DomainError):
-        solve_rho(2.0, NOISE, -1.0)
+        solve_rho(2.0, SIGMA2, -1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            solve_rho(2.0, NOISE, bad)
+            solve_rho(2.0, SIGMA2, bad)
 
 
 def test_solve_rho_near_divergence():
     # train at the smallest normal delta is about 3e151 at sigma2 = 0.1
     with pytest.raises(NearDivergenceError, match="float range"):
-        solve_rho(2.0, NOISE, 1e300)
+        solve_rho(2.0, SIGMA2, 1e300)
 
 
 TINY = sys.float_info.min
@@ -114,38 +139,38 @@ TINY = sys.float_info.min
 def test_train_at_zero_is_the_threshold_bit_for_bit():
     for gamma, s2 in GRID:
         j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 1.0, s2)
-        assert s2**2 * j0 == memorization_threshold(gamma, NoiseLevel(s2))
+        assert s2**2 * j0 == memorization_threshold(gamma, s2)
 
 
 def test_solve_rho_near_divergence_boundary():
     # the last reachable target is train at the smallest normal delta
-    top = NOISE.sigma2**2 * mp_shrinkage_integrals(MPLaw(2.0), TINY, NOISE.sigma2)[0]
+    top = SIGMA2**2 * mp_shrinkage_integrals(MPLaw(2.0), TINY, SIGMA2)[0]
     with pytest.raises(NearDivergenceError):
-        solve_rho(2.0, NOISE, top)
+        solve_rho(2.0, SIGMA2, top)
     target = (1.0 - 1e-9) * top
-    sol = solve_rho(2.0, NOISE, target)
+    sol = solve_rho(2.0, SIGMA2, target)
     # delta is about 1e-308, so rho is 1/lambda_plus to rounding
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.rho == 1.0 / MPLaw(2.0).lambda_plus
     assert sol.residual <= 1e-14 * target
-    point = asymptotic_cost(2.0, NOISE, target)
+    point = asymptotic_cost(2.0, SIGMA2, target)
     assert math.isfinite(point.cost) and point.cost > 0
 
 
 def test_solve_rho_def_near_divergence_boundary():
-    ks2 = TWO_ATOM.kappa * NOISE.sigma2
+    ks2 = TWO_ATOM.kappa * SIGMA2
     law = MPLaw(2.0)
-    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
-    scale = TWO_ATOM.kappa * NOISE.sigma2**2
+    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    scale = TWO_ATOM.kappa * SIGMA2**2
     top_lhs = scale * (mp_shrinkage_integrals(law, TINY, ks2)[0] - mp_stieltjes_neg(law, ks2))
     with pytest.raises(NearDivergenceError):
-        solve_rho_def(2.0, TWO_ATOM, NOISE, thresh + (1.0 + 1e-12) * top_lhs)
+        solve_rho_def(2.0, TWO_ATOM, SIGMA2, thresh + (1.0 + 1e-12) * top_lhs)
     eps2 = thresh + (1.0 - 1e-6) * top_lhs
-    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, eps2)
+    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.rho == 1.0 / law.lambda_plus
     assert sol.residual <= 1e-14 * eps2
-    assert math.isfinite(anisotropic_cost_lower_bound(2.0, TWO_ATOM, NOISE, eps2))
+    assert math.isfinite(anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2))
 
 
 def test_solve_rho_ols_near_divergence_boundary():
@@ -153,32 +178,32 @@ def test_solve_rho_ols_near_divergence_boundary():
     # and the root approaches the edge (delta 3.7e-19, 4.0e-9 and 1.7e-8 here);
     # the solve reaches it to rounding
     for gamma in (1.0000001, 1.01, 1.02):
-        sol = solve_rho_ols(gamma, NOISE)
+        sol = solve_rho_ols(gamma, SIGMA2)
         lp = MPLaw(gamma).lambda_plus
         assert 1.0 / (2.0 * lp) < sol.rho <= 1.0 / lp
-        delta, exact = ref.rho_ols(gamma, NOISE.sigma2)
+        delta, exact = ref.rho_ols(gamma, SIGMA2)
         assert delta < 1e-7
         assert ref.rel(sol.target_eps2, exact) <= 1e-14
 
 
 def test_limit_growth_domain_and_zero():
-    red = LimitReduction(2.0, NOISE)
+    red = LimitReduction(2.0, SIGMA2)
     assert red.growth(red.delta(0.0)) == 0.0
     with pytest.raises(RegimeError):
         red.delta(1.0 / MPLaw(2.0).lambda_plus)
 
 
 def test_solve_rho_monotone_in_eps2():
-    th = memorization_threshold(2.0, NOISE)
-    rhos = [solve_rho(2.0, NOISE, float(e)).rho for e in np.linspace(0.5 * th, 6 * th, 25)]
+    th = memorization_threshold(2.0, SIGMA2)
+    rhos = [solve_rho(2.0, SIGMA2, float(e)).rho for e in np.linspace(0.5 * th, 6 * th, 25)]
     assert all(b >= a for a, b in zip(rhos, rhos[1:]))
     above = [r for r in rhos if r > 0]
     assert all(b > a for a, b in zip(above, above[1:]))
 
 
 def test_cost_is_monotone_and_zero_below_threshold():
-    th = memorization_threshold(2.0, NOISE)
-    points = [asymptotic_cost(2.0, NOISE, float(e)) for e in np.linspace(0.2 * th, 5 * th, 15)]
+    th = memorization_threshold(2.0, SIGMA2)
+    points = [asymptotic_cost(2.0, SIGMA2, float(e)) for e in np.linspace(0.2 * th, 5 * th, 15)]
     costs = [p.cost for p in points]
     assert all(c == 0.0 for p, c in zip(points, costs) if p.eps2 <= th)
     assert all(b >= a for a, b in zip(costs, costs[1:]))
@@ -186,9 +211,9 @@ def test_cost_is_monotone_and_zero_below_threshold():
 
 
 def test_costbar_below_threshold_is_minus_gap():
-    th = memorization_threshold(2.0, NOISE)
-    point = asymptotic_cost(2.0, NOISE, 0.5 * th)
-    gap = ols_gap(2.0, NOISE)
+    th = memorization_threshold(2.0, SIGMA2)
+    point = asymptotic_cost(2.0, SIGMA2, 0.5 * th)
+    gap = ols_gap(2.0, SIGMA2)
     assert point.cost == 0.0
     assert abs(point.costbar + gap) < 1e-15
     assert point.costbar < 0
@@ -197,7 +222,7 @@ def test_costbar_below_threshold_is_minus_gap():
 def test_ols_gap_two_routes_and_small_sigma_law():
     ratios = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        gap = ols_gap(2.0, NoiseLevel(s2))
+        gap = ols_gap(2.0, s2)
         quad = s2 * s2 / 2.0 * mp_integrate(MPLaw(2.0), lambda s: 1.0 / (s * (s + s2)))
         assert abs(gap - quad) <= 1e-10 * gap
         ratios.append(gap / s2**2)
@@ -209,7 +234,7 @@ def test_ols_gap_two_routes_and_small_sigma_law():
 
 def test_rho_ols_lower_bound_and_residual():
     for gamma, s2 in GRID:
-        sol = solve_rho_ols(gamma, NoiseLevel(s2))
+        sol = solve_rho_ols(gamma, s2)
         lp = MPLaw(gamma).lambda_plus
         assert sol.rho >= 1.0 / (2.0 * lp)
         assert sol.rho < 1.0 / lp
@@ -221,23 +246,22 @@ def test_rho_ols_lower_bound_and_residual():
 def test_rho_ols_equation_by_quadrature(gamma, s2):
     # both sides of the rho_ols equation re-evaluated by the quadrature oracle
     law = MPLaw(gamma)
-    rho = solve_rho_ols(gamma, NoiseLevel(s2)).rho
+    rho = solve_rho_ols(gamma, s2).rho
     lhs = rho * rho * mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + s2)))
     rhs = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
     assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
 def test_rho_ols_large_sigma2_stays_interior():
-    sol = solve_rho_ols(2.0, NoiseLevel(100.0))
+    sol = solve_rho_ols(2.0, 100.0)
     lp = MPLaw(2.0).lambda_plus
     assert 1.0 / (2.0 * lp) < sol.rho < 1.0 / lp
 
 
 def test_threshold_ordering_on_grid():
     for gamma, s2 in GRID:
-        noise = NoiseLevel(s2)
-        eps_s2 = memorization_threshold(gamma, noise)
-        eps_ols2 = solve_rho_ols(gamma, noise).target_eps2
+        eps_s2 = memorization_threshold(gamma, s2)
+        eps_ols2 = solve_rho_ols(gamma, s2).target_eps2
         law = MPLaw(gamma)
         cap = (2.0 * law.lambda_plus / law.lambda_minus) ** 2 * eps_s2
         assert eps_s2 < eps_ols2 <= cap * (1 + 1e-12)
@@ -245,16 +269,15 @@ def test_threshold_ordering_on_grid():
 
 def test_costbar_zero_at_ols_threshold_and_sign_flip():
     for gamma, s2 in [(1.5, 0.1), (2.0, 0.1), (4.0, 1e-2)]:
-        noise = NoiseLevel(s2)
-        eps_ols2 = solve_rho_ols(gamma, noise).target_eps2
-        assert abs(asymptotic_cost(gamma, noise, eps_ols2).costbar) <= 1e-8
-        assert asymptotic_cost(gamma, noise, 0.95 * eps_ols2).costbar < 0
-        assert asymptotic_cost(gamma, noise, 1.05 * eps_ols2).costbar > 0
+        eps_ols2 = solve_rho_ols(gamma, s2).target_eps2
+        assert abs(asymptotic_cost(gamma, s2, eps_ols2).costbar) <= 1e-8
+        assert asymptotic_cost(gamma, s2, 0.95 * eps_ols2).costbar < 0
+        assert asymptotic_cost(gamma, s2, 1.05 * eps_ols2).costbar > 0
 
 
 def test_linear_bound_constants_isotropic():
     law = MPLaw(2.0)
-    bc = cost_linear_bound(2.0, NOISE)
+    bc = cost_linear_bound(2.0, SIGMA2)
     assert abs(bc.c_small - 2.0 / (law.lambda_minus**2 + 0.1)) < 1e-14
     shrink = (1 - 1 / math.sqrt(2)) ** 2
     assert abs(bc.C_growth - shrink * law.lambda_minus / (law.lambda_plus**2 * 2.0)) < 1e-16
@@ -262,8 +285,8 @@ def test_linear_bound_constants_isotropic():
 
 
 def test_linear_bound_families_differ_at_unit_kappa():
-    iso = cost_linear_bound(2.0, NOISE, kappa=1.0)
-    mitigated = cost_linear_bound(2.0, NOISE, kappa=1.0, anisotropic=True)
+    iso = cost_linear_bound(2.0, SIGMA2, kappa=1.0)
+    mitigated = cost_linear_bound(2.0, SIGMA2, kappa=1.0, anisotropic=True)
     law = MPLaw(2.0)
     assert abs(mitigated.c_small - 2.0 / (law.lambda_minus + 0.1)) < 1e-13
     assert iso.c_small != mitigated.c_small
@@ -271,19 +294,18 @@ def test_linear_bound_families_differ_at_unit_kappa():
 
 
 def test_linear_bound_vanishes_like_inverse_gamma():
-    c1 = cost_linear_bound(1e8, NOISE).C_growth
-    c2 = cost_linear_bound(2e8, NOISE).C_growth
+    c1 = cost_linear_bound(1e8, SIGMA2).C_growth
+    c2 = cost_linear_bound(2e8, SIGMA2).C_growth
     assert abs(c1 / c2 - 2.0) < 1e-3
 
 
 def test_linear_growth_guarantee_pointwise():
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
-            noise = NoiseLevel(s2)
-            bc = cost_linear_bound(gamma, noise)
+            bc = cost_linear_bound(gamma, s2)
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 20 * floor, 6):
-                point = asymptotic_cost(gamma, noise, float(eps2))
+                point = asymptotic_cost(gamma, s2, float(eps2))
                 assert point.cost >= bc.C_growth * eps2
 
 
@@ -291,31 +313,31 @@ def test_bound_constants_validation():
     with pytest.raises(DomainError):
         BoundConstants(c_small=0.0, C_growth=1.0)
     with pytest.raises(DomainError):
-        cost_linear_bound(2.0, NOISE, kappa=0.5)
+        cost_linear_bound(2.0, SIGMA2, kappa=0.5)
 
 
 def test_solve_rho_def_at_threshold():
-    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
-    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, eps2)
+    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
 
 
 def test_solve_rho_def_below_threshold_is_regime_error():
-    eps2 = 0.5 * deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
+    eps2 = 0.5 * deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
     with pytest.raises(RegimeError):
-        solve_rho_def(2.0, TWO_ATOM, NOISE, eps2)
+        solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
 
 
 def test_solve_rho_def_plug_back_residual():
-    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
-    sol = solve_rho_def(2.0, TWO_ATOM, NOISE, 2.0 * thresh)
+    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, 2.0 * thresh)
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.residual <= 1e-10
     # independent plug-back with the quadrature route
     law = MPLaw(2.0)
     kappa = TWO_ATOM.kappa
-    ks2 = kappa * NOISE.sigma2
-    lhs = kappa * NOISE.sigma2**2 * (
+    ks2 = kappa * SIGMA2
+    lhs = kappa * SIGMA2**2 * (
         mp_integrate(law, lambda s: 1.0 / ((1.0 - sol.rho * s) ** 2 * (s + ks2)))
         - mp_stieltjes_neg(law, ks2)
     )
@@ -324,43 +346,41 @@ def test_solve_rho_def_plug_back_residual():
 
 def test_solve_rho_def_degenerate_matches_isotropic():
     iso = PopulationSpectrum.isotropic()
-    th = memorization_threshold(2.0, NOISE)
+    th = memorization_threshold(2.0, SIGMA2)
     for mult in (1.5, 2.0, 4.0):
-        a = solve_rho_def(2.0, iso, NOISE, mult * th).rho
-        b = solve_rho(2.0, NOISE, mult * th).rho
+        a = solve_rho_def(2.0, iso, SIGMA2, mult * th).rho
+        b = solve_rho(2.0, SIGMA2, mult * th).rho
         assert abs(a - b) < 1e-12
 
 
 def test_anisotropic_bound_zero_at_threshold():
-    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), NOISE.sigma2)
-    assert anisotropic_cost_lower_bound(2.0, TWO_ATOM, NOISE, eps2) == 0.0
+    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    assert anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2) == 0.0
 
 
 def test_anisotropic_bound_linear_growth():
     kappa = TWO_ATOM.kappa
     for gamma in (1.5, 2.0):
         for s2 in (0.01, 0.1):
-            noise = NoiseLevel(s2)
-            bc = cost_linear_bound(gamma, noise, kappa=kappa)
+            bc = cost_linear_bound(gamma, s2, kappa=kappa)
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 10 * floor, 4):
-                bound = anisotropic_cost_lower_bound(gamma, TWO_ATOM, noise, float(eps2))
+                bound = anisotropic_cost_lower_bound(gamma, TWO_ATOM, s2, float(eps2))
                 assert bound >= bc.C_growth * eps2
 
 
 def test_anisotropic_bound_reduces_to_isotropic_cost():
     iso = PopulationSpectrum.isotropic()
     for s2 in (0.01, 0.1):
-        noise = NoiseLevel(s2)
-        th = memorization_threshold(2.0, noise)
+        th = memorization_threshold(2.0, s2)
         for mult in (1.5, 3.0):
-            bound = anisotropic_cost_lower_bound(2.0, iso, noise, mult * th)
-            exact = asymptotic_cost(2.0, noise, mult * th).cost
+            bound = anisotropic_cost_lower_bound(2.0, iso, s2, mult * th)
+            exact = asymptotic_cost(2.0, s2, mult * th).cost
             assert abs(bound - exact) <= 1e-9 * max(exact, 1e-12)
 
 
 def test_threshold_report_assembles_family():
-    report = threshold_report(2.0, NOISE, TWO_ATOM)
+    report = threshold_report(2.0, SIGMA2, TWO_ATOM)
     assert report.eps_sigma2 < report.eps_ols2
     assert report.eps_def2 is not None
     assert report.eps_def2 > report.eps_sigma2  # larger condition number raises it here
@@ -368,7 +388,7 @@ def test_threshold_report_assembles_family():
     bound = kappa * 0.1**2 * mp_stieltjes_neg(MPLaw(2.0), kappa * 0.1)
     assert report.eps_def2_upper_bound == pytest.approx(bound, rel=1e-15)
     assert report.eps_def2 <= report.eps_def2_upper_bound
-    plain = threshold_report(2.0, NOISE)
+    plain = threshold_report(2.0, SIGMA2)
     assert plain.eps_def2 is None and plain.eps_def2_upper_bound is None
 
 
@@ -381,11 +401,11 @@ def test_deformed_threshold_upper_bound_holds_past_overflow():
         for k in (6, 20, 100, 154, 155, 200, 300):
             pop = PopulationSpectrum(atoms=((1.0, 0.5), (10.0**-k, 0.5)))
             for j in range(-100, 101, 10):
-                report = threshold_report(gamma, NoiseLevel(10.0**j), pop)
+                report = threshold_report(gamma, 10.0**j, pop)
                 assert math.isfinite(report.eps_def2_upper_bound)
                 assert report.eps_def2_upper_bound >= report.eps_def2 * (1.0 - 4e-16)
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (1e-300, 0.5)))
-    report = threshold_report(2.0, NOISE, pop)
+    report = threshold_report(2.0, SIGMA2, pop)
     assert report.eps_def2 < report.eps_def2_upper_bound == pytest.approx(0.1, rel=1e-15)
 
 
@@ -400,7 +420,7 @@ def test_ols_gap_matches_mpmath_down_to_tiny_noise():
                 b = 1 - 1 / g + a
                 m = (mp.sqrt(b * b + 4 * a / g) - b) / (2 * a / g)
                 exact = float(a / g * (1 / (1 - 1 / g) - m))
-            assert abs(ols_gap(gamma, NoiseLevel(s2)) - exact) <= 1e-10 * exact
+            assert abs(ols_gap(gamma, s2) - exact) <= 1e-10 * exact
 
 
 @pytest.mark.parametrize("s2", [1e-8, 1e-10, 1e-12, 1e-20])
@@ -408,16 +428,15 @@ def test_ols_gap_matches_mpmath_down_to_tiny_noise():
 def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     # eps2 ~ sigma2^2 is tiny, and the solves must still reach it to rounding
     law = MPLaw(2.0)
-    noise = NoiseLevel(s2)
-    eps2 = multiple * memorization_threshold(2.0, noise)
-    rho = solve_rho(2.0, noise, eps2).rho
+    eps2 = multiple * memorization_threshold(2.0, s2)
+    rho = solve_rho(2.0, s2, eps2).rho
     train = s2 * s2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
     thresh = deformed_threshold(DeformedLaw(2.0, pop), s2)
     eps2_def = multiple * thresh
-    rho_def = solve_rho_def(2.0, pop, noise, eps2_def).rho
+    rho_def = solve_rho_def(2.0, pop, s2, eps2_def).rho
     ks2 = pop.kappa * s2
     reached = thresh + pop.kappa * s2 * s2 * (
         mp_shrinkage_integrals(law, 1.0 - rho_def * law.lambda_plus, ks2)[0]

@@ -17,14 +17,16 @@ TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 
 
 def test_population_normalizes_weights_with_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as rec:
         pop = PopulationSpectrum(atoms=((1.0, 2.0), (0.5, 2.0)))
+    assert rec[0].filename == __file__  # the caller, not the generated __init__
     assert np.allclose(pop.weights, [0.5, 0.5])
 
 
 def test_population_rescales_top_value_with_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as rec:
         pop = PopulationSpectrum(atoms=((2.0, 0.5), (1.0, 0.5)))
+    assert rec[0].filename == __file__
     assert pop.values.max() == 1.0
     assert abs(pop.kappa - 2.0) < 1e-15
 
@@ -67,6 +69,10 @@ def test_population_refuses_a_value_whose_reciprocal_overflows():
     with pytest.raises(SpectrumFormatError, match="1/value finite") as info:
         parse_population_spectrum("1.0 0.5\n1e-320 0.5\n")
     assert info.value.line == 2
+    # 1/1e-308 is finite, but the value is 2.5e-309 once the top 4.0 is rescaled to 1
+    with pytest.raises(SpectrumFormatError, match=r"^<string>:3: 1/value overflows") as info:
+        parse_population_spectrum("4.0 0.5\n# comment\n1e-308 0.5\n")
+    assert info.value.line == 3
     assert parse_population_spectrum("1.0 0.5\n1e-300 0.5\n").kappa == 1.0 / 1e-300
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from memcost import finite_n_lab
-from memcost.cost_engine import NoiseLevel, memorization_threshold
+from memcost.cost_engine import memorization_threshold
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import ConsistencyError, DomainError, FeasibilityError, RankError, RegimeError
 from memcost.finite_n_lab import (
@@ -97,14 +97,15 @@ def test_isotropic_population_gives_identity_diagonal():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_rademacher_signs_match_the_out_of_place_map(seed):
-    n, d = 30, 70
-    config = ExperimentConfig(
-        n=n, d=d, sigma2=0.1, seed=seed, trials=3, entry_dist=EntryDist.RADEMACHER, rho=0.0
-    )
-    for t in range(config.trials):
-        rng = np.random.default_rng(trial_seed(seed, t))
-        expected = 2.0 * rng.integers(0, 2, size=(n, d)).astype(np.float64) - 1.0
-        assert np.array_equal(sample_design(config, t).Z, expected)
+    # (31, 71): an odd number of entries, half a 64-bit draw left over
+    for n, d in ((30, 70), (31, 71)):
+        config = ExperimentConfig(
+            n=n, d=d, sigma2=0.1, seed=seed, trials=3, entry_dist=EntryDist.RADEMACHER, rho=0.0
+        )
+        for t in range(config.trials):
+            rng = np.random.default_rng(trial_seed(seed, t))
+            expected = 2.0 * rng.integers(0, 2, size=(n, d)).astype(np.float64) - 1.0
+            assert np.array_equal(sample_design(config, t).Z, expected)
 
 
 @pytest.mark.parametrize("dist", list(EntryDist))
@@ -130,6 +131,23 @@ def test_isotropic_trial_allocates_one_design_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * d * 8
+
+
+def test_rademacher_trial_draws_its_signs_at_four_bytes():
+    # the 4-byte draw and its float cast, one n x d array each, then the Gram
+    # matrix: an 8-byte integer draw would put the peak at 2 n d 8
+    n, d = 200, 800
+    config = ExperimentConfig(
+        n=n, d=d, sigma2=0.1, seed=3, trials=1, entry_dist=EntryDist.RADEMACHER, rho=0.3
+    )
+    trial_metrics(config, 0)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        trial_metrics(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.55 * n * d * 8
 
 
 def test_design_is_deterministic_per_seed_and_trial():
@@ -172,7 +190,7 @@ def test_estimator_feasibility_boundary():
     oracle.estimator(0.99 * oracle.rho_max)
     with pytest.raises(FeasibilityError) as info:
         oracle.estimator(1.01 * oracle.rho_max)
-    assert info.value.min_eigenvalue < 0
+    info.match(r"min eigenvalue of the constraint matrix is -\d\.\d{3}e[-+]\d+$")
 
 
 def test_estimator_rejects_far_infeasible_rho():
@@ -407,7 +425,7 @@ def test_evaluate_design_full_report():
 
 @pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
 def test_trial_metrics_eps2_solve_hits_target(pop):
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     target = 3.0 * th
     config = ExperimentConfig(
         n=150, d=300, sigma2=0.1, seed=3, trials=1, population=pop, eps2=target
@@ -423,7 +441,7 @@ def test_trial_metrics_eps2_solve_hits_target(pop):
 
 
 def test_trial_metrics_by_rho_and_by_eps2_agree_at_solution():
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     by_eps = ExperimentConfig(n=150, d=300, sigma2=0.1, seed=3, trials=1, eps2=2 * th)
     m = trial_metrics(by_eps, 0)
     by_rho = ExperimentConfig(n=150, d=300, sigma2=0.1, seed=3, trials=1, rho=m.rho)
@@ -477,7 +495,7 @@ def test_run_trials_is_trial_metrics_in_trial_order(capsys):
 
 
 def test_convergence_report_rows():
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     configs = [
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=11, trials=4, eps2=2 * th)
         for n in (50, 100)
@@ -630,7 +648,7 @@ def test_trial_metrics_never_forms_a_d_by_d_matrix(monkeypatch, pop):
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(DesignOracle, "__init__", refuse)
-    th = memorization_threshold(2.0, NoiseLevel(0.1))
+    th = memorization_threshold(2.0, 0.1)
     for constraint in ({"rho": 0.2}, {"eps2": 3.0 * th}):
         config = ExperimentConfig(
             n=100, d=200, sigma2=0.1, seed=4, trials=1, population=pop, **constraint
@@ -650,7 +668,7 @@ def test_config_rejects_non_finite_or_negative_multiplier(field, value):
 @pytest.mark.parametrize("sigma2", [1e-8, 1e-10, 1e-12, 1e-20])
 def test_small_noise_eps2_trial_reaches_eps2(sigma2):
     # eps2 ~ sigma2^2 is tiny, and the per-design solve must still reach it to rounding
-    eps2 = 1.5 * memorization_threshold(2.0, NoiseLevel(sigma2))
+    eps2 = 1.5 * memorization_threshold(2.0, sigma2)
     config = ExperimentConfig(n=50, d=100, sigma2=sigma2, seed=3, trials=1, eps2=eps2)
     metrics = trial_metrics(config, 0)
     assert metrics.rho > 0.0
