@@ -36,7 +36,7 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import check_sigma2, constrain
+from .numerics import constrain
 from .spectra import MPLaw
 
 if TYPE_CHECKING:
@@ -183,7 +183,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    check_sigma2(args.sigma2)  # before the grid, which may be empty
+    red = ce.LimitReduction(args.gamma, args.sigma2)  # before the grid, which may be empty
     if args.grid is not None:
         grid = _eps2_grid(args)
     else:  # the parser requires exactly one of --eps2, --eps and --grid
@@ -191,7 +191,7 @@ def cmd_rho(args) -> int:
     rows = []
     for e2 in grid:
         try:
-            sol = ce.solve_rho(args.gamma, args.sigma2, e2)
+            sol = red.solve(e2)
             rows.append((e2, sol.rho, sol.regime.value, sol.residual))
         except NearDivergenceError:
             if args.grid is None:
@@ -219,12 +219,12 @@ plot '{csv}' using 1:3 with lines title 'cost', \\
 
 
 def cmd_cost_curve(args) -> int:
-    check_sigma2(args.sigma2)  # before the grid, which may be empty
+    red = ce.LimitReduction(args.gamma, args.sigma2)  # before the grid, which may be empty
     grid = _eps2_grid(args)
     rows = []
     for e2 in grid:
         try:
-            point = ce.asymptotic_cost(args.gamma, args.sigma2, e2)
+            point = red.cost(e2)
             regime = ce.Regime.of(point.rho).value
             rows.append((e2, point.rho, point.cost, point.costbar, regime))
         except NearDivergenceError:
@@ -244,8 +244,8 @@ def cmd_cost_curve(args) -> int:
 
 
 def cmd_ols(args) -> int:
-    sol = ce.solve_rho_ols(args.gamma, args.sigma2)
-    gap = ce.ols_gap(args.gamma, args.sigma2)
+    red = ce.LimitReduction(args.gamma, args.sigma2)
+    sol, gap = red.ols, red.gap
     table = OutputTable(
         header=["gamma", "sigma2", "rho_ols", "eps_ols2", "residual", "ols_gap"],
         rows=[(args.gamma, args.sigma2, sol.rho, sol.target_eps2, sol.residual, gap)],
@@ -293,11 +293,7 @@ def _simulate_targets(config: lab.ExperimentConfig) -> lab.AsymptoticTargets:
         cost = red.growth(constrain(red, config.eps2, config.rho, "")[0])
     except (NearDivergenceError, RegimeError):
         cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
-    return lab.AsymptoticTargets(
-        train_ridge=ce.memorization_threshold(gamma, s2),
-        cost=cost,
-        ols_gap=ce.ols_gap(gamma, s2),
-    )
+    return lab.AsymptoticTargets(train_ridge=red.threshold, cost=cost, ols_gap=red.gap)
 
 
 def cmd_simulate(args) -> int:

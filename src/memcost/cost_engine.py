@@ -16,24 +16,23 @@ solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
 from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
 a design.  rho = (1 - delta)/lambda_plus is formed only for output.
 
-Everything is exposed in eps^2 units (squared training error).  The noise
-variance sigma2 is a plain float; every function here refuses one outside
-[1e-100, 1e100] (``numerics.check_sigma2``) before any other argument.
+One ``LimitReduction`` per (gamma, sigma2) holds the law and the numbers
+derived from it, and its constructor is the one place sigma2 (a plain float
+in [1e-100, 1e100]) and then gamma are checked; each public function of
+(gamma, sigma2) is a one-line wrapper over one.  Everything is exposed in
+eps^2 units (squared training error).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    RegimeError,
-)
+from .errors import ConsistencyError, DomainError, RegimeError
 from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 
@@ -134,15 +133,16 @@ class BoundConstants:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.c_small <= 0 or self.C_growth <= 0:
+        if not (self.c_small > 0 and self.C_growth > 0):
             raise DomainError("bound constants must be positive")
 
 
 class LimitReduction:
-    """train and cost in delta = 1 - rho lambda_plus: the twin of ``finite_n_lab._Reduction``.
+    """The limit law at one (gamma, sigma2) and every number derived from it.
 
-    At delta = 1, train is memorization_threshold bit for bit and growth (the cost) is 0.
-    sigma2 is checked (``check_sigma2``) before gamma.
+    train and growth (the cost) in delta = 1 - rho lambda_plus are the twins of
+    those of ``finite_n_lab._Reduction``.  ``threshold``, ``gap`` and ``ols`` are
+    computed on first use and kept.  sigma2 is checked before gamma.
     """
 
     def __init__(self, gamma: float, sigma2: float):
@@ -163,6 +163,85 @@ class LimitReduction:
     def bracket(self, eps2: float) -> None:
         return None  # so solve_multiplier keeps [tiny, 1]
 
+    @functools.cached_property
+    def threshold(self) -> float:
+        """Largest eps2 whose constraint is asymptotically free: sigma2^2 int 1/(s + sigma2) dH."""
+        return self.train(1.0)
+
+    @property
+    def approx(self) -> float:
+        """Small-noise approximation sigma2^2 / (sigma2 + 1 - 1/gamma) of the threshold."""
+        s2 = self.sigma2
+        return s2 * s2 / (s2 + 1.0 - 1.0 / self.law.gamma)
+
+    @functools.cached_property
+    def gap(self) -> float:
+        """Prediction-error gap of the minimum-norm interpolant over ridge: the twin of the lab's.
+
+        (sigma2^2/gamma) int 1/(s (s + sigma2)) dH, in closed form (``_inverse_moment``);
+        the small-noise limit of gap/sigma2^2 is 1/(gamma (1 - 1/gamma)^3).
+        """
+        return self.sigma2 * self.sigma2 / self.law.gamma * _inverse_moment(self.law, self.sigma2)
+
+    @functools.cached_property
+    def ols(self) -> RhoSolution:
+        """Multiplier rho_ols at which the interpolant-relative cost changes sign.
+
+        Solves rho^2 int s/((1 - rho s)^2 (s + sigma2)) dH =
+        int 1/(s (s + sigma2)) dH, both sides in closed form, which has a
+        unique root in (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.
+        The solution's ``target_eps2`` carries the induced interpolation
+        threshold, train at the solved edge distance, which tends to 0 as
+        gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
+        """
+        law, s2, lp = self.law, self.sigma2, self.top
+        delta, residual = solve_multiplier(
+            lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
+            _inverse_moment(law, s2),
+            "rho_ols",
+        )
+        return RhoSolution(delta, lp, residual, self.train(delta))
+
+    def solve(self, eps2: float) -> RhoSolution:
+        """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
+
+        Returns rho = 0 (constraint inactive) for eps2 at or below the
+        threshold; otherwise solves the edge distance delta (see
+        ``numerics.solve_multiplier``) and reports the plugged-back residual.
+        Raises DomainError unless 0 <= eps2 < inf, and NearDivergenceError
+        for an eps2 past the float range of train.
+        """
+        if not 0.0 <= eps2 < math.inf:
+            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
+        delta, residual = solve_multiplier(self.train, eps2, "rho(eps2)")
+        return RhoSolution(delta, self.top, residual, eps2)
+
+    def cost(self, eps2: float) -> CostPoint:
+        """Cost of not fitting at eps2 (``growth`` at rho(eps2), 0 below the threshold), and cost - gap."""
+        sol = self.solve(eps2)
+        cost = self.growth(sol.delta)
+        return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - self.gap)
+
+    def report(self, pop: Optional[PopulationSpectrum] = None) -> ThresholdReport:
+        """Assemble the threshold family, checking the expected ordering."""
+        law, sigma2 = self.law, self.sigma2
+        eps_sigma2, eps_ols2 = self.threshold, self.ols.target_eps2
+        ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
+        if not (eps_sigma2 < eps_ols2 <= ratio * eps_sigma2 * (1.0 + 1e-12)):
+            raise ConsistencyError(
+                f"threshold ordering violated: {eps_sigma2}, {eps_ols2}, cap {ratio * eps_sigma2}"
+            )
+        eps_def2 = bound = None
+        if pop is not None:
+            eps_def2 = deformed_threshold(DeformedLaw(law.gamma, pop), sigma2)
+            # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
+            # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
+            x = pop.kappa * sigma2
+            bound = sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
+        return ThresholdReport(
+            eps_sigma2=eps_sigma2, eps_sigma2_approx=self.approx, eps_ols2=eps_ols2,
+            rho_ols=self.ols.rho, eps_def2=eps_def2, eps_def2_upper_bound=bound)
+
 
 def _inverse_moment(law: MPLaw, a: float) -> float:
     """int 1/(s (s + a)) dH = (1/(1 - 1/gamma) - int 1/(s + a) dH)/a, without cancellation.
@@ -182,52 +261,23 @@ def _inverse_moment(law: MPLaw, a: float) -> float:
 
 
 def memorization_threshold(gamma: float, sigma2: float) -> float:
-    """Largest eps2 whose constraint is asymptotically free: train(0).
-
-    Evaluated in closed form as sigma2^2 * int 1/(s + sigma2) dH(s).
-    """
-    return LimitReduction(gamma, sigma2).train(1.0)
+    """``LimitReduction.threshold``: the largest eps2 whose constraint is asymptotically free."""
+    return LimitReduction(gamma, sigma2).threshold
 
 
 def threshold_approx(gamma: float, sigma2: float) -> float:
-    """Small-noise approximation sigma2^2 / (sigma2 + 1 - 1/gamma)."""
-    check_sigma2(sigma2)
-    if not gamma > 1:
-        raise RegimeError(f"requires gamma > 1, got {gamma}")
-    return sigma2 * sigma2 / (sigma2 + 1.0 - 1.0 / gamma)
+    """``LimitReduction.approx``: sigma2^2 / (sigma2 + 1 - 1/gamma)."""
+    return LimitReduction(gamma, sigma2).approx
 
 
 def solve_rho(gamma: float, sigma2: float, eps2: float) -> RhoSolution:
-    """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
-
-    Returns rho = 0 (constraint inactive) for eps2 at or below the
-    threshold; otherwise solves the edge distance delta (see
-    ``numerics.solve_multiplier``) and reports the plugged-back residual.
-
-    Raises
-    ------
-    DomainError
-        Unless sigma2 is in range (checked first) and 0 <= eps2 < inf.
-    NearDivergenceError
-        If eps2 is past the float range of train.
-    """
-    check_sigma2(sigma2)
-    if not 0.0 <= eps2 < math.inf:
-        raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-    red = LimitReduction(gamma, sigma2)
-    delta, residual = solve_multiplier(red.train, eps2, "rho(eps2)")
-    return RhoSolution(delta, red.top, residual, eps2)
+    """``LimitReduction.solve``: the multiplier rho(eps2), 0 at or below the threshold."""
+    return LimitReduction(gamma, sigma2).solve(eps2)
 
 
 def asymptotic_cost(gamma: float, sigma2: float, eps2: float) -> CostPoint:
-    """Asymptotic cost of not fitting at eps2, plus the interpolant-relative cost.
-
-    cost = ``LimitReduction.growth`` at rho(eps2), which is 0 below the
-    threshold; costbar = cost - ols_gap(gamma, sigma2).
-    """
-    sol = solve_rho(gamma, sigma2, eps2)
-    cost = LimitReduction(gamma, sigma2).growth(sol.delta)
-    return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - ols_gap(gamma, sigma2))
+    """``LimitReduction.cost``: the cost of not fitting at eps2, and cost - ols_gap."""
+    return LimitReduction(gamma, sigma2).cost(eps2)
 
 
 def cost_linear_bound(
@@ -240,12 +290,11 @@ def cost_linear_bound(
     mitigated family has c = 2 kappa/(lambda_minus + kappa sigma2), which
     differs from the isotropic one even at kappa = 1 (linear rather than
     quadratic in the lower edge).  Pass ``anisotropic=True`` to force the
-    mitigated family at kappa = 1.
+    mitigated family at kappa = 1.  kappa must satisfy 1 <= kappa < inf.
     """
-    check_sigma2(sigma2)
-    if kappa < 1:
-        raise DomainError(f"kappa must be >= 1, got {kappa}")
-    law = MPLaw(gamma)
+    law = LimitReduction(gamma, sigma2).law
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError(f"kappa must satisfy 1 <= kappa < inf, got {kappa}")
     lm, lp = law.lambda_minus, law.lambda_plus
     shrink = (1.0 - 1.0 / math.sqrt(2.0)) ** 2
     if anisotropic is None:
@@ -260,34 +309,13 @@ def cost_linear_bound(
 
 
 def ols_gap(gamma: float, sigma2: float) -> float:
-    """Asymptotic prediction-error gap of the minimum-norm interpolant over ridge.
-
-    The gap is (sigma2^2/gamma) int 1/(s (s + sigma2)) dH, with the
-    integral in closed form (``_inverse_moment``).  The small-noise limit
-    of gap/sigma2^2 is 1/(gamma (1 - 1/gamma)^3).
-    """
-    check_sigma2(sigma2)
-    return sigma2 * sigma2 / gamma * _inverse_moment(MPLaw(gamma), sigma2)
+    """``LimitReduction.gap``: the prediction-error gap of the minimum-norm interpolant over ridge."""
+    return LimitReduction(gamma, sigma2).gap
 
 
 def solve_rho_ols(gamma: float, sigma2: float) -> RhoSolution:
-    """Multiplier rho_ols at which the interpolant-relative cost changes sign.
-
-    Solves rho^2 int s/((1 - rho s)^2 (s + sigma2)) dH =
-    int 1/(s (s + sigma2)) dH, both sides in closed form, which has a
-    unique root in (1/(2 lambda_plus), 1/lambda_plus) for any sigma2 > 0.
-    The solution's ``target_eps2`` carries the induced interpolation
-    threshold, train at the solved edge distance, which tends to 0 as
-    gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
-    """
-    red = LimitReduction(gamma, sigma2)
-    law, s2, lp = red.law, red.sigma2, red.top
-    delta, residual = solve_multiplier(
-        lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
-        _inverse_moment(law, s2),
-        "rho_ols",
-    )
-    return RhoSolution(delta, lp, residual, red.train(delta))
+    """``LimitReduction.ols``: the multiplier at which the interpolant-relative cost changes sign."""
+    return LimitReduction(gamma, sigma2).ols
 
 
 def solve_rho_def(
@@ -305,16 +333,13 @@ def solve_rho_def(
     Below the deformed threshold the cost is zero and this raises a
     regime error; exactly at it, rho_def = 0.
     """
-    check_sigma2(sigma2)
-    law = MPLaw(gamma)
+    law = LimitReduction(gamma, sigma2).law
     kappa = pop.kappa
     ks2 = kappa * sigma2
     thresh = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
     rhs = eps2 - thresh
     if rhs < 0:
-        raise RegimeError(
-            f"eps2={eps2} is below the deformed threshold {thresh}; no cost there"
-        )
+        raise RegimeError(f"eps2={eps2} is below the deformed threshold {thresh}; no cost there")
     scale = kappa * sigma2 * sigma2
     j0 = mp_stieltjes_neg(law, ks2)
     # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
@@ -341,28 +366,5 @@ def anisotropic_cost_lower_bound(
 def threshold_report(
     gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None
 ) -> ThresholdReport:
-    """Assemble the threshold family, checking the expected ordering."""
-    eps_sigma2 = memorization_threshold(gamma, sigma2)
-    ols = solve_rho_ols(gamma, sigma2)
-    eps_ols2 = ols.target_eps2
-    law = MPLaw(gamma)
-    ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
-    if not (eps_sigma2 < eps_ols2 <= ratio * eps_sigma2 * (1.0 + 1e-12)):
-        raise ConsistencyError(
-            f"threshold ordering violated: {eps_sigma2}, {eps_ols2}, cap {ratio * eps_sigma2}"
-        )
-    eps_def2 = bound = None
-    if pop is not None:
-        eps_def2 = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
-        # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
-        # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
-        x = pop.kappa * sigma2
-        bound = sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
-    return ThresholdReport(
-        eps_sigma2=eps_sigma2,
-        eps_sigma2_approx=threshold_approx(gamma, sigma2),
-        eps_ols2=eps_ols2,
-        rho_ols=ols.rho,
-        eps_def2=eps_def2,
-        eps_def2_upper_bound=bound,
-    )
+    """``LimitReduction.report``: the threshold family, with its ordering checked."""
+    return LimitReduction(gamma, sigma2).report(pop)

@@ -637,6 +637,53 @@ def test_json_error_rows_are_strict_json(capsys, argv):
     assert code == 0 and math.isnan(float(dict(zip(header, csv_rows[-1]))["rho"]))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["rho", "cost-curve"])
+def test_empty_grid_still_checks_gamma(capsys, command, fmt):
+    # defect 17: gamma was checked only at each grid point, so an empty grid
+    # exited 0 and echoed a nan or inf gamma into the JSON config
+    argv = [command, "--sigma2", "0.1", "--grid", "1:1:0", "--format", fmt]
+    for gamma in ("0.5", "1", "nan", "inf"):
+        code, out, err = run_cli(capsys, *argv, "--gamma", gamma)
+        assert (code, out) == (2, ""), gamma
+        assert err.startswith("memcost: error:") and "Traceback" not in err
+        assert "NaN" not in out and "Infinity" not in out
+    code, out, err = run_cli(capsys, *argv, "--gamma", "2")
+    assert code == 0, err
+    if fmt == "json":
+        assert json.loads(out, parse_constant=_refuse_constant)["rows"] == []
+    else:
+        assert parse_csv(out)[1] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost-curve", "--grid", "0.02:0.02:0.14"],
+    ["cost-curve", "--grid", "0.02:0.02:0.14", "--format", "json"],
+    ["rho", "--grid", "0.02:0.02:0.14"],
+    ["rho", "--eps2", "0.1"],
+    ["ols"],
+    ["threshold"],
+], ids=["cost-curve", "cost-curve-json", "rho-grid", "rho-eps2", "ols", "threshold"])
+def test_each_asymptotic_command_builds_one_limit_reduction(capsys, monkeypatch, argv):
+    built, original = [], LimitReduction.__init__
+    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or original(red, *a))
+    code, _, err = run_cli(capsys, *argv, "--gamma", "3", "--sigma2", "0.2")
+    assert code == 0, err
+    assert built == [(3.0, 0.2)]
+
+
+def test_cost_curve_evaluates_the_gap_once(capsys, monkeypatch):
+    calls = []
+    original = cli.ce._inverse_moment
+    monkeypatch.setattr(cli.ce, "_inverse_moment", lambda *a: calls.append(a) or original(*a))
+    # 7 points, 2 below the threshold 0.0427 and 5 above
+    code, out, err = run_cli(capsys, "cost-curve", "--gamma", "3", "--sigma2", "0.2",
+                             "--grid", "0.02:0.02:0.14")
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == 7
+    assert len(calls) == 1
+
+
 # (gamma, sigma2) where rho_ols lies from 1e-3 to 2.6e-14 (delta) below the edge
 D9_POINTS = [("2", "0.1"), ("1.5", "0.01"), ("1.05", "0.01"), ("1.1", "1e-3"), ("1.01", "1e-4")]
 
@@ -654,12 +701,13 @@ def test_rho_ols_near_the_edge_matches_mpmath(capsys, command, gamma, sigma2):
 
 
 def test_threshold_solves_rho_ols_once(capsys, monkeypatch):
+    # counts the solves themselves, whichever name reaches them
     calls = []
-    original = cli.ce.solve_rho_ols
-    monkeypatch.setattr(cli.ce, "solve_rho_ols", lambda *a: calls.append(a) or original(*a))
+    original = cli.ce.solve_multiplier
+    monkeypatch.setattr(cli.ce, "solve_multiplier", lambda *a: calls.append(a[2]) or original(*a))
     code, _, _ = run_cli(capsys, "threshold", "--gamma", "2", "--sigma2", "0.1")
     assert code == 0
-    assert len(calls) == 1
+    assert calls.count("rho_ols") == 1
 
 
 def test_verify_quick_passes(capsys):

@@ -35,17 +35,17 @@ GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)
 
 # every public function that takes sigma2, called with valid other arguments;
 # e is an eps2 for the rho_def routes
-SIGMA2_CALLS = {
-    "memorization_threshold": lambda s2, e: memorization_threshold(2.0, s2),
-    "threshold_approx": lambda s2, e: threshold_approx(2.0, s2),
-    "solve_rho": lambda s2, e: solve_rho(2.0, s2, 0.0),
-    "asymptotic_cost": lambda s2, e: asymptotic_cost(2.0, s2, 0.0),
-    "cost_linear_bound": lambda s2, e: cost_linear_bound(2.0, s2),
-    "ols_gap": lambda s2, e: ols_gap(2.0, s2),
-    "solve_rho_ols": lambda s2, e: solve_rho_ols(2.0, s2),
-    "solve_rho_def": lambda s2, e: solve_rho_def(2.0, TWO_ATOM, s2, e),
-    "anisotropic_cost_lower_bound": lambda s2, e: anisotropic_cost_lower_bound(2.0, TWO_ATOM, s2, e),
-    "threshold_report": lambda s2, e: threshold_report(2.0, s2, TWO_ATOM),
+PUBLIC_CALLS = {
+    "memorization_threshold": lambda g, s2, e: memorization_threshold(g, s2),
+    "threshold_approx": lambda g, s2, e: threshold_approx(g, s2),
+    "solve_rho": lambda g, s2, e: solve_rho(g, s2, 0.0),
+    "asymptotic_cost": lambda g, s2, e: asymptotic_cost(g, s2, 0.0),
+    "cost_linear_bound": lambda g, s2, e: cost_linear_bound(g, s2),
+    "ols_gap": lambda g, s2, e: ols_gap(g, s2),
+    "solve_rho_ols": lambda g, s2, e: solve_rho_ols(g, s2),
+    "solve_rho_def": lambda g, s2, e: solve_rho_def(g, TWO_ATOM, s2, e),
+    "anisotropic_cost_lower_bound": lambda g, s2, e: anisotropic_cost_lower_bound(g, TWO_ATOM, s2, e),
+    "threshold_report": lambda g, s2, e: threshold_report(g, s2, TWO_ATOM),
 }
 
 
@@ -55,18 +55,39 @@ def test_sigma2_calls_cover_every_public_function_of_sigma2():
         if inspect.isfunction(getattr(ce, name))
         and "sigma2" in inspect.signature(getattr(ce, name)).parameters
     ]
-    assert sorted(takes_sigma2) == sorted(SIGMA2_CALLS)
+    assert sorted(takes_sigma2) == sorted(PUBLIC_CALLS)
 
 
-@pytest.mark.parametrize("name", list(SIGMA2_CALLS))
+@pytest.mark.parametrize("name", list(PUBLIC_CALLS))
 def test_sigma2_outside_the_range_is_refused(name):
-    call = SIGMA2_CALLS[name]
+    call = PUBLIC_CALLS[name]
     for bad in (0.0, math.inf, math.nan, -math.inf, 1e-101, 1e101, 1e-300, 1e300):
         with pytest.raises(DomainError, match=r"^sigma2 must lie in \[1e-100, 1e100\], got "):
-            call(bad, 1.0)
+            call(2.0, bad, 1.0)
     # the ends of the accepted range are valid; at the deformed threshold rho_def = 0
     for good in (1e-100, 1e100):
-        call(good, deformed_threshold(DeformedLaw(2.0, TWO_ATOM), good))
+        call(2.0, good, deformed_threshold(DeformedLaw(2.0, TWO_ATOM), good))
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_CALLS))
+def test_gamma_outside_the_regime_is_refused(name):
+    # threshold_approx used to return a value at gamma = inf
+    for bad in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(RegimeError, match="overparameterized regime requires gamma > 1"):
+            PUBLIC_CALLS[name](bad, SIGMA2, 1.0)
+
+
+@pytest.mark.parametrize("gamma,s2", [(1.5, 1e-3), (2.0, 0.1), (10.0, 1.0), (1e308, 0.1)])
+def test_public_functions_are_their_reduction_members_bit_for_bit(gamma, s2):
+    red = LimitReduction(gamma, s2)
+    assert repr(memorization_threshold(gamma, s2)) == repr(red.threshold)
+    assert repr(threshold_approx(gamma, s2)) == repr(red.approx)
+    assert repr(ols_gap(gamma, s2)) == repr(red.gap)
+    assert repr(solve_rho_ols(gamma, s2)) == repr(red.ols)
+    for multiple in (0.5, 1.0, 1.5, 6.0):
+        eps2 = multiple * red.threshold
+        assert repr(solve_rho(gamma, s2, eps2)) == repr(red.solve(eps2))
+        assert repr(asymptotic_cost(gamma, s2, eps2)) == repr(red.cost(eps2))
 
 
 def test_threshold_value_gamma2():
@@ -314,6 +335,20 @@ def test_bound_constants_validation():
         BoundConstants(c_small=0.0, C_growth=1.0)
     with pytest.raises(DomainError):
         cost_linear_bound(2.0, SIGMA2, kappa=0.5)
+
+
+def test_bound_constants_refuse_nan():
+    for c, C in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="bound constants must be positive"):
+            BoundConstants(c_small=c, C_growth=C)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.5, -math.inf])
+def test_linear_bound_refuses_kappa_outside_one_to_inf(kappa):
+    # kappa = nan used to give BoundConstants(nan, nan, nan), and kappa = inf
+    # a refusal that named the constants, not kappa
+    with pytest.raises(DomainError, match=r"^kappa must satisfy 1 <= kappa < inf"):
+        cost_linear_bound(2.0, SIGMA2, kappa=kappa)
 
 
 def test_solve_rho_def_at_threshold():
