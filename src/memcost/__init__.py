@@ -15,6 +15,7 @@ from .cost_engine import (
     anisotropic_cost_lower_bound,
     asymptotic_cost,
     cost_linear_bound,
+    deformed_threshold,
     memorization_threshold,
     ols_gap,
     solve_rho,
@@ -23,14 +24,7 @@ from .cost_engine import (
     threshold_approx,
     threshold_report,
 )
-from .deformed import (
-    DeformedLaw,
-    PopulationSpectrum,
-    deformed_threshold,
-    load_population_spectrum,
-    parse_population_spectrum,
-    silverstein_solve,
-)
+from .deformed import PopulationSpectrum, load_population_spectrum, parse_population_spectrum
 from .errors import (
     BracketError,
     ConsistencyError,

@@ -447,6 +447,9 @@ def main(argv=None) -> int:
     except (DomainError, SpectrumFormatError, NearDivergenceError, OSError) as exc:
         print(f"memcost: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a design too large for this host's memory
+        print(f"memcost: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except MemcostError as exc:
         print(f"memcost: check failure: {exc}", file=sys.stderr)
         return 1

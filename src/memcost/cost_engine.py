@@ -16,11 +16,12 @@ solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
 from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
 a design.  rho = (1 - delta)/lambda_plus is formed only for output.
 
-One ``LimitReduction`` per (gamma, sigma2) holds the law and the numbers
-derived from it, and its constructor is the one place sigma2 (a plain float
-in [1e-100, 1e100]) and then gamma are checked; each public function of
-(gamma, sigma2) is a one-line wrapper over one.  Everything is exposed in
-eps^2 units (squared training error).
+One ``LimitReduction`` per (gamma, sigma2, population) holds the law and the
+numbers derived from it, among them the anisotropic ones read from one
+Silverstein root, and its constructor is the one place sigma2 (a plain float
+in [1e-100, 1e100]) and then gamma are checked; each public function is a
+one-line wrapper over one.  Everything is exposed in eps^2 units (squared
+training error).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
+from .deformed import PopulationSpectrum, _silverstein_root
 from .errors import ConsistencyError, DomainError, RegimeError
 from .numerics import check_sigma2, edge_distance, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
@@ -49,6 +50,7 @@ __all__ = [
     "cost_linear_bound",
     "ols_gap",
     "solve_rho_ols",
+    "deformed_threshold",
     "solve_rho_def",
     "anisotropic_cost_lower_bound",
     "threshold_report",
@@ -138,16 +140,19 @@ class BoundConstants:
 
 
 class LimitReduction:
-    """The limit law at one (gamma, sigma2) and every number derived from it.
+    """The limit law at one (gamma, sigma2, pop) and every number derived from it.
 
     train and growth (the cost) in delta = 1 - rho lambda_plus are the twins of
-    those of ``finite_n_lab._Reduction``.  ``threshold``, ``gap`` and ``ols`` are
-    computed on first use and kept.  sigma2 is checked before gamma.
+    those of ``finite_n_lab._Reduction``.  ``threshold``, ``gap``, ``ols`` and,
+    given a population spectrum ``pop``, the Silverstein root ``m_def`` and
+    ``eps_def2`` are computed on first use and kept.  ``threshold`` is the
+    isotropic threshold whether or not ``pop`` is given.  sigma2 is checked
+    before gamma.
     """
 
-    def __init__(self, gamma: float, sigma2: float):
+    def __init__(self, gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None):
         check_sigma2(sigma2)
-        self.law, self.sigma2 = MPLaw(gamma), sigma2
+        self.law, self.sigma2, self.pop = MPLaw(gamma), sigma2, pop
         self.top = self.law.lambda_plus
 
     def delta(self, rho: float, context: str = "") -> float:
@@ -222,9 +227,55 @@ class LimitReduction:
         cost = self.growth(sol.delta)
         return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - self.gap)
 
-    def report(self, pop: Optional[PopulationSpectrum] = None) -> ThresholdReport:
+    @functools.cached_property
+    def m_def(self) -> float:
+        """Silverstein root m_G(-sigma2) = int 1/(s + sigma2) dG, G the deformed law of ``pop``."""
+        if self.pop is None:
+            raise DomainError("the deformed law needs a population spectrum")
+        return _silverstein_root(self.pop, self.law.gamma, self.sigma2)
+
+    @functools.cached_property
+    def eps_def2(self) -> float:
+        """Deformed threshold sigma2^2 m_G(-sigma2); the isotropic one for a point mass at 1."""
+        return self.sigma2 * self.sigma2 * self.m_def
+
+    def solve_def(self, eps2: float) -> RhoSolution:
+        """Multiplier rho_def for the anisotropic covariance with spectrum ``pop``.
+
+        Solves, with kappa the population condition number and all integrals
+        against the isotropic law H,
+
+            kappa sigma2^2 (int 1/((1 - rho s)^2 (s + kappa sigma2)) dH
+                            - int 1/(s + kappa sigma2) dH)
+            = eps2 - eps_def2.
+
+        Below the deformed threshold the cost is zero and this raises a
+        regime error; exactly at it, rho_def = 0.
+        """
+        rhs = eps2 - self.eps_def2
+        if rhs < 0:
+            raise RegimeError(
+                f"eps2={eps2} is below the deformed threshold {self.eps_def2}; no cost there")
+        law, s2, kappa = self.law, self.sigma2, self.pop.kappa
+        ks2, scale = kappa * s2, kappa * s2 * s2
+        j0 = mp_stieltjes_neg(law, ks2)
+        # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
+        delta, residual = solve_multiplier(
+            lambda x: scale * (mp_shrinkage_integrals(law, x, ks2)[0] - j0), rhs,
+            f"rho_def(eps2={eps2!r})")
+        return RhoSolution(delta, self.top, residual, eps2)
+
+    def bound(self, eps2: float) -> float:
+        """Proved lower bound on the anisotropic cost at eps2: ``growth`` at rho_def.
+
+        Only the lower bound is exposed: the exact anisotropic limit is not
+        available, and reporting one would overstate what is known.
+        """
+        return self.growth(self.solve_def(eps2).delta)
+
+    def report(self) -> ThresholdReport:
         """Assemble the threshold family, checking the expected ordering."""
-        law, sigma2 = self.law, self.sigma2
+        law, sigma2, pop = self.law, self.sigma2, self.pop
         eps_sigma2, eps_ols2 = self.threshold, self.ols.target_eps2
         ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
         if not (eps_sigma2 < eps_ols2 <= ratio * eps_sigma2 * (1.0 + 1e-12)):
@@ -233,7 +284,7 @@ class LimitReduction:
             )
         eps_def2 = bound = None
         if pop is not None:
-            eps_def2 = deformed_threshold(DeformedLaw(law.gamma, pop), sigma2)
+            eps_def2 = self.eps_def2
             # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
             # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
             x = pop.kappa * sigma2
@@ -318,53 +369,25 @@ def solve_rho_ols(gamma: float, sigma2: float) -> RhoSolution:
     return LimitReduction(gamma, sigma2).ols
 
 
-def solve_rho_def(
-    gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float
-) -> RhoSolution:
-    """Multiplier rho_def for anisotropic covariance with spectrum ``pop``.
+def deformed_threshold(gamma: float, pop: PopulationSpectrum, sigma2: float) -> float:
+    """``LimitReduction.eps_def2``: the memorization threshold under the deformed law."""
+    return LimitReduction(gamma, sigma2, pop).eps_def2
 
-    Solves, with kappa the population condition number and all integrals
-    against the isotropic law H,
 
-        kappa sigma2^2 (int 1/((1 - rho s)^2 (s + kappa sigma2)) dH
-                        - int 1/(s + kappa sigma2) dH)
-        = eps2 - deformed_threshold.
-
-    Below the deformed threshold the cost is zero and this raises a
-    regime error; exactly at it, rho_def = 0.
-    """
-    law = LimitReduction(gamma, sigma2).law
-    kappa = pop.kappa
-    ks2 = kappa * sigma2
-    thresh = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
-    rhs = eps2 - thresh
-    if rhs < 0:
-        raise RegimeError(f"eps2={eps2} is below the deformed threshold {thresh}; no cost there")
-    scale = kappa * sigma2 * sigma2
-    j0 = mp_stieltjes_neg(law, ks2)
-    # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
-    delta, residual = solve_multiplier(
-        lambda x: scale * (mp_shrinkage_integrals(law, x, ks2)[0] - j0),
-        rhs,
-        f"rho_def(eps2={eps2!r})",
-    )
-    return RhoSolution(delta, law.lambda_plus, residual, eps2)
+def solve_rho_def(gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float) -> RhoSolution:
+    """``LimitReduction.solve_def``: the multiplier rho_def, 0 at the deformed threshold."""
+    return LimitReduction(gamma, sigma2, pop).solve_def(eps2)
 
 
 def anisotropic_cost_lower_bound(
     gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float
 ) -> float:
-    """Proved lower bound on the anisotropic cost of not fitting at eps2.
-
-    Returns (rho_def^2/gamma) int sigma2^2 s/((1 - rho_def s)^2 (s + sigma2)) dH.
-    Only the lower bound is exposed: the exact anisotropic limit is not
-    available, and reporting one would overstate what is known.
-    """
-    return LimitReduction(gamma, sigma2).growth(solve_rho_def(gamma, pop, sigma2, eps2).delta)
+    """``LimitReduction.bound``: the proved lower bound on the anisotropic cost at eps2."""
+    return LimitReduction(gamma, sigma2, pop).bound(eps2)
 
 
 def threshold_report(
     gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None
 ) -> ThresholdReport:
     """``LimitReduction.report``: the threshold family, with its ordering checked."""
-    return LimitReduction(gamma, sigma2).report(pop)
+    return LimitReduction(gamma, sigma2, pop).report()

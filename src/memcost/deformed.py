@@ -1,10 +1,13 @@
-"""Deformed Marchenko-Pastur law for anisotropic population covariance.
+"""Population spectra, and the deformed Marchenko-Pastur law they induce.
 
 The limit law G of (1/d) Z Sigma Z^T is handled entirely through its
 Stieltjes transform evaluated at real negative arguments z = -sigma2 < 0,
-where it solves the scalar fixed point
+where it solves the scalar fixed point (Silverstein and Bai, 1995)
 
     m = 1 / (sigma2 + int tau / (1 + tau m / gamma) dT(tau)).
+
+``cost_engine.LimitReduction(gamma, sigma2, pop)`` checks sigma2 and gamma,
+solves this once and keeps the root; the anisotropic numbers are its members.
 
 Population spectra are finite atom lists normalized so the largest atom
 value is 1; this realizes any limiting spectrum of the assumed covariance
@@ -18,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
+from .errors import ConvergenceError, DomainError, SpectrumFormatError
 from .numerics import solve_level
 
 if TYPE_CHECKING:
@@ -26,9 +29,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PopulationSpectrum",
-    "DeformedLaw",
-    "silverstein_solve",
-    "deformed_threshold",
     "parse_population_spectrum",
     "load_population_spectrum",
 ]
@@ -100,20 +100,8 @@ class PopulationSpectrum:
         return all(value == 1.0 for value, _ in self.atoms)
 
 
-@dataclass(frozen=True)
-class DeformedLaw:
-    """Limit spectral law of (1/d) Z Sigma Z^T: aspect ratio plus population."""
-
-    gamma: float
-    population: PopulationSpectrum
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
-            raise RegimeError(f"requires gamma > 1, got {self.gamma}")
-
-
-def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
-    """Stieltjes transform of the deformed law at -sigma2 < 0.
+def _silverstein_root(pop: PopulationSpectrum, gamma: float, sigma2: float) -> float:
+    """Stieltjes transform m_G(-sigma2) of the deformed law, for gamma > 1 and sigma2 > 0.
 
     Solves the fixed point as the level equation
     m * (sigma2 + int tau/(1 + tau m/gamma) dT) = 1 with
@@ -122,17 +110,15 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     and bracketed there.  Where those ends round onto the root (sigma2 past
     about 1e15 int tau dT) it solves on (0, 2/sigma2], whose top level stays
     >= 1 in floating point.  The returned m equals int 1/(s + sigma2) dG(s)
-    and satisfies the fixed point to 1e-12 relative.
+    and satisfies the fixed point to 1e-12 relative.  The caller checks
+    gamma and sigma2 (``cost_engine.LimitReduction``).
     """
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    atoms = law.population.atoms
-    g = law.gamma
+    atoms = pop.atoms
 
     def level(m: float) -> float:
         total = 0.0
         for tau, w in atoms:  # left to right, as numpy sums a short array
-            total += w * tau / (1.0 + tau * m / g)
+            total += w * tau / (1.0 + tau * m / gamma)
         return m * (sigma2 + total)
 
     mean = sum(w * tau for tau, w in atoms)
@@ -144,15 +130,6 @@ def silverstein_solve(law: DeformedLaw, sigma2: float) -> float:
     if fp_residual > 1e-12:
         raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12")
     return m
-
-
-def deformed_threshold(law: DeformedLaw, sigma2: float) -> float:
-    """Memorization threshold under the deformed law: sigma2^2 * m_G(-sigma2).
-
-    Equals int sigma2^2 / (s + sigma2) dG(s); reduces to the isotropic
-    threshold when the population is a point mass at 1.
-    """
-    return sigma2 * sigma2 * silverstein_solve(law, sigma2)
 
 
 def parse_population_spectrum(text: str, *, source: str = "<string>") -> PopulationSpectrum:

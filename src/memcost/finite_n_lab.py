@@ -22,6 +22,7 @@ thread count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -41,13 +42,9 @@ __all__ = [
     "ExperimentConfig",
     "DesignSample",
     "AsymptoticTargets",
-    "TrialMetrics",
-    "splitmix64",
     "trial_seed",
-    "apportion_atoms",
     "sample_design",
     "trial_metrics",
-    "summarize",
     "summarize_trials",
 ]
 
@@ -110,6 +107,11 @@ class ExperimentConfig:
             )
         if self.n < 1:
             raise DomainError("n must be positive")
+        if self.n * self.d * 8 > sys.maxsize:  # numpy refuses such an array before allocating
+            raise DomainError(
+                f"an n x d = {self.n} x {self.d} design needs {self.n * self.d * 8} bytes, "
+                f"past the largest array of {sys.maxsize} bytes"
+            )
         check_sigma2(self.sigma2)
         if self.trials < 1:
             raise DomainError("trials must be >= 1")

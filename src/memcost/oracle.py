@@ -34,7 +34,6 @@ from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
 __all__ = [
     "mp_integrate",
     "DesignOracle",
-    "ErrorReport",
     "build_estimator",
     "pred_error_direct",
     "train_error_direct",

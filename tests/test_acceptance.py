@@ -10,15 +10,17 @@ import numpy as np
 
 from memcost import cli
 from memcost.cost_engine import (
+    LimitReduction,
     asymptotic_cost,
     cost_linear_bound,
+    deformed_threshold,
     memorization_threshold,
     ols_gap,
     solve_rho,
     solve_rho_ols,
     threshold_approx,
 )
-from memcost.deformed import DeformedLaw, PopulationSpectrum, silverstein_solve, deformed_threshold
+from memcost.deformed import PopulationSpectrum
 from memcost.finite_n_lab import (
     AsymptoticTargets,
     EntryDist,
@@ -275,7 +277,7 @@ def test_criterion_10_deformed_law():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (1e-2, 0.1, 1.0):
-            m = silverstein_solve(DeformedLaw(gamma, iso), s2)
+            m = LimitReduction(gamma, s2, iso).m_def
             worst_reduction = max(worst_reduction, abs(m - mp_stieltjes_neg(MPLaw(gamma), s2)))
 
     # two-atom fixed point against a simulated spectrum at n=2000
@@ -284,7 +286,7 @@ def test_criterion_10_deformed_law():
     )
     spec = esd_from_design(sample_design(config, 0).X)
     simulated = float(np.mean(1.0 / (spec + 0.1)))
-    m = silverstein_solve(DeformedLaw(2.0, TWO_ATOM), 0.1)
+    m = LimitReduction(2.0, 0.1, TWO_ATOM).m_def
     sim_dev = abs(m - simulated) / simulated
 
     # condition-number bound on the deformed threshold over the test spectra
@@ -297,7 +299,7 @@ def test_criterion_10_deformed_law():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for s2 in (1e-2, 0.1, 1.0):
-                val = deformed_threshold(DeformedLaw(gamma, pop), s2)
+                val = deformed_threshold(gamma, pop, s2)
                 cap = kappa * s2 * s2 * mp_stieltjes_neg(MPLaw(gamma), kappa * s2)
                 bound_ok &= val <= cap * (1.0 + 1e-12)
 

@@ -666,10 +666,23 @@ def test_empty_grid_still_checks_gamma(capsys, command, fmt):
 ], ids=["cost-curve", "cost-curve-json", "rho-grid", "rho-eps2", "ols", "threshold"])
 def test_each_asymptotic_command_builds_one_limit_reduction(capsys, monkeypatch, argv):
     built, original = [], LimitReduction.__init__
-    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or original(red, *a))
+    # (gamma, sigma2); threshold also passes its population, None here
+    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a[:2]) or original(red, *a))
     code, _, err = run_cli(capsys, *argv, "--gamma", "3", "--sigma2", "0.2")
     assert code == 0, err
     assert built == [(3.0, 0.2)]
+
+
+def test_threshold_with_a_population_builds_one_reduction_and_solves_one_level(capsys, monkeypatch, tmp_path):
+    from memcost import deformed
+
+    built, solves = [], []
+    init, solve_level = LimitReduction.__init__, deformed.solve_level
+    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or init(red, *a))
+    monkeypatch.setattr(deformed, "solve_level", lambda *a: solves.append(a) or solve_level(*a))
+    code, _, err = run_cli(capsys, "threshold", "--gamma", "3", "--sigma2", "0.2", "--pop", _pop_file(tmp_path))
+    assert code == 0, err
+    assert (len(built), len(solves)) == (1, 1)
 
 
 def test_cost_curve_evaluates_the_gap_once(capsys, monkeypatch):
@@ -754,7 +767,7 @@ def test_verify_perturbation_negative_control(capsys):
 VERIFY_UNREACHED = {
     "memorization_threshold", "threshold_approx", "solve_rho", "asymptotic_cost",
     "cost_linear_bound", "solve_rho_ols", "solve_rho_def", "anisotropic_cost_lower_bound",
-    "threshold_report", "silverstein_solve", "deformed_threshold", "mp_cdf",
+    "threshold_report", "deformed_threshold", "mp_cdf",
 }
 
 
@@ -833,6 +846,35 @@ def test_spectrum_command(capsys):
     vals = [r[1] for r in payload["rows"]]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert "kolmogorov_distance" in payload["metadata"]
+
+
+# defect 18: a design past numpy's largest array ended in a raw traceback
+# with exit 1.  Only sizes that are refused before any allocation are run:
+# whether 10^12 columns allocate depends on the host's memory overcommit.
+OVERSIZED = {
+    "spectrum": ["spectrum", "--n", "5", "--d", "1000000000000000000", "--seed", "1"],
+    "simulate": ["simulate", "--n", "20", "--d", "1000000000000000000", "--seed", "1",
+                 "--sigma2", "0.1", "--eps2", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(OVERSIZED))
+def test_a_design_past_the_largest_array_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, *OVERSIZED[command])
+    assert (code, out) == (2, "")
+    assert err.startswith("memcost: error: an n x d = ") and "bytes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", list(OVERSIZED))
+def test_a_design_that_does_not_fit_in_memory_is_refused(capsys, monkeypatch, command):
+    def refuse(config, trial):
+        raise MemoryError("Unable to allocate 36.4 TiB for an array")
+
+    monkeypatch.setattr("memcost.finite_n_lab.sample_design", refuse)
+    argv = [a if a != "1000000000000000000" else "1000" for a in OVERSIZED[command]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "memcost: error: Unable to allocate 36.4 TiB for an array\n"
 
 
 def test_output_table_is_rectangular():

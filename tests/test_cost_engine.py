@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memcost import cost_engine as ce
+from memcost import deformed
 from memcost.cost_engine import (
     BoundConstants,
     LimitReduction,
@@ -13,6 +14,7 @@ from memcost.cost_engine import (
     anisotropic_cost_lower_bound,
     asymptotic_cost,
     cost_linear_bound,
+    deformed_threshold,
     memorization_threshold,
     ols_gap,
     solve_rho,
@@ -21,7 +23,7 @@ from memcost.cost_engine import (
     threshold_approx,
     threshold_report,
 )
-from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
+from memcost.deformed import PopulationSpectrum
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
 from memcost.oracle import mp_integrate
 from memcost.spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
@@ -43,6 +45,7 @@ PUBLIC_CALLS = {
     "cost_linear_bound": lambda g, s2, e: cost_linear_bound(g, s2),
     "ols_gap": lambda g, s2, e: ols_gap(g, s2),
     "solve_rho_ols": lambda g, s2, e: solve_rho_ols(g, s2),
+    "deformed_threshold": lambda g, s2, e: deformed_threshold(g, TWO_ATOM, s2),
     "solve_rho_def": lambda g, s2, e: solve_rho_def(g, TWO_ATOM, s2, e),
     "anisotropic_cost_lower_bound": lambda g, s2, e: anisotropic_cost_lower_bound(g, TWO_ATOM, s2, e),
     "threshold_report": lambda g, s2, e: threshold_report(g, s2, TWO_ATOM),
@@ -66,7 +69,7 @@ def test_sigma2_outside_the_range_is_refused(name):
             call(2.0, bad, 1.0)
     # the ends of the accepted range are valid; at the deformed threshold rho_def = 0
     for good in (1e-100, 1e100):
-        call(2.0, good, deformed_threshold(DeformedLaw(2.0, TWO_ATOM), good))
+        call(2.0, good, deformed_threshold(2.0, TWO_ATOM, good))
 
 
 @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
@@ -88,6 +91,34 @@ def test_public_functions_are_their_reduction_members_bit_for_bit(gamma, s2):
         eps2 = multiple * red.threshold
         assert repr(solve_rho(gamma, s2, eps2)) == repr(red.solve(eps2))
         assert repr(asymptotic_cost(gamma, s2, eps2)) == repr(red.cost(eps2))
+
+
+@pytest.mark.parametrize("gamma,s2", [(1.5, 1e-3), (2.0, 0.1), (10.0, 1.0), (1e308, 0.1)])
+def test_anisotropic_functions_are_their_reduction_members_bit_for_bit(gamma, s2):
+    red = LimitReduction(gamma, s2, TWO_ATOM)
+    assert repr(deformed_threshold(gamma, TWO_ATOM, s2)) == repr(red.eps_def2)
+    assert repr(threshold_report(gamma, s2, TWO_ATOM)) == repr(red.report())
+    for multiple in (1.0, 1.5, 6.0):
+        eps2 = multiple * red.eps_def2
+        assert repr(solve_rho_def(gamma, TWO_ATOM, s2, eps2)) == repr(red.solve_def(eps2))
+        assert repr(anisotropic_cost_lower_bound(gamma, TWO_ATOM, s2, eps2)) == repr(red.bound(eps2))
+
+
+def test_anisotropic_bound_builds_one_reduction_and_solves_one_level(monkeypatch):
+    eps2 = 2.0 * deformed_threshold(2.0, TWO_ATOM, SIGMA2)
+    built, solves = [], []
+    init, solve_level = LimitReduction.__init__, deformed.solve_level
+    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or init(red, *a))
+    monkeypatch.setattr(deformed, "solve_level", lambda *a: solves.append(a) or solve_level(*a))
+    anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2)
+    assert (len(built), len(solves)) == (1, 1)
+
+
+def test_deformed_members_need_a_population():
+    red = LimitReduction(2.0, SIGMA2)
+    for member in (lambda: red.eps_def2, lambda: red.solve_def(1.0), lambda: red.bound(1.0)):
+        with pytest.raises(DomainError, match="needs a population spectrum"):
+            member()
 
 
 def test_threshold_value_gamma2():
@@ -121,7 +152,7 @@ def test_deformed_path_matches_isotropic_threshold():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
         a = memorization_threshold(gamma, SIGMA2)
-        b = deformed_threshold(DeformedLaw(gamma, iso), SIGMA2)
+        b = deformed_threshold(gamma, iso, SIGMA2)
         assert abs(a - b) < 1e-10
 
 
@@ -181,7 +212,7 @@ def test_solve_rho_near_divergence_boundary():
 def test_solve_rho_def_near_divergence_boundary():
     ks2 = TWO_ATOM.kappa * SIGMA2
     law = MPLaw(2.0)
-    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    thresh = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
     scale = TWO_ATOM.kappa * SIGMA2**2
     top_lhs = scale * (mp_shrinkage_integrals(law, TINY, ks2)[0] - mp_stieltjes_neg(law, ks2))
     with pytest.raises(NearDivergenceError):
@@ -352,19 +383,19 @@ def test_linear_bound_refuses_kappa_outside_one_to_inf(kappa):
 
 
 def test_solve_rho_def_at_threshold():
-    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    eps2 = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
     sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
 
 
 def test_solve_rho_def_below_threshold_is_regime_error():
-    eps2 = 0.5 * deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    eps2 = 0.5 * deformed_threshold(2.0, TWO_ATOM, SIGMA2)
     with pytest.raises(RegimeError):
         solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
 
 
 def test_solve_rho_def_plug_back_residual():
-    thresh = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    thresh = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
     sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, 2.0 * thresh)
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.residual <= 1e-10
@@ -389,7 +420,7 @@ def test_solve_rho_def_degenerate_matches_isotropic():
 
 
 def test_anisotropic_bound_zero_at_threshold():
-    eps2 = deformed_threshold(DeformedLaw(2.0, TWO_ATOM), SIGMA2)
+    eps2 = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
     assert anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2) == 0.0
 
 
@@ -469,7 +500,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
-    thresh = deformed_threshold(DeformedLaw(2.0, pop), s2)
+    thresh = deformed_threshold(2.0, pop, s2)
     eps2_def = multiple * thresh
     rho_def = solve_rho_def(2.0, pop, s2, eps2_def).rho
     ks2 = pop.kappa * s2

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from memcost.deformed import (
-    DeformedLaw,
-    PopulationSpectrum,
-    deformed_threshold,
-    parse_population_spectrum,
-    silverstein_solve,
-)
+from memcost.cost_engine import LimitReduction, deformed_threshold
+from memcost.deformed import PopulationSpectrum, parse_population_spectrum
 from memcost.errors import DomainError, RegimeError, SpectrumFormatError
 from memcost.spectra import MPLaw, mp_stieltjes_neg
 
@@ -96,31 +91,27 @@ def test_parse_population_reports_line_numbers():
 def test_silverstein_degenerate_reduces_to_isotropic():
     for gamma in (1.5, 2.0, 4.0):
         for sigma2 in (1e-2, 0.1, 1.0):
-            law = DeformedLaw(gamma, PopulationSpectrum.isotropic())
-            m = silverstein_solve(law, sigma2)
+            m = LimitReduction(gamma, sigma2, PopulationSpectrum.isotropic()).m_def
             assert abs(m - mp_stieltjes_neg(MPLaw(gamma), sigma2)) < 1e-10
 
 
 def test_silverstein_large_sigma2_leading_order():
-    law = DeformedLaw(2.0, TWO_ATOM)
     s2 = 1e8
     mean_tau = float(np.sum(TWO_ATOM.weights * TWO_ATOM.values))
-    m = silverstein_solve(law, s2)
+    m = LimitReduction(2.0, s2, TWO_ATOM).m_def
     assert abs(m * (s2 + mean_tau) - 1.0) < 1e-6
 
 
 def test_silverstein_fixed_point_residual():
-    law = DeformedLaw(2.0, TWO_ATOM)
     for sigma2 in (1e-3, 0.1, 1.0):
-        m = silverstein_solve(law, sigma2)
+        m = LimitReduction(2.0, sigma2, TWO_ATOM).m_def
         tau, w = TWO_ATOM.values, TWO_ATOM.weights
-        rhs = 1.0 / (sigma2 + float(np.sum(w * tau / (1 + tau * m / law.gamma))))
+        rhs = 1.0 / (sigma2 + float(np.sum(w * tau / (1 + tau * m / 2.0))))
         assert abs(m - rhs) <= 1e-12
 
 
 def test_silverstein_monotone_in_sigma2():
-    law = DeformedLaw(2.0, TWO_ATOM)
-    vals = [silverstein_solve(law, s2) for s2 in np.logspace(-3, 1, 9)]
+    vals = [LimitReduction(2.0, s2, TWO_ATOM).m_def for s2 in np.logspace(-3, 1, 9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -129,25 +120,25 @@ def test_silverstein_stochastic_ordering():
     small = PopulationSpectrum(atoms=((1.0, 0.5), (0.4, 0.5)))
     large = PopulationSpectrum(atoms=((1.0, 0.5), (0.8, 0.5)))
     for sigma2 in (0.01, 0.1, 1.0):
-        m_small = silverstein_solve(DeformedLaw(2.0, small), sigma2)
-        m_large = silverstein_solve(DeformedLaw(2.0, large), sigma2)
+        m_small = LimitReduction(2.0, sigma2, small).m_def
+        m_large = LimitReduction(2.0, sigma2, large).m_def
         assert m_small > m_large
 
 
 def test_silverstein_rejects_nonpositive_sigma2():
     with pytest.raises(DomainError):
-        silverstein_solve(DeformedLaw(2.0, TWO_ATOM), 0.0)
+        LimitReduction(2.0, 0.0, TWO_ATOM)
 
 
 def test_deformed_law_rejects_low_gamma():
     with pytest.raises(RegimeError):
-        DeformedLaw(1.0, TWO_ATOM)
+        LimitReduction(1.0, 0.1, TWO_ATOM)
 
 
 def test_deformed_threshold_degenerate_reduction():
     for gamma in (1.5, 2.0, 4.0):
         for sigma2 in (1e-2, 0.1):
-            iso = deformed_threshold(DeformedLaw(gamma, PopulationSpectrum.isotropic()), sigma2)
+            iso = deformed_threshold(gamma, PopulationSpectrum.isotropic(), sigma2)
             direct = sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), sigma2)
             assert abs(iso - direct) < 1e-10
 
@@ -163,25 +154,24 @@ def test_deformed_threshold_is_condition_number_bounded():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for sigma2 in (1e-2, 0.1, 1.0):
-                val = deformed_threshold(DeformedLaw(gamma, pop), sigma2)
+                val = deformed_threshold(gamma, pop, sigma2)
                 bound = kappa * sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), kappa * sigma2)
                 assert val <= bound * (1 + 1e-12)
 
 
 def test_deformed_threshold_is_sigma4_times_transform():
-    law = DeformedLaw(2.0, TWO_ATOM)
     sigma2 = 0.1
-    m = silverstein_solve(law, sigma2)
-    assert abs(deformed_threshold(law, sigma2) - sigma2**2 * m) < 1e-15
+    m = LimitReduction(2.0, sigma2, TWO_ATOM).m_def
+    assert abs(deformed_threshold(2.0, TWO_ATOM, sigma2) - sigma2**2 * m) < 1e-15
 
 
-def _mp_silverstein(law, sigma2):
+def _mp_silverstein(gamma, pop, sigma2):
     """The fixed point at 40 digits, by bisection on (0, 2/sigma2)."""
     import mpmath as mp
 
     with mp.workdps(40):
-        s2, g = mp.mpf(sigma2), mp.mpf(law.gamma)
-        atoms = [(mp.mpf(t), mp.mpf(w)) for t, w in law.population.atoms]
+        s2, g = mp.mpf(sigma2), mp.mpf(gamma)
+        atoms = [(mp.mpf(t), mp.mpf(w)) for t, w in pop.atoms]
 
         def residual(m):
             return m * (s2 + sum(w * t / (1 + t * m / g) for t, w in atoms)) - 1
@@ -201,6 +191,6 @@ def test_silverstein_large_sigma2_matches_mpmath(sigma2):
     # m ~ 1/sigma2, so only a relative stopping rule keeps every digit; past
     # sigma2 ~ 1e16 the residual at 1/sigma2 rounds below zero, so the
     # bracket must end beyond it
-    law = DeformedLaw(2.0, PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5))))
-    oracle = _mp_silverstein(law, sigma2)
-    assert abs(silverstein_solve(law, sigma2) - oracle) <= 1e-14 * oracle
+    pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
+    oracle = _mp_silverstein(2.0, pop, sigma2)
+    assert abs(LimitReduction(2.0, sigma2, pop).m_def - oracle) <= 1e-14 * oracle

@@ -70,6 +70,14 @@ def test_config_validation():
             ExperimentConfig(n=10, d=20, sigma2=bad, seed=0, rho=0.0)
 
 
+def test_config_refuses_a_design_past_the_largest_array():
+    # 5 x 10^18 float64 entries are 4e19 bytes, past sys.maxsize; numpy would
+    # raise "array is too big" at the first draw
+    with pytest.raises(DomainError, match=r"needs 40000000000000000000 bytes"):
+        ExperimentConfig(n=5, d=10**18, sigma2=0.1, seed=0, rho=0.0)
+    ExperimentConfig(n=5, d=10**12, sigma2=0.1, seed=0, rho=0.0)  # refused, if at all, when allocated
+
+
 def test_apportionment_largest_remainder():
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
     vals = apportion_atoms(pop, 5)

@@ -9,10 +9,10 @@ from memcost import cost_engine as ce
 from memcost import deformed
 from memcost import finite_n_lab as lab
 from memcost import numerics
-from memcost.deformed import DeformedLaw, PopulationSpectrum, deformed_threshold
+from memcost.deformed import PopulationSpectrum
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
 from memcost.numerics import edge_distance, solve_level, solve_multiplier
-from memcost.cost_engine import memorization_threshold, solve_rho
+from memcost.cost_engine import LimitReduction, deformed_threshold, memorization_threshold, solve_rho
 from memcost.oracle import _cheb_transfer, sym_eigvals
 from memcost.spectra import MPLaw, mp_stieltjes_neg
 
@@ -197,7 +197,7 @@ def test_silverstein_level_evaluations(monkeypatch):
         values = np.concatenate([[1.0], rng.uniform(0.01, 1.0, k - 1)])
         pop = PopulationSpectrum(atoms=tuple(zip(values.tolist(), rng.dirichlet(np.ones(k)).tolist())))
         calls.clear()
-        deformed.silverstein_solve(DeformedLaw(float(rng.uniform(1.05, 10.0)), pop), float(10 ** rng.uniform(-4, 2)))
+        LimitReduction(float(rng.uniform(1.05, 10.0)), float(10 ** rng.uniform(-4, 2)), pop).m_def
         counts.append(len(calls))
     assert np.median(counts) <= 16
 
@@ -246,10 +246,10 @@ def test_silverstein_level_evaluations_over_the_sigma2_range(monkeypatch):
     monkeypatch.setattr(
         deformed, "solve_level", lambda level, target, lo, hi: solve_level(_counted(level, calls), target, lo, hi)
     )
-    law = DeformedLaw(2.0, PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5))))
+    pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
     for k in range(-100, 101):
         calls.clear()
-        deformed.silverstein_solve(law, 10.0**-k)
+        LimitReduction(2.0, 10.0**-k, pop).m_def
         assert 0 < len(calls) <= 20
 
 
@@ -359,7 +359,7 @@ def _route_rho_ols(monkeypatch):
 def _route_rho_def(monkeypatch):
     ks2 = _TWO_ATOM.kappa * 0.1
     j0 = mp_stieltjes_neg(MPLaw(2.0), ks2)
-    thresh = deformed_threshold(DeformedLaw(2.0, _TWO_ATOM), 0.1)
+    thresh = deformed_threshold(2.0, _TWO_ATOM, 0.1)
 
     def level(delta):
         return _TWO_ATOM.kappa * 0.01 * (ref.shrinkage(2.0, delta, ks2)[0] - j0)

@@ -31,6 +31,10 @@ ARGV = [
     "cost-curve --gamma 1e308 --sigma2 0.1 --grid 0.001:0.1:0.5",
     "threshold --gamma 2 --sigma2 1e-100",
     "rho --gamma 2 --sigma2 1e-100 --eps2 3e-200",
+    "threshold --gamma 1.05 --sigma2 1e-100 --pop {pop}",
+    "threshold --gamma 2 --sigma2 1e100 --pop {pop} --format json",
+    "threshold --gamma 1e308 --sigma2 0.1 --pop {pop}",
+    "threshold --gamma 1 --sigma2 0.1 --pop {pop}",
 ]
 
 POP = "# two atoms, condition number 4\n1.0 0.5\n0.25 0.5\n"
