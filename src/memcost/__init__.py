@@ -9,20 +9,10 @@ and the quadrature oracle is ``memcost.oracle``.
 from .cost_engine import (
     BoundConstants,
     CostPoint,
+    LimitReduction,
     Regime,
     RhoSolution,
     ThresholdReport,
-    anisotropic_cost_lower_bound,
-    asymptotic_cost,
-    cost_linear_bound,
-    deformed_threshold,
-    memorization_threshold,
-    ols_gap,
-    solve_rho,
-    solve_rho_def,
-    solve_rho_ols,
-    threshold_approx,
-    threshold_report,
 )
 from .deformed import PopulationSpectrum, load_population_spectrum, parse_population_spectrum
 from .errors import (

@@ -160,7 +160,7 @@ def _config_echo(args, keys) -> dict:
 
 def cmd_threshold(args) -> int:
     pop = _load_pop(args)
-    report = ce.threshold_report(args.gamma, args.sigma2, pop)
+    report = ce.LimitReduction(args.gamma, args.sigma2, pop).report()
     header = ["gamma", "sigma2", "eps_sigma2", "eps_sigma2_approx", "eps_ols2", "rho_ols"]
     row = [
         args.gamma,

@@ -16,11 +16,11 @@ solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
 from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
 a design.  rho = (1 - delta)/lambda_plus is formed only for output.
 
-One ``LimitReduction`` per (gamma, sigma2, population) holds the law and the
-numbers derived from it, among them the anisotropic ones read from one
-Silverstein root, and its constructor is the one place sigma2 (a plain float
-in [1e-100, 1e100]) and then gamma are checked; each public function is a
-one-line wrapper over one.  Everything is exposed in eps^2 units (squared
+``LimitReduction(gamma, sigma2, pop=None)`` is the entry point: one per
+(gamma, sigma2, population) holds the law and every number derived from it,
+among them the anisotropic ones read from one Silverstein root, and its
+constructor is the one place sigma2 (a plain float in [1e-100, 1e100]) and
+then gamma are checked.  Everything is exposed in eps^2 units (squared
 training error).
 """
 
@@ -43,17 +43,7 @@ __all__ = [
     "CostPoint",
     "ThresholdReport",
     "BoundConstants",
-    "memorization_threshold",
-    "threshold_approx",
-    "solve_rho",
-    "asymptotic_cost",
-    "cost_linear_bound",
-    "ols_gap",
-    "solve_rho_ols",
-    "deformed_threshold",
-    "solve_rho_def",
-    "anisotropic_cost_lower_bound",
-    "threshold_report",
+    "LimitReduction",
 ]
 
 class Regime(str, Enum):
@@ -142,12 +132,15 @@ class BoundConstants:
 class LimitReduction:
     """The limit law at one (gamma, sigma2, pop) and every number derived from it.
 
-    train and growth (the cost) in delta = 1 - rho lambda_plus are the twins of
-    those of ``finite_n_lab._Reduction``.  ``threshold``, ``gap``, ``ols`` and,
-    given a population spectrum ``pop``, the Silverstein root ``m_def`` and
-    ``eps_def2`` are computed on first use and kept.  ``threshold`` is the
-    isotropic threshold whether or not ``pop`` is given.  sigma2 is checked
-    before gamma.
+    The isotropic numbers are ``threshold``, ``approx``, ``solve(eps2)``,
+    ``cost(eps2)``, ``gap`` and ``ols``; given a population spectrum ``pop``,
+    so are the anisotropic ones ``eps_def2``, ``solve_def(eps2)`` and
+    ``bound(eps2)``.  ``report()`` and ``linear_bound()`` read ``pop`` when it
+    is given.  ``threshold``, ``gap``, ``ols``, the Silverstein root ``m_def``
+    and ``eps_def2`` are computed on first use and kept; ``threshold`` is the
+    isotropic threshold whether or not ``pop`` is given.  train and growth (the
+    cost) in delta = 1 - rho lambda_plus are the twins of those of
+    ``finite_n_lab._Reduction``.  sigma2 is checked before gamma.
     """
 
     def __init__(self, gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None):
@@ -178,6 +171,26 @@ class LimitReduction:
         """Small-noise approximation sigma2^2 / (sigma2 + 1 - 1/gamma) of the threshold."""
         s2 = self.sigma2
         return s2 * s2 / (s2 + 1.0 - 1.0 / self.law.gamma)
+
+    def linear_bound(self) -> BoundConstants:
+        """Constants of the linear growth guarantee cost >= C * eps2 for eps2 >= c * sigma2^2.
+
+        Without ``pop`` this is the isotropic family, c = 2/(lambda_minus^2 +
+        sigma2).  With ``pop`` it is the condition-number-mitigated family at
+        kappa = ``pop.kappa``, c = 2 kappa/(lambda_minus + kappa sigma2), which
+        differs from the isotropic one even at kappa = 1 (linear rather than
+        quadratic in the lower edge).
+        """
+        gamma, s2, lm, lp = self.law.gamma, self.sigma2, self.law.lambda_minus, self.top
+        shrink = (1.0 - 1.0 / math.sqrt(2.0)) ** 2
+        if self.pop is None:
+            return BoundConstants(c_small=2.0 / (lm * lm + s2), C_growth=shrink * lm / (lp**2 * gamma))
+        kappa = self.pop.kappa
+        return BoundConstants(
+            c_small=2.0 * kappa / (lm + kappa * s2),
+            C_growth=lm * shrink / (kappa * lp**2 * gamma),
+            kappa=kappa,
+        )
 
     @functools.cached_property
     def gap(self) -> float:
@@ -250,8 +263,11 @@ class LimitReduction:
             = eps2 - eps_def2.
 
         Below the deformed threshold the cost is zero and this raises a
-        regime error; exactly at it, rho_def = 0.
+        regime error; exactly at it, rho_def = 0.  Raises DomainError for a
+        NaN or infinite eps2.
         """
+        if not math.isfinite(eps2):
+            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
         rhs = eps2 - self.eps_def2
         if rhs < 0:
             raise RegimeError(
@@ -309,85 +325,3 @@ def _inverse_moment(law: MPLaw, a: float) -> float:
     # root + b = 4a / (root - b): use the form that adds terms of one sign
     tail = root + b if b >= 0.0 else 4.0 * a / (root - b)
     return 4.0 / (one_c * (big + root) * tail)
-
-
-def memorization_threshold(gamma: float, sigma2: float) -> float:
-    """``LimitReduction.threshold``: the largest eps2 whose constraint is asymptotically free."""
-    return LimitReduction(gamma, sigma2).threshold
-
-
-def threshold_approx(gamma: float, sigma2: float) -> float:
-    """``LimitReduction.approx``: sigma2^2 / (sigma2 + 1 - 1/gamma)."""
-    return LimitReduction(gamma, sigma2).approx
-
-
-def solve_rho(gamma: float, sigma2: float, eps2: float) -> RhoSolution:
-    """``LimitReduction.solve``: the multiplier rho(eps2), 0 at or below the threshold."""
-    return LimitReduction(gamma, sigma2).solve(eps2)
-
-
-def asymptotic_cost(gamma: float, sigma2: float, eps2: float) -> CostPoint:
-    """``LimitReduction.cost``: the cost of not fitting at eps2, and cost - ols_gap."""
-    return LimitReduction(gamma, sigma2).cost(eps2)
-
-
-def cost_linear_bound(
-    gamma: float, sigma2: float, kappa: float = 1.0, anisotropic: Optional[bool] = None
-) -> BoundConstants:
-    """Constants of the linear growth guarantee cost >= C * eps2 for eps2 >= c * sigma2^2.
-
-    Two families are implemented.  The isotropic family (default at
-    kappa = 1) has c = 2/(lambda_minus^2 + sigma2); the condition-number-
-    mitigated family has c = 2 kappa/(lambda_minus + kappa sigma2), which
-    differs from the isotropic one even at kappa = 1 (linear rather than
-    quadratic in the lower edge).  Pass ``anisotropic=True`` to force the
-    mitigated family at kappa = 1.  kappa must satisfy 1 <= kappa < inf.
-    """
-    law = LimitReduction(gamma, sigma2).law
-    if not 1.0 <= kappa < math.inf:
-        raise DomainError(f"kappa must satisfy 1 <= kappa < inf, got {kappa}")
-    lm, lp = law.lambda_minus, law.lambda_plus
-    shrink = (1.0 - 1.0 / math.sqrt(2.0)) ** 2
-    if anisotropic is None:
-        anisotropic = kappa != 1.0
-    if anisotropic:
-        c = 2.0 * kappa / (lm + kappa * sigma2)
-        C = lm * shrink / (kappa * lp**2 * gamma)
-    else:
-        c = 2.0 / (lm * lm + sigma2)
-        C = shrink * lm / (lp**2 * gamma)
-    return BoundConstants(c_small=c, C_growth=C, kappa=kappa)
-
-
-def ols_gap(gamma: float, sigma2: float) -> float:
-    """``LimitReduction.gap``: the prediction-error gap of the minimum-norm interpolant over ridge."""
-    return LimitReduction(gamma, sigma2).gap
-
-
-def solve_rho_ols(gamma: float, sigma2: float) -> RhoSolution:
-    """``LimitReduction.ols``: the multiplier at which the interpolant-relative cost changes sign."""
-    return LimitReduction(gamma, sigma2).ols
-
-
-def deformed_threshold(gamma: float, pop: PopulationSpectrum, sigma2: float) -> float:
-    """``LimitReduction.eps_def2``: the memorization threshold under the deformed law."""
-    return LimitReduction(gamma, sigma2, pop).eps_def2
-
-
-def solve_rho_def(gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float) -> RhoSolution:
-    """``LimitReduction.solve_def``: the multiplier rho_def, 0 at the deformed threshold."""
-    return LimitReduction(gamma, sigma2, pop).solve_def(eps2)
-
-
-def anisotropic_cost_lower_bound(
-    gamma: float, pop: PopulationSpectrum, sigma2: float, eps2: float
-) -> float:
-    """``LimitReduction.bound``: the proved lower bound on the anisotropic cost at eps2."""
-    return LimitReduction(gamma, sigma2, pop).bound(eps2)
-
-
-def threshold_report(
-    gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None
-) -> ThresholdReport:
-    """``LimitReduction.report``: the threshold family, with its ordering checked."""
-    return LimitReduction(gamma, sigma2, pop).report()

@@ -433,7 +433,7 @@ def verify_checks(quick: bool, seed: int, perturb: bool):
         law = MPLaw(gamma)
         for s2 in (1e-2, 1.0):
             quad = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
-            closed = ce.ols_gap(gamma, s2) * gamma / s2**2
+            closed = ce.LimitReduction(gamma, s2).gap * gamma / s2**2
             worst = max(worst, abs(quad - closed) / closed)
             for frac in (0.1, 0.5, 0.9):
                 rho = frac / law.lambda_plus

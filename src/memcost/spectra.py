@@ -112,7 +112,10 @@ def mp_cdf(law: MPLaw, x: float) -> float:
                                - 2 sqrt(a b) atan2(sqrt(b) p, sqrt(a) q)]
 
     (Bai & Silverstein 2010, ch. 3), the antiderivative of the density.
+    ``x`` = -inf gives 0 and +inf gives 1; NaN raises DomainError.
     """
+    if math.isnan(x):
+        raise DomainError(f"mp_cdf needs a number, got x={x!r}")
     a, b = law.lambda_minus, law.lambda_plus
     if x <= a:
         return 0.0

@@ -9,17 +9,7 @@ import time
 import numpy as np
 
 from memcost import cli
-from memcost.cost_engine import (
-    LimitReduction,
-    asymptotic_cost,
-    cost_linear_bound,
-    deformed_threshold,
-    memorization_threshold,
-    ols_gap,
-    solve_rho,
-    solve_rho_ols,
-    threshold_approx,
-)
+from memcost.cost_engine import LimitReduction
 from memcost.deformed import PopulationSpectrum
 from memcost.finite_n_lab import (
     AsymptoticTargets,
@@ -72,7 +62,8 @@ def test_criterion_02_threshold_expansion():
     t0 = time.time()
     deviations = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        ratio = memorization_threshold(2.0, s2) / threshold_approx(2.0, s2)
+        red = LimitReduction(2.0, s2)
+        ratio = red.threshold / red.approx
         deviations.append(abs(1.0 - ratio))
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     ok = monotone and deviations[-1] <= 0.05
@@ -90,14 +81,14 @@ def test_criterion_03_rho_solver_residuals_and_monotonicity():
     for _ in range(50):
         gamma = float(np.exp(rng.uniform(math.log(1.3), math.log(10.0))))
         s2 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1.0))))
-        eps2 = memorization_threshold(gamma, s2) * float(
-            np.exp(rng.uniform(math.log(1.05), math.log(40.0)))
-        )
-        sol = solve_rho(gamma, s2, eps2)
+        red = LimitReduction(gamma, s2)
+        eps2 = red.threshold * float(np.exp(rng.uniform(math.log(1.05), math.log(40.0))))
+        sol = red.solve(eps2)
         assert sol.rho > 0
         worst = max(worst, sol.residual)
-    th = memorization_threshold(2.0, 0.1)
-    rhos = [solve_rho(2.0, 0.1, float(e)).rho for e in np.linspace(0.5 * th, 8 * th, 20)]
+    red = LimitReduction(2.0, 0.1)
+    th = red.threshold
+    rhos = [red.solve(float(e)).rho for e in np.linspace(0.5 * th, 8 * th, 20)]
     monotone = all(b >= a for a, b in zip(rhos, rhos[1:]))
     ok = worst <= 1e-10 and monotone
     _report(
@@ -112,10 +103,11 @@ def test_criterion_04_linear_growth():
     worst_ratio = float("inf")
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
-            bc = cost_linear_bound(gamma, s2)
+            red = LimitReduction(gamma, s2)
+            bc = red.linear_bound()
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 20.0 * floor, 8):
-                point = asymptotic_cost(gamma, s2, float(eps2))
+                point = red.cost(float(eps2))
                 worst_ratio = min(worst_ratio, point.cost / (bc.C_growth * eps2))
     ok = worst_ratio >= 1.0
     _report(
@@ -132,16 +124,17 @@ def test_criterion_05_interpolation_thresholds():
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
             law = MPLaw(gamma)
-            eps_s = math.sqrt(memorization_threshold(gamma, s2))
-            sol = solve_rho_ols(gamma, s2)
+            red = LimitReduction(gamma, s2)
+            eps_s = math.sqrt(red.threshold)
+            sol = red.ols
             eps_ols = math.sqrt(sol.target_eps2)
             ok &= eps_s < eps_ols <= 2.0 * law.lambda_plus / law.lambda_minus * eps_s
             ok &= sol.rho >= 1.0 / (2.0 * law.lambda_plus)
-            bar_at = asymptotic_cost(gamma, s2, sol.target_eps2).costbar
+            bar_at = red.cost(sol.target_eps2).costbar
             worst_bar = max(worst_bar, abs(bar_at))
             ok &= abs(bar_at) <= 1e-8
-            ok &= asymptotic_cost(gamma, s2, 0.9 * sol.target_eps2).costbar < 0
-            ok &= asymptotic_cost(gamma, s2, 1.1 * sol.target_eps2).costbar > 0
+            ok &= red.cost(0.9 * sol.target_eps2).costbar < 0
+            ok &= red.cost(1.1 * sol.target_eps2).costbar > 0
     _report(
         5, "interpolation thresholds",
         bool(ok), f"ordering+bounds hold; worst |costbar| at threshold {worst_bar:.2e} <= 1e-8",
@@ -154,7 +147,7 @@ def test_criterion_06_interpolant_gap_small_noise_law():
     limit_const = 4.0  # 1/(gamma (1-1/gamma)^3) at gamma = 2
     deviations = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        gap = ols_gap(2.0, s2)
+        gap = LimitReduction(2.0, s2).gap
         deviations.append(abs(gap / s2**2 - limit_const) / limit_const)
     monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
     ok = monotone and deviations[-1] <= 0.05
@@ -214,12 +207,9 @@ def test_criterion_07_exact_finite_sample_identities():
 
 def test_criterion_08_finite_sample_convergence():
     t0 = time.time()
-    th = memorization_threshold(2.0, 0.1)
-    targets = AsymptoticTargets(
-        train_ridge=th,
-        cost=asymptotic_cost(2.0, 0.1, 2.0 * th).cost,
-        ols_gap=ols_gap(2.0, 0.1),
-    )
+    red = LimitReduction(2.0, 0.1)
+    th = red.threshold
+    targets = AsymptoticTargets(train_ridge=th, cost=red.cost(2.0 * th).cost, ols_gap=red.gap)
     configs = [
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=2024, trials=20, eps2=2.0 * th)
         for n in (200, 400, 800)
@@ -299,7 +289,7 @@ def test_criterion_10_deformed_law():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for s2 in (1e-2, 0.1, 1.0):
-                val = deformed_threshold(gamma, pop, s2)
+                val = LimitReduction(gamma, s2, pop).eps_def2
                 cap = kappa * s2 * s2 * mp_stieltjes_neg(MPLaw(gamma), kappa * s2)
                 bound_ok &= val <= cap * (1.0 + 1e-12)
 

@@ -16,10 +16,7 @@ from memcost import errors
 PUBLIC = {
     "cli": {"OutputTable", "main", "parse_grid"},
     "cost_engine": {
-        "BoundConstants", "CostPoint", "Regime", "RhoSolution", "ThresholdReport",
-        "anisotropic_cost_lower_bound", "asymptotic_cost", "cost_linear_bound",
-        "deformed_threshold", "memorization_threshold", "ols_gap", "solve_rho",
-        "solve_rho_def", "solve_rho_ols", "threshold_approx", "threshold_report",
+        "BoundConstants", "CostPoint", "LimitReduction", "Regime", "RhoSolution", "ThresholdReport",
     },
     "deformed": {"PopulationSpectrum", "load_population_spectrum", "parse_population_spectrum"},
     "finite_n_lab": {
@@ -36,7 +33,7 @@ PUBLIC = {
 
 
 def test_each_module_exports_its_pinned_names():
-    assert sum(len(names) for names in PUBLIC.values()) == 43
+    assert sum(len(names) for names in PUBLIC.values()) == 33
     for name, names in PUBLIC.items():
         exported = importlib.import_module(f"memcost.{name}").__all__
         assert len(exported) == len(set(exported)), name
@@ -58,3 +55,10 @@ def test_the_package_imports_only_public_names():
         if inspect.isclass(obj) and issubclass(obj, errors.MemcostError)
     }
     assert error_classes <= set(vars(memcost))
+
+
+def test_the_limit_reduction_is_the_package_entry_point():
+    from memcost import cost_engine
+
+    assert memcost.LimitReduction is cost_engine.LimitReduction
+    assert not [name for name in cost_engine.__all__ if inspect.isfunction(getattr(cost_engine, name))]

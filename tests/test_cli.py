@@ -8,15 +8,7 @@ import sys
 import pytest
 
 from memcost import cli
-from memcost.cost_engine import (
-    LimitReduction,
-    asymptotic_cost,
-    memorization_threshold,
-    ols_gap,
-    solve_rho,
-    solve_rho_ols,
-    threshold_report,
-)
+from memcost.cost_engine import LimitReduction
 from memcost.deformed import load_population_spectrum
 from memcost.errors import DomainError
 from memcost.spectra import MPLaw
@@ -74,13 +66,13 @@ def test_threshold_command_values(capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     assert float(row["eps_sigma2"]) == pytest.approx(
-        memorization_threshold(2.0, 0.1), abs=1e-15
+        LimitReduction(2.0, 0.1).threshold, abs=1e-15
     )
     assert float(row["eps_ols2"]) == pytest.approx(
-        solve_rho_ols(2.0, 0.1).target_eps2, rel=1e-12
+        LimitReduction(2.0, 0.1).ols.target_eps2, rel=1e-12
     )
     assert float(row["rho_ols"]) == pytest.approx(
-        solve_rho_ols(2.0, 0.1).rho, rel=1e-12
+        LimitReduction(2.0, 0.1).ols.rho, rel=1e-12
     )
 
 
@@ -103,7 +95,7 @@ def test_threshold_pop_upper_bound_cell_is_the_report_field(tmp_path, capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     pop = load_population_spectrum(path)
-    report = threshold_report(2.0, 0.1, pop)
+    report = LimitReduction(2.0, 0.1, pop).report()
     assert float(row["eps_def2_upper_bound"]) == report.eps_def2_upper_bound
     assert float(row["eps_def2"]) == report.eps_def2
 
@@ -173,7 +165,7 @@ def _assert_cells_finite_and_normal(text):
 @pytest.mark.parametrize("s2", [1e-100, 1e100])
 def test_sigma2_range_ends_give_finite_normal_cells(capsys, tmp_path, s2):
     pop = _pop_file(tmp_path)
-    th = memorization_threshold(2.0, s2)
+    th = LimitReduction(2.0, s2).threshold
     sig = repr(s2)
     sim = ["simulate", "--n", "20", "--d", "40", "--sigma2", sig, "--seed", "1",
            "--trials", "3", "--eps2", repr(2.0 * th)]
@@ -288,19 +280,19 @@ def test_malformed_population_file(tmp_path, capsys):
 
 
 def test_rho_command_single_point(capsys):
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     code, out, _ = run_cli(
         capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--eps2", str(2 * th)
     )
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
-    assert float(row["rho"]) == pytest.approx(solve_rho(2.0, 0.1, 2 * th).rho)
+    assert float(row["rho"]) == pytest.approx(LimitReduction(2.0, 0.1).solve(2 * th).rho)
     assert row["regime"] == "above_threshold"
 
 
 def test_rho_command_eps_flag_squares(capsys):
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     eps = math.sqrt(2 * th)
     code, out, _ = run_cli(capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--eps", str(eps))
     header, rows = parse_csv(out)
@@ -381,7 +373,7 @@ def test_rho_needs_one_of_eps2_eps_and_grid(capsys):
 
 
 def test_cost_curve_regime_structure(capsys):
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     grid = f"{0.25 * th}:{0.5 * th}:{4 * th}"
     code, out, _ = run_cli(capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", grid)
     assert code == 0
@@ -398,7 +390,7 @@ def test_cost_curve_regime_structure(capsys):
 
 
 def test_cost_curve_costbar_sign_change(capsys):
-    eo2 = solve_rho_ols(2.0, 0.1).target_eps2
+    eo2 = LimitReduction(2.0, 0.1).ols.target_eps2
     grid = f"{0.8 * eo2}:{0.2 * eo2}:{1.2 * eo2}"
     code, out, _ = run_cli(capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", grid)
     header, rows = parse_csv(out)
@@ -431,7 +423,7 @@ def test_ols_command(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
-    assert float(row["ols_gap"]) == pytest.approx(ols_gap(2.0, 0.1), rel=1e-12)
+    assert float(row["ols_gap"]) == pytest.approx(LimitReduction(2.0, 0.1).gap, rel=1e-12)
     assert float(row["residual"]) <= 1e-10
 
 
@@ -471,7 +463,7 @@ def test_simulate_summary_contents(tmp_path, capsys):
     )
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
     m = summary["metrics"]["train_ridge"]
-    assert m["target"] == pytest.approx(memorization_threshold(2.0, 0.1))
+    assert m["target"] == pytest.approx(LimitReduction(2.0, 0.1).threshold)
     assert "rel_dev" in m and "se" in m
     assert summary["config"]["seed"] == 7
 
@@ -521,7 +513,7 @@ def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp
 
 @pytest.mark.parametrize("flag", ["--eps2", "--rho"])
 def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, flag):
-    value = 2.0 * memorization_threshold(2.0, 0.1) if flag == "--eps2" else 0.2
+    value = 2.0 * LimitReduction(2.0, 0.1).threshold if flag == "--eps2" else 0.2
     code, _, err = run_cli(
         capsys, "simulate", "--n", "60", "--d", "120", "--sigma2", "0.1", "--seed", "7",
         "--trials", "2", flag, repr(value), "--out", str(tmp_path / "s"),
@@ -529,7 +521,7 @@ def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, fla
     assert code == 0, err
     target = json.loads((tmp_path / "s" / "summary.json").read_text())["metrics"]["cost"]["target"]
     if flag == "--eps2":
-        assert target == asymptotic_cost(2.0, 0.1, value).cost
+        assert target == LimitReduction(2.0, 0.1).cost(value).cost
     else:
         assert target == LimitReduction(2.0, 0.1).growth(1.0 - value * MPLaw(2.0).lambda_plus)
 
@@ -762,32 +754,44 @@ def test_verify_perturbation_negative_control(capsys):
     assert "[FAIL] stationarity-residual" in out
 
 
+# The public numbers of a LimitReduction, each a member.
+REDUCTION_NUMBERS = (
+    "threshold", "approx", "solve", "cost", "linear_bound", "gap", "ols",
+    "eps_def2", "solve_def", "bound", "report",
+)
+
 # The theory functions that `verify` does not call yet.  A check that reaches
 # one takes it off this list; no name is ever added to it.
 VERIFY_UNREACHED = {
-    "memorization_threshold", "threshold_approx", "solve_rho", "asymptotic_cost",
-    "cost_linear_bound", "solve_rho_ols", "solve_rho_def", "anisotropic_cost_lower_bound",
-    "threshold_report", "deformed_threshold", "mp_cdf",
+    "threshold", "approx", "solve", "cost", "linear_bound", "ols", "solve_def", "bound",
+    "report", "eps_def2", "mp_cdf",
 }
 
 
 def _verify_reach(capsys, monkeypatch, drop=()):
     """(theory functions, those that `verify --quick` calls) without the checks named in ``drop``.
 
-    The theory functions are those in the ``__all__`` of ``cost_engine``,
-    ``deformed`` and ``spectra``, file parsing aside.  The calls made up to a
-    check's yield are that check's, so a dropped check takes them with it.
+    The theory functions are the ``REDUCTION_NUMBERS`` members of
+    ``LimitReduction`` (a property's getter, a cached property's function) and
+    the functions in the ``__all__`` of ``deformed`` and ``spectra``, file
+    parsing aside.  The calls made up to a check's yield are that check's, so
+    a dropped check takes them with it.
     """
     import inspect
 
-    from memcost import cost_engine, deformed, oracle, spectra
+    from memcost import deformed, oracle, spectra
 
-    theory = {
-        getattr(module, name).__code__: name
-        for module in (cost_engine, deformed, spectra)
+    def code(member):
+        obj = vars(LimitReduction)[member]
+        return (obj.fget if isinstance(obj, property) else getattr(obj, "func", obj)).__code__
+
+    theory = {code(name): name for name in REDUCTION_NUMBERS}
+    theory.update(
+        (getattr(module, name).__code__, name)
+        for module in (deformed, spectra)
         for name in module.__all__
         if inspect.isfunction(getattr(module, name)) and not name.endswith("population_spectrum")
-    }
+    )
     reached, segment = set(), set()
 
     def profile(frame, event, arg):
@@ -830,9 +834,9 @@ def test_verify_reaches_every_theory_function_off_the_allowlist(capsys, monkeypa
 
 
 def test_verify_reach_fails_without_a_check(capsys, monkeypatch):
-    # closed-form-vs-quadrature is the only check that calls ols_gap
+    # closed-form-vs-quadrature is the only check that reads LimitReduction.gap
     theory, reached = _verify_reach(capsys, monkeypatch, drop={"closed-form-vs-quadrature"})
-    with pytest.raises(AssertionError, match="ols_gap"):
+    with pytest.raises(AssertionError, match="'gap'"):
         _check_verify_reach(theory, reached)
 
 
@@ -952,7 +956,7 @@ def test_simulate_anisotropic_eps2_matches_direct_route(capsys, tmp_path):
     from memcost.deformed import load_population_spectrum
 
     pop_path = _pop_file(tmp_path)
-    eps2 = 3.0 * memorization_threshold(2.0, 0.1)
+    eps2 = 3.0 * LimitReduction(2.0, 0.1).threshold
     code, out, _ = run_cli(
         capsys, "simulate", "--n", "100", "--d", "200", "--sigma2", "0.1", "--seed", "1",
         "--trials", "2", "--eps2", repr(eps2), "--pop", pop_path,

@@ -7,22 +7,7 @@ import pytest
 
 from memcost import cost_engine as ce
 from memcost import deformed
-from memcost.cost_engine import (
-    BoundConstants,
-    LimitReduction,
-    Regime,
-    anisotropic_cost_lower_bound,
-    asymptotic_cost,
-    cost_linear_bound,
-    deformed_threshold,
-    memorization_threshold,
-    ols_gap,
-    solve_rho,
-    solve_rho_def,
-    solve_rho_ols,
-    threshold_approx,
-    threshold_report,
-)
+from memcost.cost_engine import BoundConstants, LimitReduction, Regime
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
 from memcost.oracle import mp_integrate
@@ -35,30 +20,36 @@ TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)]
 
 
-# every public function that takes sigma2, called with valid other arguments;
-# e is an eps2 for the rho_def routes
+# every public number of LimitReduction, keyed by the quantity it computes and
+# called with valid other arguments; e is an eps2 for the rho_def routes
 PUBLIC_CALLS = {
-    "memorization_threshold": lambda g, s2, e: memorization_threshold(g, s2),
-    "threshold_approx": lambda g, s2, e: threshold_approx(g, s2),
-    "solve_rho": lambda g, s2, e: solve_rho(g, s2, 0.0),
-    "asymptotic_cost": lambda g, s2, e: asymptotic_cost(g, s2, 0.0),
-    "cost_linear_bound": lambda g, s2, e: cost_linear_bound(g, s2),
-    "ols_gap": lambda g, s2, e: ols_gap(g, s2),
-    "solve_rho_ols": lambda g, s2, e: solve_rho_ols(g, s2),
-    "deformed_threshold": lambda g, s2, e: deformed_threshold(g, TWO_ATOM, s2),
-    "solve_rho_def": lambda g, s2, e: solve_rho_def(g, TWO_ATOM, s2, e),
-    "anisotropic_cost_lower_bound": lambda g, s2, e: anisotropic_cost_lower_bound(g, TWO_ATOM, s2, e),
-    "threshold_report": lambda g, s2, e: threshold_report(g, s2, TWO_ATOM),
+    "memorization_threshold": lambda g, s2, e: LimitReduction(g, s2).threshold,
+    "threshold_approx": lambda g, s2, e: LimitReduction(g, s2).approx,
+    "solve_rho": lambda g, s2, e: LimitReduction(g, s2).solve(0.0),
+    "asymptotic_cost": lambda g, s2, e: LimitReduction(g, s2).cost(0.0),
+    "cost_linear_bound": lambda g, s2, e: LimitReduction(g, s2).linear_bound(),
+    "ols_gap": lambda g, s2, e: LimitReduction(g, s2).gap,
+    "solve_rho_ols": lambda g, s2, e: LimitReduction(g, s2).ols,
+    "deformed_threshold": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).eps_def2,
+    "solve_rho_def": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).solve_def(e),
+    "anisotropic_cost_lower_bound": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).bound(e),
+    "threshold_report": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).report(),
 }
 
 
 def test_sigma2_calls_cover_every_public_function_of_sigma2():
+    # LimitReduction is the only public callable that takes sigma2, and each of
+    # its numbers is called once above; delta, train, growth and bracket are the
+    # solver's interface (numerics.constrain), and m_def is read by eps_def2
     takes_sigma2 = [
         name for name in ce.__all__
-        if inspect.isfunction(getattr(ce, name))
+        if callable(getattr(ce, name))
         and "sigma2" in inspect.signature(getattr(ce, name)).parameters
     ]
-    assert sorted(takes_sigma2) == sorted(PUBLIC_CALLS)
+    assert takes_sigma2 == ["LimitReduction"]
+    members = {name for name in vars(LimitReduction) if not name.startswith("_")}
+    numbers = members - {"delta", "train", "growth", "bracket", "m_def"}
+    assert len(numbers) == len(PUBLIC_CALLS) == 11
 
 
 @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
@@ -69,7 +60,7 @@ def test_sigma2_outside_the_range_is_refused(name):
             call(2.0, bad, 1.0)
     # the ends of the accepted range are valid; at the deformed threshold rho_def = 0
     for good in (1e-100, 1e100):
-        call(2.0, good, deformed_threshold(2.0, TWO_ATOM, good))
+        call(2.0, good, LimitReduction(2.0, good, TWO_ATOM).eps_def2)
 
 
 @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
@@ -80,37 +71,13 @@ def test_gamma_outside_the_regime_is_refused(name):
             PUBLIC_CALLS[name](bad, SIGMA2, 1.0)
 
 
-@pytest.mark.parametrize("gamma,s2", [(1.5, 1e-3), (2.0, 0.1), (10.0, 1.0), (1e308, 0.1)])
-def test_public_functions_are_their_reduction_members_bit_for_bit(gamma, s2):
-    red = LimitReduction(gamma, s2)
-    assert repr(memorization_threshold(gamma, s2)) == repr(red.threshold)
-    assert repr(threshold_approx(gamma, s2)) == repr(red.approx)
-    assert repr(ols_gap(gamma, s2)) == repr(red.gap)
-    assert repr(solve_rho_ols(gamma, s2)) == repr(red.ols)
-    for multiple in (0.5, 1.0, 1.5, 6.0):
-        eps2 = multiple * red.threshold
-        assert repr(solve_rho(gamma, s2, eps2)) == repr(red.solve(eps2))
-        assert repr(asymptotic_cost(gamma, s2, eps2)) == repr(red.cost(eps2))
-
-
-@pytest.mark.parametrize("gamma,s2", [(1.5, 1e-3), (2.0, 0.1), (10.0, 1.0), (1e308, 0.1)])
-def test_anisotropic_functions_are_their_reduction_members_bit_for_bit(gamma, s2):
-    red = LimitReduction(gamma, s2, TWO_ATOM)
-    assert repr(deformed_threshold(gamma, TWO_ATOM, s2)) == repr(red.eps_def2)
-    assert repr(threshold_report(gamma, s2, TWO_ATOM)) == repr(red.report())
-    for multiple in (1.0, 1.5, 6.0):
-        eps2 = multiple * red.eps_def2
-        assert repr(solve_rho_def(gamma, TWO_ATOM, s2, eps2)) == repr(red.solve_def(eps2))
-        assert repr(anisotropic_cost_lower_bound(gamma, TWO_ATOM, s2, eps2)) == repr(red.bound(eps2))
-
-
 def test_anisotropic_bound_builds_one_reduction_and_solves_one_level(monkeypatch):
-    eps2 = 2.0 * deformed_threshold(2.0, TWO_ATOM, SIGMA2)
+    eps2 = 2.0 * LimitReduction(2.0, SIGMA2, TWO_ATOM).eps_def2
     built, solves = [], []
     init, solve_level = LimitReduction.__init__, deformed.solve_level
     monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or init(red, *a))
     monkeypatch.setattr(deformed, "solve_level", lambda *a: solves.append(a) or solve_level(*a))
-    anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2)
+    LimitReduction(2.0, SIGMA2, TWO_ATOM).bound(eps2)
     assert (len(built), len(solves)) == (1, 1)
 
 
@@ -122,7 +89,7 @@ def test_deformed_members_need_a_population():
 
 
 def test_threshold_value_gamma2():
-    val = memorization_threshold(2.0, SIGMA2)
+    val = LimitReduction(2.0, SIGMA2).threshold
     assert abs(val - 0.014833147735478828) < 1e-12
     # quadrature cross-check of the closed form
     quad = 0.01 * mp_integrate(MPLaw(2.0), lambda s: 1.0 / (s + 0.1))
@@ -130,19 +97,20 @@ def test_threshold_value_gamma2():
 
 
 def test_threshold_approx_direct_substitution():
-    val = threshold_approx(2.0, 0.01)
+    val = LimitReduction(2.0, 0.01).approx
     assert abs(val - 1e-4 / 0.51) < 1e-18
 
 
 def test_threshold_approx_large_gamma():
-    val = threshold_approx(1e12, 0.5)
+    val = LimitReduction(1e12, 0.5).approx
     assert abs(val - 0.25 / 1.5) < 1e-9
 
 
 def test_threshold_ratio_converges_monotonically():
     ratios = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        ratios.append(memorization_threshold(2.0, s2) / threshold_approx(2.0, s2))
+        red = LimitReduction(2.0, s2)
+        ratios.append(red.threshold / red.approx)
     deviations = [abs(1.0 - r) for r in ratios]
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
     assert deviations[-1] <= 0.05
@@ -151,38 +119,40 @@ def test_threshold_ratio_converges_monotonically():
 def test_deformed_path_matches_isotropic_threshold():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
-        a = memorization_threshold(gamma, SIGMA2)
-        b = deformed_threshold(gamma, iso, SIGMA2)
+        a = LimitReduction(gamma, SIGMA2).threshold
+        b = LimitReduction(gamma, SIGMA2, iso).eps_def2
         assert abs(a - b) < 1e-10
 
 
 def test_solve_rho_at_threshold_is_inactive():
-    eps2 = memorization_threshold(2.0, SIGMA2)
-    sol = solve_rho(2.0, SIGMA2, eps2)
+    red = LimitReduction(2.0, SIGMA2)
+    sol = red.solve(red.threshold)
     assert sol.rho == 0.0
     assert sol.regime is Regime.BELOW_THRESHOLD
     assert sol.residual == 0.0
 
 
 def test_solve_rho_below_threshold():
-    eps2 = 0.5 * memorization_threshold(2.0, SIGMA2)
-    sol = solve_rho(2.0, SIGMA2, eps2)
+    red = LimitReduction(2.0, SIGMA2)
+    eps2 = 0.5 * red.threshold
+    sol = red.solve(eps2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
-    assert asymptotic_cost(2.0, SIGMA2, eps2).cost == 0.0
+    assert red.cost(eps2).cost == 0.0
 
 
 def test_solve_rho_rejects_negative_eps2():
+    red = LimitReduction(2.0, SIGMA2)
     with pytest.raises(DomainError):
-        solve_rho(2.0, SIGMA2, -1.0)
+        red.solve(-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            solve_rho(2.0, SIGMA2, bad)
+            red.solve(bad)
 
 
 def test_solve_rho_near_divergence():
     # train at the smallest normal delta is about 3e151 at sigma2 = 0.1
     with pytest.raises(NearDivergenceError, match="float range"):
-        solve_rho(2.0, SIGMA2, 1e300)
+        LimitReduction(2.0, SIGMA2).solve(1e300)
 
 
 TINY = sys.float_info.min
@@ -191,38 +161,40 @@ TINY = sys.float_info.min
 def test_train_at_zero_is_the_threshold_bit_for_bit():
     for gamma, s2 in GRID:
         j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 1.0, s2)
-        assert s2**2 * j0 == memorization_threshold(gamma, s2)
+        assert s2**2 * j0 == LimitReduction(gamma, s2).threshold
 
 
 def test_solve_rho_near_divergence_boundary():
     # the last reachable target is train at the smallest normal delta
     top = SIGMA2**2 * mp_shrinkage_integrals(MPLaw(2.0), TINY, SIGMA2)[0]
+    red = LimitReduction(2.0, SIGMA2)
     with pytest.raises(NearDivergenceError):
-        solve_rho(2.0, SIGMA2, top)
+        red.solve(top)
     target = (1.0 - 1e-9) * top
-    sol = solve_rho(2.0, SIGMA2, target)
+    sol = red.solve(target)
     # delta is about 1e-308, so rho is 1/lambda_plus to rounding
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.rho == 1.0 / MPLaw(2.0).lambda_plus
     assert sol.residual <= 1e-14 * target
-    point = asymptotic_cost(2.0, SIGMA2, target)
+    point = red.cost(target)
     assert math.isfinite(point.cost) and point.cost > 0
 
 
 def test_solve_rho_def_near_divergence_boundary():
     ks2 = TWO_ATOM.kappa * SIGMA2
     law = MPLaw(2.0)
-    thresh = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    thresh = red.eps_def2
     scale = TWO_ATOM.kappa * SIGMA2**2
     top_lhs = scale * (mp_shrinkage_integrals(law, TINY, ks2)[0] - mp_stieltjes_neg(law, ks2))
     with pytest.raises(NearDivergenceError):
-        solve_rho_def(2.0, TWO_ATOM, SIGMA2, thresh + (1.0 + 1e-12) * top_lhs)
+        red.solve_def(thresh + (1.0 + 1e-12) * top_lhs)
     eps2 = thresh + (1.0 - 1e-6) * top_lhs
-    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
+    sol = red.solve_def(eps2)
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.rho == 1.0 / law.lambda_plus
     assert sol.residual <= 1e-14 * eps2
-    assert math.isfinite(anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2))
+    assert math.isfinite(red.bound(eps2))
 
 
 def test_solve_rho_ols_near_divergence_boundary():
@@ -230,7 +202,7 @@ def test_solve_rho_ols_near_divergence_boundary():
     # and the root approaches the edge (delta 3.7e-19, 4.0e-9 and 1.7e-8 here);
     # the solve reaches it to rounding
     for gamma in (1.0000001, 1.01, 1.02):
-        sol = solve_rho_ols(gamma, SIGMA2)
+        sol = LimitReduction(gamma, SIGMA2).ols
         lp = MPLaw(gamma).lambda_plus
         assert 1.0 / (2.0 * lp) < sol.rho <= 1.0 / lp
         delta, exact = ref.rho_ols(gamma, SIGMA2)
@@ -246,16 +218,18 @@ def test_limit_growth_domain_and_zero():
 
 
 def test_solve_rho_monotone_in_eps2():
-    th = memorization_threshold(2.0, SIGMA2)
-    rhos = [solve_rho(2.0, SIGMA2, float(e)).rho for e in np.linspace(0.5 * th, 6 * th, 25)]
+    red = LimitReduction(2.0, SIGMA2)
+    th = red.threshold
+    rhos = [red.solve(float(e)).rho for e in np.linspace(0.5 * th, 6 * th, 25)]
     assert all(b >= a for a, b in zip(rhos, rhos[1:]))
     above = [r for r in rhos if r > 0]
     assert all(b > a for a, b in zip(above, above[1:]))
 
 
 def test_cost_is_monotone_and_zero_below_threshold():
-    th = memorization_threshold(2.0, SIGMA2)
-    points = [asymptotic_cost(2.0, SIGMA2, float(e)) for e in np.linspace(0.2 * th, 5 * th, 15)]
+    red = LimitReduction(2.0, SIGMA2)
+    th = red.threshold
+    points = [red.cost(float(e)) for e in np.linspace(0.2 * th, 5 * th, 15)]
     costs = [p.cost for p in points]
     assert all(c == 0.0 for p, c in zip(points, costs) if p.eps2 <= th)
     assert all(b >= a for a, b in zip(costs, costs[1:]))
@@ -263,9 +237,9 @@ def test_cost_is_monotone_and_zero_below_threshold():
 
 
 def test_costbar_below_threshold_is_minus_gap():
-    th = memorization_threshold(2.0, SIGMA2)
-    point = asymptotic_cost(2.0, SIGMA2, 0.5 * th)
-    gap = ols_gap(2.0, SIGMA2)
+    red = LimitReduction(2.0, SIGMA2)
+    point = red.cost(0.5 * red.threshold)
+    gap = red.gap
     assert point.cost == 0.0
     assert abs(point.costbar + gap) < 1e-15
     assert point.costbar < 0
@@ -274,7 +248,7 @@ def test_costbar_below_threshold_is_minus_gap():
 def test_ols_gap_two_routes_and_small_sigma_law():
     ratios = []
     for s2 in (1e-1, 1e-2, 1e-3, 1e-4):
-        gap = ols_gap(2.0, s2)
+        gap = LimitReduction(2.0, s2).gap
         quad = s2 * s2 / 2.0 * mp_integrate(MPLaw(2.0), lambda s: 1.0 / (s * (s + s2)))
         assert abs(gap - quad) <= 1e-10 * gap
         ratios.append(gap / s2**2)
@@ -286,7 +260,7 @@ def test_ols_gap_two_routes_and_small_sigma_law():
 
 def test_rho_ols_lower_bound_and_residual():
     for gamma, s2 in GRID:
-        sol = solve_rho_ols(gamma, s2)
+        sol = LimitReduction(gamma, s2).ols
         lp = MPLaw(gamma).lambda_plus
         assert sol.rho >= 1.0 / (2.0 * lp)
         assert sol.rho < 1.0 / lp
@@ -298,22 +272,22 @@ def test_rho_ols_lower_bound_and_residual():
 def test_rho_ols_equation_by_quadrature(gamma, s2):
     # both sides of the rho_ols equation re-evaluated by the quadrature oracle
     law = MPLaw(gamma)
-    rho = solve_rho_ols(gamma, s2).rho
+    rho = LimitReduction(gamma, s2).ols.rho
     lhs = rho * rho * mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + s2)))
     rhs = mp_integrate(law, lambda s: 1.0 / (s * (s + s2)))
     assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
 def test_rho_ols_large_sigma2_stays_interior():
-    sol = solve_rho_ols(2.0, 100.0)
+    sol = LimitReduction(2.0, 100.0).ols
     lp = MPLaw(2.0).lambda_plus
     assert 1.0 / (2.0 * lp) < sol.rho < 1.0 / lp
 
 
 def test_threshold_ordering_on_grid():
     for gamma, s2 in GRID:
-        eps_s2 = memorization_threshold(gamma, s2)
-        eps_ols2 = solve_rho_ols(gamma, s2).target_eps2
+        red = LimitReduction(gamma, s2)
+        eps_s2, eps_ols2 = red.threshold, red.ols.target_eps2
         law = MPLaw(gamma)
         cap = (2.0 * law.lambda_plus / law.lambda_minus) ** 2 * eps_s2
         assert eps_s2 < eps_ols2 <= cap * (1 + 1e-12)
@@ -321,15 +295,16 @@ def test_threshold_ordering_on_grid():
 
 def test_costbar_zero_at_ols_threshold_and_sign_flip():
     for gamma, s2 in [(1.5, 0.1), (2.0, 0.1), (4.0, 1e-2)]:
-        eps_ols2 = solve_rho_ols(gamma, s2).target_eps2
-        assert abs(asymptotic_cost(gamma, s2, eps_ols2).costbar) <= 1e-8
-        assert asymptotic_cost(gamma, s2, 0.95 * eps_ols2).costbar < 0
-        assert asymptotic_cost(gamma, s2, 1.05 * eps_ols2).costbar > 0
+        red = LimitReduction(gamma, s2)
+        eps_ols2 = red.ols.target_eps2
+        assert abs(red.cost(eps_ols2).costbar) <= 1e-8
+        assert red.cost(0.95 * eps_ols2).costbar < 0
+        assert red.cost(1.05 * eps_ols2).costbar > 0
 
 
 def test_linear_bound_constants_isotropic():
     law = MPLaw(2.0)
-    bc = cost_linear_bound(2.0, SIGMA2)
+    bc = LimitReduction(2.0, SIGMA2).linear_bound()
     assert abs(bc.c_small - 2.0 / (law.lambda_minus**2 + 0.1)) < 1e-14
     shrink = (1 - 1 / math.sqrt(2)) ** 2
     assert abs(bc.C_growth - shrink * law.lambda_minus / (law.lambda_plus**2 * 2.0)) < 1e-16
@@ -337,35 +312,44 @@ def test_linear_bound_constants_isotropic():
 
 
 def test_linear_bound_families_differ_at_unit_kappa():
-    iso = cost_linear_bound(2.0, SIGMA2, kappa=1.0)
-    mitigated = cost_linear_bound(2.0, SIGMA2, kappa=1.0, anisotropic=True)
+    iso = LimitReduction(2.0, SIGMA2).linear_bound()
+    mitigated = LimitReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound()
     law = MPLaw(2.0)
     assert abs(mitigated.c_small - 2.0 / (law.lambda_minus + 0.1)) < 1e-13
     assert iso.c_small != mitigated.c_small
     assert abs(iso.C_growth - mitigated.C_growth) < 1e-18
 
 
+def test_linear_bound_family_follows_the_population():
+    law = MPLaw(2.0)
+    bc = LimitReduction(2.0, SIGMA2, TWO_ATOM).linear_bound()
+    assert bc.kappa == TWO_ATOM.kappa == 2.0
+    assert bc.c_small == 2.0 * 2.0 / (law.lambda_minus + 2.0 * SIGMA2)
+    shrink = (1 - 1 / math.sqrt(2)) ** 2
+    assert bc.C_growth == law.lambda_minus * shrink / (2.0 * law.lambda_plus**2 * 2.0)
+    assert LimitReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound().kappa == 1.0
+
+
 def test_linear_bound_vanishes_like_inverse_gamma():
-    c1 = cost_linear_bound(1e8, SIGMA2).C_growth
-    c2 = cost_linear_bound(2e8, SIGMA2).C_growth
+    c1 = LimitReduction(1e8, SIGMA2).linear_bound().C_growth
+    c2 = LimitReduction(2e8, SIGMA2).linear_bound().C_growth
     assert abs(c1 / c2 - 2.0) < 1e-3
 
 
 def test_linear_growth_guarantee_pointwise():
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):
-            bc = cost_linear_bound(gamma, s2)
+            red = LimitReduction(gamma, s2)
+            bc = red.linear_bound()
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 20 * floor, 6):
-                point = asymptotic_cost(gamma, s2, float(eps2))
+                point = red.cost(float(eps2))
                 assert point.cost >= bc.C_growth * eps2
 
 
 def test_bound_constants_validation():
     with pytest.raises(DomainError):
         BoundConstants(c_small=0.0, C_growth=1.0)
-    with pytest.raises(DomainError):
-        cost_linear_bound(2.0, SIGMA2, kappa=0.5)
 
 
 def test_bound_constants_refuse_nan():
@@ -374,29 +358,31 @@ def test_bound_constants_refuse_nan():
             BoundConstants(c_small=c, C_growth=C)
 
 
-@pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.5, -math.inf])
-def test_linear_bound_refuses_kappa_outside_one_to_inf(kappa):
-    # kappa = nan used to give BoundConstants(nan, nan, nan), and kappa = inf
-    # a refusal that named the constants, not kappa
-    with pytest.raises(DomainError, match=r"^kappa must satisfy 1 <= kappa < inf"):
-        cost_linear_bound(2.0, SIGMA2, kappa=kappa)
-
-
 def test_solve_rho_def_at_threshold():
-    eps2 = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
-    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    sol = red.solve_def(red.eps_def2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
 
 
 def test_solve_rho_def_below_threshold_is_regime_error():
-    eps2 = 0.5 * deformed_threshold(2.0, TWO_ATOM, SIGMA2)
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
     with pytest.raises(RegimeError):
-        solve_rho_def(2.0, TWO_ATOM, SIGMA2, eps2)
+        red.solve_def(0.5 * red.eps_def2)
+
+
+@pytest.mark.parametrize("eps2", [math.nan, math.inf, -math.inf])
+def test_solve_rho_def_refuses_a_nonfinite_eps2(eps2):
+    # these were reported as a NearDivergenceError past the float range
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    for member in (red.solve_def, red.bound, LimitReduction(2.0, SIGMA2).solve):
+        with pytest.raises(DomainError, match=r"^eps2 must be finite and nonnegative, got "):
+            member(eps2)
 
 
 def test_solve_rho_def_plug_back_residual():
-    thresh = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
-    sol = solve_rho_def(2.0, TWO_ATOM, SIGMA2, 2.0 * thresh)
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    thresh = red.eps_def2
+    sol = red.solve_def(2.0 * thresh)
     assert sol.regime is Regime.ABOVE_THRESHOLD
     assert sol.residual <= 1e-10
     # independent plug-back with the quadrature route
@@ -412,41 +398,41 @@ def test_solve_rho_def_plug_back_residual():
 
 def test_solve_rho_def_degenerate_matches_isotropic():
     iso = PopulationSpectrum.isotropic()
-    th = memorization_threshold(2.0, SIGMA2)
+    th = LimitReduction(2.0, SIGMA2).threshold
     for mult in (1.5, 2.0, 4.0):
-        a = solve_rho_def(2.0, iso, SIGMA2, mult * th).rho
-        b = solve_rho(2.0, SIGMA2, mult * th).rho
+        a = LimitReduction(2.0, SIGMA2, iso).solve_def(mult * th).rho
+        b = LimitReduction(2.0, SIGMA2).solve(mult * th).rho
         assert abs(a - b) < 1e-12
 
 
 def test_anisotropic_bound_zero_at_threshold():
-    eps2 = deformed_threshold(2.0, TWO_ATOM, SIGMA2)
-    assert anisotropic_cost_lower_bound(2.0, TWO_ATOM, SIGMA2, eps2) == 0.0
+    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    assert red.bound(red.eps_def2) == 0.0
 
 
 def test_anisotropic_bound_linear_growth():
-    kappa = TWO_ATOM.kappa
     for gamma in (1.5, 2.0):
         for s2 in (0.01, 0.1):
-            bc = cost_linear_bound(gamma, s2, kappa=kappa)
+            red = LimitReduction(gamma, s2, TWO_ATOM)
+            bc = red.linear_bound()
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 10 * floor, 4):
-                bound = anisotropic_cost_lower_bound(gamma, TWO_ATOM, s2, float(eps2))
+                bound = red.bound(float(eps2))
                 assert bound >= bc.C_growth * eps2
 
 
 def test_anisotropic_bound_reduces_to_isotropic_cost():
     iso = PopulationSpectrum.isotropic()
     for s2 in (0.01, 0.1):
-        th = memorization_threshold(2.0, s2)
+        th = LimitReduction(2.0, s2).threshold
         for mult in (1.5, 3.0):
-            bound = anisotropic_cost_lower_bound(2.0, iso, s2, mult * th)
-            exact = asymptotic_cost(2.0, s2, mult * th).cost
+            bound = LimitReduction(2.0, s2, iso).bound(mult * th)
+            exact = LimitReduction(2.0, s2).cost(mult * th).cost
             assert abs(bound - exact) <= 1e-9 * max(exact, 1e-12)
 
 
 def test_threshold_report_assembles_family():
-    report = threshold_report(2.0, SIGMA2, TWO_ATOM)
+    report = LimitReduction(2.0, SIGMA2, TWO_ATOM).report()
     assert report.eps_sigma2 < report.eps_ols2
     assert report.eps_def2 is not None
     assert report.eps_def2 > report.eps_sigma2  # larger condition number raises it here
@@ -454,7 +440,7 @@ def test_threshold_report_assembles_family():
     bound = kappa * 0.1**2 * mp_stieltjes_neg(MPLaw(2.0), kappa * 0.1)
     assert report.eps_def2_upper_bound == pytest.approx(bound, rel=1e-15)
     assert report.eps_def2 <= report.eps_def2_upper_bound
-    plain = threshold_report(2.0, SIGMA2)
+    plain = LimitReduction(2.0, SIGMA2).report()
     assert plain.eps_def2 is None and plain.eps_def2_upper_bound is None
 
 
@@ -467,11 +453,11 @@ def test_deformed_threshold_upper_bound_holds_past_overflow():
         for k in (6, 20, 100, 154, 155, 200, 300):
             pop = PopulationSpectrum(atoms=((1.0, 0.5), (10.0**-k, 0.5)))
             for j in range(-100, 101, 10):
-                report = threshold_report(gamma, 10.0**j, pop)
+                report = LimitReduction(gamma, 10.0**j, pop).report()
                 assert math.isfinite(report.eps_def2_upper_bound)
                 assert report.eps_def2_upper_bound >= report.eps_def2 * (1.0 - 4e-16)
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (1e-300, 0.5)))
-    report = threshold_report(2.0, SIGMA2, pop)
+    report = LimitReduction(2.0, SIGMA2, pop).report()
     assert report.eps_def2 < report.eps_def2_upper_bound == pytest.approx(0.1, rel=1e-15)
 
 
@@ -486,7 +472,7 @@ def test_ols_gap_matches_mpmath_down_to_tiny_noise():
                 b = 1 - 1 / g + a
                 m = (mp.sqrt(b * b + 4 * a / g) - b) / (2 * a / g)
                 exact = float(a / g * (1 / (1 - 1 / g) - m))
-            assert abs(ols_gap(gamma, s2) - exact) <= 1e-10 * exact
+            assert abs(LimitReduction(gamma, s2).gap - exact) <= 1e-10 * exact
 
 
 @pytest.mark.parametrize("s2", [1e-8, 1e-10, 1e-12, 1e-20])
@@ -494,15 +480,17 @@ def test_ols_gap_matches_mpmath_down_to_tiny_noise():
 def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     # eps2 ~ sigma2^2 is tiny, and the solves must still reach it to rounding
     law = MPLaw(2.0)
-    eps2 = multiple * memorization_threshold(2.0, s2)
-    rho = solve_rho(2.0, s2, eps2).rho
+    red = LimitReduction(2.0, s2)
+    eps2 = multiple * red.threshold
+    rho = red.solve(eps2).rho
     train = s2 * s2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
-    thresh = deformed_threshold(2.0, pop, s2)
+    red = LimitReduction(2.0, s2, pop)
+    thresh = red.eps_def2
     eps2_def = multiple * thresh
-    rho_def = solve_rho_def(2.0, pop, s2, eps2_def).rho
+    rho_def = red.solve_def(eps2_def).rho
     ks2 = pop.kappa * s2
     reached = thresh + pop.kappa * s2 * s2 * (
         mp_shrinkage_integrals(law, 1.0 - rho_def * law.lambda_plus, ks2)[0]

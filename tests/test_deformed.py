@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memcost.cost_engine import LimitReduction, deformed_threshold
+from memcost.cost_engine import LimitReduction
 from memcost.deformed import PopulationSpectrum, parse_population_spectrum
 from memcost.errors import DomainError, RegimeError, SpectrumFormatError
 from memcost.spectra import MPLaw, mp_stieltjes_neg
@@ -138,7 +138,7 @@ def test_deformed_law_rejects_low_gamma():
 def test_deformed_threshold_degenerate_reduction():
     for gamma in (1.5, 2.0, 4.0):
         for sigma2 in (1e-2, 0.1):
-            iso = deformed_threshold(gamma, PopulationSpectrum.isotropic(), sigma2)
+            iso = LimitReduction(gamma, sigma2, PopulationSpectrum.isotropic()).eps_def2
             direct = sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), sigma2)
             assert abs(iso - direct) < 1e-10
 
@@ -154,7 +154,7 @@ def test_deformed_threshold_is_condition_number_bounded():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for sigma2 in (1e-2, 0.1, 1.0):
-                val = deformed_threshold(gamma, pop, sigma2)
+                val = LimitReduction(gamma, sigma2, pop).eps_def2
                 bound = kappa * sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), kappa * sigma2)
                 assert val <= bound * (1 + 1e-12)
 
@@ -162,7 +162,7 @@ def test_deformed_threshold_is_condition_number_bounded():
 def test_deformed_threshold_is_sigma4_times_transform():
     sigma2 = 0.1
     m = LimitReduction(2.0, sigma2, TWO_ATOM).m_def
-    assert abs(deformed_threshold(2.0, TWO_ATOM, sigma2) - sigma2**2 * m) < 1e-15
+    assert abs(LimitReduction(2.0, sigma2, TWO_ATOM).eps_def2 - sigma2**2 * m) < 1e-15
 
 
 def _mp_silverstein(gamma, pop, sigma2):

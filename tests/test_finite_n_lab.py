@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from memcost import finite_n_lab
-from memcost.cost_engine import memorization_threshold
+from memcost.cost_engine import LimitReduction
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import ConsistencyError, DomainError, FeasibilityError, RankError, RegimeError
 from memcost.finite_n_lab import (
@@ -433,7 +433,7 @@ def test_evaluate_design_full_report():
 
 @pytest.mark.parametrize("pop", [PopulationSpectrum.isotropic(), TWO_ATOM], ids=["isotropic", "kappa2"])
 def test_trial_metrics_eps2_solve_hits_target(pop):
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     target = 3.0 * th
     config = ExperimentConfig(
         n=150, d=300, sigma2=0.1, seed=3, trials=1, population=pop, eps2=target
@@ -449,7 +449,7 @@ def test_trial_metrics_eps2_solve_hits_target(pop):
 
 
 def test_trial_metrics_by_rho_and_by_eps2_agree_at_solution():
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     by_eps = ExperimentConfig(n=150, d=300, sigma2=0.1, seed=3, trials=1, eps2=2 * th)
     m = trial_metrics(by_eps, 0)
     by_rho = ExperimentConfig(n=150, d=300, sigma2=0.1, seed=3, trials=1, rho=m.rho)
@@ -503,7 +503,7 @@ def test_run_trials_is_trial_metrics_in_trial_order(capsys):
 
 
 def test_convergence_report_rows():
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     configs = [
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=11, trials=4, eps2=2 * th)
         for n in (50, 100)
@@ -656,7 +656,7 @@ def test_trial_metrics_never_forms_a_d_by_d_matrix(monkeypatch, pop):
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(DesignOracle, "__init__", refuse)
-    th = memorization_threshold(2.0, 0.1)
+    th = LimitReduction(2.0, 0.1).threshold
     for constraint in ({"rho": 0.2}, {"eps2": 3.0 * th}):
         config = ExperimentConfig(
             n=100, d=200, sigma2=0.1, seed=4, trials=1, population=pop, **constraint
@@ -676,7 +676,7 @@ def test_config_rejects_non_finite_or_negative_multiplier(field, value):
 @pytest.mark.parametrize("sigma2", [1e-8, 1e-10, 1e-12, 1e-20])
 def test_small_noise_eps2_trial_reaches_eps2(sigma2):
     # eps2 ~ sigma2^2 is tiny, and the per-design solve must still reach it to rounding
-    eps2 = 1.5 * memorization_threshold(2.0, sigma2)
+    eps2 = 1.5 * LimitReduction(2.0, sigma2).threshold
     config = ExperimentConfig(n=50, d=100, sigma2=sigma2, seed=3, trials=1, eps2=eps2)
     metrics = trial_metrics(config, 0)
     assert metrics.rho > 0.0

@@ -12,7 +12,7 @@ from memcost import numerics
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
 from memcost.numerics import edge_distance, solve_level, solve_multiplier
-from memcost.cost_engine import LimitReduction, deformed_threshold, memorization_threshold, solve_rho
+from memcost.cost_engine import LimitReduction
 from memcost.oracle import _cheb_transfer, sym_eigvals
 from memcost.spectra import MPLaw, mp_stieltjes_neg
 
@@ -158,10 +158,10 @@ def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
     counts = []
     for gamma in (1.05, 2.0, 4.0):
         for sigma2 in (1e-6, 0.01, 0.1):
-            threshold = memorization_threshold(gamma, sigma2)
+            threshold = LimitReduction(gamma, sigma2).threshold
             for factor in (1.5, 3.0, 10.0, 100.0):
                 calls.clear()
-                solve_rho(gamma, sigma2, factor * threshold)
+                LimitReduction(gamma, sigma2).solve(factor * threshold)
                 counts.append(len(calls))
     assert max(counts) <= 36 and np.median(counts) <= 14
 
@@ -175,7 +175,7 @@ def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
     )
     for seed in (1, 2):
         for sigma2 in (0.01, 0.1, 1.0):
-            threshold = memorization_threshold(2.0, sigma2)
+            threshold = LimitReduction(2.0, sigma2).threshold
             for factor in (1.2, 2.0, 4.0):
                 calls.clear()
                 config = lab.ExperimentConfig(
@@ -211,7 +211,7 @@ def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
         lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     config = lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=1.0)
-    threshold = memorization_threshold(2.0, 0.1)
+    threshold = LimitReduction(2.0, 0.1).threshold
     for eps2 in [factor * threshold for factor in (1.01, 1.5, 3.0)] + [10.0**k for k in range(0, 301, 10)]:
         calls.clear()
         lab.trial_metrics(dataclasses.replace(config, eps2=eps2), 0)
@@ -298,9 +298,9 @@ def _scan_rho_oracle(gamma, sigma2, eps2, lattice_size=10**6, nodes=10**4):
 
 def test_bisect_against_fine_grid_scan_oracle():
     gamma, sigma2 = 2.0, 0.1
-    eps2 = 2.0 * memorization_threshold(gamma, sigma2)
+    eps2 = 2.0 * LimitReduction(gamma, sigma2).threshold
     rho_scan = _scan_rho_oracle(gamma, sigma2, eps2)
-    rho_solver = solve_rho(gamma, sigma2, eps2).rho
+    rho_solver = LimitReduction(gamma, sigma2).solve(eps2).rho
     assert abs(rho_solver - rho_scan) <= 1e-8
 
 
@@ -342,7 +342,7 @@ _EDGE_DELTA = 1e-12
 def _route_rho(monkeypatch):
     # level: train; output: the cost at the solved delta
     def solve(target):
-        return ce.asymptotic_cost(2.0, _SIGMA2, target).cost
+        return ce.LimitReduction(2.0, _SIGMA2).cost(target).cost
 
     return lambda x: ref.train(2.0, 0.1, x), lambda x: ref.cost(2.0, 0.1, x), solve
 
@@ -351,7 +351,7 @@ def _route_rho_ols(monkeypatch):
     # rho_ols takes no target: its right-hand side, the inverse moment, is set instead
     def solve(target):
         monkeypatch.setattr(ce, "_inverse_moment", lambda law, a: target)
-        return ce.solve_rho_ols(2.0, _SIGMA2).target_eps2
+        return ce.LimitReduction(2.0, _SIGMA2).ols.target_eps2
 
     return lambda x: ref.ols_level(2.0, 0.1, x), lambda x: ref.train(2.0, 0.1, x), solve
 
@@ -359,13 +359,13 @@ def _route_rho_ols(monkeypatch):
 def _route_rho_def(monkeypatch):
     ks2 = _TWO_ATOM.kappa * 0.1
     j0 = mp_stieltjes_neg(MPLaw(2.0), ks2)
-    thresh = deformed_threshold(2.0, _TWO_ATOM, 0.1)
+    thresh = LimitReduction(2.0, 0.1, _TWO_ATOM).eps_def2
 
     def level(delta):
         return _TWO_ATOM.kappa * 0.01 * (ref.shrinkage(2.0, delta, ks2)[0] - j0)
 
     def solve(target):
-        return ce.anisotropic_cost_lower_bound(2.0, _TWO_ATOM, _SIGMA2, thresh + target)
+        return ce.LimitReduction(2.0, _SIGMA2, _TWO_ATOM).bound(thresh + target)
 
     # thresh + target rounds, so the level reached is that of the rounded sum
     return level, lambda x: ref.cost(2.0, 0.1, x), solve, lambda t: (thresh + t) - thresh

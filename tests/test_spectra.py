@@ -131,6 +131,14 @@ def test_cdf_boundaries_and_monotonicity():
     assert abs(vals[-1] - 1.0) < 1e-8
 
 
+def test_cdf_refuses_nan_and_keeps_the_infinite_ends():
+    # nan used to pass both edge comparisons and come back as nan
+    law = MPLaw(2.0)
+    with pytest.raises(DomainError, match="mp_cdf needs a number, got x=nan"):
+        mp_cdf(law, math.nan)
+    assert (mp_cdf(law, -math.inf), mp_cdf(law, math.inf)) == (0.0, 1.0)
+
+
 def test_cdf_against_trapezoid_oracle():
     law = MPLaw(2.0)
     lm, lp = law.lambda_minus, law.lambda_plus
