@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -51,16 +50,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@dataclass
 class OutputTable:
-    header: list[str]
-    rows: list[tuple]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("header", "rows", "metadata")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.header):
+    def __init__(self, header: list[str], rows: list[tuple], metadata: dict | None = None):
+        for row in rows:
+            if len(row) != len(header):
                 raise DomainError("table rows must match the header length")
+        self.header, self.rows, self.metadata = header, rows, {} if metadata is None else metadata
 
     def to_csv(self) -> str:
         lines = [f"# memcost {__version__}"]

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .deformed import PopulationSpectrum, _silverstein_root
 from .errors import ConsistencyError, DomainError, RegimeError
@@ -56,8 +55,7 @@ class Regime(str, Enum):
         return cls.BELOW_THRESHOLD if rho == 0.0 else cls.ABOVE_THRESHOLD
 
 
-@dataclass(frozen=True)
-class RhoSolution:
+class RhoSolution(NamedTuple):
     """A solved training-error multiplier, held as its edge distance.
 
     ``delta`` = 1 - rho lambda_plus in (0, 1] is 1 exactly when the constraint
@@ -80,8 +78,7 @@ class RhoSolution:
         return Regime.of(self.rho)
 
 
-@dataclass(frozen=True)
-class CostPoint:
+class CostPoint(NamedTuple):
     """One point of the cost curve at squared training error eps2.
 
     ``cost`` is the excess over the best unconstrained estimator (0 below
@@ -95,8 +92,7 @@ class CostPoint:
     costbar: float
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """The threshold family at one (gamma, sigma2) point.
 
     With a population spectrum, ``eps_def2`` is the deformed threshold, and
@@ -113,20 +109,20 @@ class ThresholdReport:
     eps_def2_upper_bound: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(
+    NamedTuple("BoundConstants", [("c_small", float), ("C_growth", float), ("kappa", float)])
+):
     """Constants (c, C) of the linear cost growth guarantee.
 
     The cost is at least C * eps2 whenever eps2 >= c * sigma2^2.
     """
 
-    c_small: float
-    C_growth: float
-    kappa: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.c_small > 0 and self.C_growth > 0):
+    def __new__(cls, c_small: float, C_growth: float, kappa: float = 1.0):
+        if not (c_small > 0 and C_growth > 0):
             raise DomainError("bound constants must be positive")
+        return super().__new__(cls, c_small, C_growth, kappa)
 
 
 class LimitReduction:
@@ -182,13 +178,14 @@ class LimitReduction:
         quadratic in the lower edge).
         """
         gamma, s2, lm, lp = self.law.gamma, self.sigma2, self.law.lambda_minus, self.top
-        shrink = (1.0 - 1.0 / math.sqrt(2.0)) ** 2
+        iso_growth = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 * lm / (lp**2 * gamma)
         if self.pop is None:
-            return BoundConstants(c_small=2.0 / (lm * lm + s2), C_growth=shrink * lm / (lp**2 * gamma))
+            return BoundConstants(c_small=2.0 / (lm * lm + s2), C_growth=iso_growth)
         kappa = self.pop.kappa
         return BoundConstants(
             c_small=2.0 * kappa / (lm + kappa * s2),
-            C_growth=lm * shrink / (kappa * lp**2 * gamma),
+            # kappa last: the product kappa lp^2 gamma overflows for kappa gamma past 1.8e308
+            C_growth=iso_growth / kappa,
             kappa=kappa,
         )
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, DomainError, SpectrumFormatError
 from .numerics import solve_level
@@ -34,8 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PopulationSpectrum:
+class PopulationSpectrum(
+    NamedTuple("PopulationSpectrum", [("atoms", tuple[tuple[float, float], ...])])
+):
     """Discrete spectrum of the population covariance: atoms (value, weight).
 
     Values and weights must be finite and positive.  Values are rescaled so
@@ -44,13 +44,13 @@ class PopulationSpectrum:
     resulting condition number 1/min(value), which must be finite.
     """
 
-    atoms: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.atoms) == 0:
+    def __new__(cls, atoms: tuple[tuple[float, float], ...]):
+        if len(atoms) == 0:
             raise DomainError("population spectrum needs at least one atom")
-        vals = [float(a[0]) for a in self.atoms]
-        wts = [float(a[1]) for a in self.atoms]
+        vals = [float(a[0]) for a in atoms]
+        wts = [float(a[1]) for a in atoms]
         if not all(math.isfinite(v) and v > 0 for v in vals):
             raise DomainError(f"atom values must be finite and positive, got {vals}")
         if not all(math.isfinite(w) and w > 0 for w in wts):
@@ -60,20 +60,20 @@ class PopulationSpectrum:
             total += w
         if abs(total - 1.0) > 1e-9:
             warnings.warn(
-                f"atom weights sum to {total:.6g}; renormalizing to 1", stacklevel=3
+                f"atom weights sum to {total:.6g}; renormalizing to 1", stacklevel=2
             )
         wts = [w / total for w in wts]
         top = max(vals)
         if abs(top - 1.0) > 1e-12:
             warnings.warn(
-                f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=3
+                f"top atom value {top:.6g} != 1; rescaling all values", stacklevel=2
             )
             vals = [v / top for v in vals]
         if not all(v > 0 and 1.0 / v < math.inf for v in vals):
             raise DomainError(f"the condition number 1/min(value) overflows for atom values {vals}")
         # a stable sort, descending in value
         order = sorted(range(len(vals)), key=lambda j: -vals[j])
-        object.__setattr__(self, "atoms", tuple((vals[j], wts[j]) for j in order))
+        return super().__new__(cls, tuple((vals[j], wts[j]) for j in order))
 
     @classmethod
     def isotropic(cls) -> "PopulationSpectrum":

@@ -17,7 +17,7 @@ sampled designs are in ``finite_n_lab``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RegimeError
 
@@ -29,17 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MPLaw:
+class MPLaw(NamedTuple("MPLaw", [("gamma", float)])):
     """The limiting spectral law of (1/d) Z Z^T for aspect ratio gamma > 1."""
 
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
+    def __new__(cls, gamma: float):
+        if not (math.isfinite(gamma) and gamma > 1.0):
             raise RegimeError(
-                f"the overparameterized regime requires gamma > 1, got {self.gamma}"
+                f"the overparameterized regime requires gamma > 1, got {gamma}"
             )
+        return super().__new__(cls, gamma)
 
     @property
     def lambda_minus(self) -> float:

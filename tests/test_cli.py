@@ -1027,7 +1027,9 @@ def test_simulate_small_noise_gap_matches_mpmath(capsys, tmp_path):
 
 def test_import_cli_does_not_load_scipy(tmp_path):
     # the asymptotic commands need only the standard library: neither the
-    # import nor any of them loads numpy or scipy; the lab commands then do
+    # import nor any of them loads numpy or scipy; the lab commands then do.
+    # Nor do they load dataclasses, whose inspect/ast/dis/tokenize chain was
+    # about 12 ms of a one-shot command's start-up, unless a bare interpreter has it
     import os
     import subprocess
     import textwrap
@@ -1061,17 +1063,26 @@ def test_import_cli_does_not_load_scipy(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             theory = [cli.main(argv) for argv in asymptotic]
             loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+            chain = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
             after = [cli.main(argv) for argv in lab]
             oracle_after_lab = "memcost.oracle" in sys.modules
             verify = cli.main(["verify", "--quick"])
         print(theory, loaded, after, oracle_after_lab, verify, "memcost.oracle" in sys.modules)
+        print(chain)
     """)
     result = subprocess.run(
         [sys.executable, "-c", probe, _pop_file(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == f"{[0] * 11} [] [0, 0] False 0 True"
+    summary, chain = result.stdout.splitlines()
+    assert summary == f"{[0] * 11} [] [0, 0] False 0 True"
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         'import sys; print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))'],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert chain == bare.stdout.strip()
 
     # the lab alone never loads the oracle; the names bench/oracles.py reads
     # from the lab resolve to the oracle's functions on first access

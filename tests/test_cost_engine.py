@@ -336,6 +336,18 @@ def test_linear_bound_vanishes_like_inverse_gamma():
     assert abs(c1 / c2 - 2.0) < 1e-3
 
 
+def test_linear_bound_stays_positive_at_the_largest_gamma():
+    # kappa lp^2 gamma overflows past 1.8e308, but C itself is a positive subnormal
+    shrink = (1 - 1 / math.sqrt(2)) ** 2
+    for kappa in (2.0, 4.0):
+        pop = PopulationSpectrum(atoms=((1.0, 0.5), (1.0 / kappa, 0.5)))
+        for s2 in (1e-3, 0.1, 1.0):
+            bc = LimitReduction(1e308, s2, pop).linear_bound()
+            assert bc.kappa == kappa and 0.0 < bc.c_small < math.inf
+            assert 0.0 < bc.C_growth < math.inf
+            assert bc.C_growth == pytest.approx(shrink / kappa / 1e308, rel=1e-9)
+
+
 def test_linear_growth_guarantee_pointwise():
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (0.01, 0.1):

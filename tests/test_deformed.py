@@ -14,7 +14,7 @@ TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 def test_population_normalizes_weights_with_warning():
     with pytest.warns(UserWarning) as rec:
         pop = PopulationSpectrum(atoms=((1.0, 2.0), (0.5, 2.0)))
-    assert rec[0].filename == __file__  # the caller, not the generated __init__
+    assert rec[0].filename == __file__  # the caller, not the constructor
     assert np.allclose(pop.weights, [0.5, 0.5])
 
 
