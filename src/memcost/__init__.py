@@ -27,6 +27,6 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
+from .spectra import MPLaw, mp_cdf, mp_shrinkage, mp_stieltjes_neg
 
 __version__ = "0.1.0"

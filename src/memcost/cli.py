@@ -151,6 +151,14 @@ def _eps2_grid(args) -> list[float]:
     return [_eps_squared(g) for g in grid] if args.grid_units == "eps" else grid
 
 
+def _grid_point(solve, e2: float):
+    """solve(e2) at a grid point, or None past the float range (inf: an eps whose square overflows)."""
+    try:
+        return solve(e2) if e2 < math.inf else None
+    except NearDivergenceError:
+        return None
+
+
 def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -187,13 +195,9 @@ def cmd_rho(args) -> int:
         grid = [_eps2_from_args(args)]
     rows = []
     for e2 in grid:
-        try:
-            sol = red.solve(e2)
-            rows.append((e2, sol.rho, sol.regime.value, sol.residual))
-        except NearDivergenceError:
-            if args.grid is None:
-                raise  # a single eps2 past the float range is a refusal
-            rows.append((e2, float("nan"), "error", float("nan")))
+        sol = red.solve(e2) if args.grid is None else _grid_point(red.solve, e2)  # one --eps2/--eps refuses
+        rows.append((e2, math.nan, "error", math.nan) if sol is None
+                    else (e2, sol.rho, sol.regime.value, sol.residual))
     table = OutputTable(
         header=["eps2", "rho", "regime", "residual"],
         rows=rows,
@@ -220,12 +224,9 @@ def cmd_cost_curve(args) -> int:
     grid = _eps2_grid(args)
     rows = []
     for e2 in grid:
-        try:
-            point = red.cost(e2)
-            regime = ce.Regime.of(point.rho).value
-            rows.append((e2, point.rho, point.cost, point.costbar, regime))
-        except NearDivergenceError:
-            rows.append((e2, float("nan"), float("nan"), float("nan"), "error"))
+        pt = _grid_point(red.cost, e2)
+        rows.append((e2, math.nan, math.nan, math.nan, "error") if pt is None
+                    else (e2, pt.rho, pt.cost, pt.costbar, ce.Regime.of(pt.rho).value))
     table = OutputTable(
         header=["eps2", "rho", "cost", "costbar", "regime"],
         rows=rows,
@@ -428,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrum)
 
+    parser.commands = sub.choices  # name -> subcommand parser, for main's direct route
     return parser
 
 
@@ -437,8 +439,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``; a named command is parsed by its own parser alone."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no argv, a top-level option or an unknown command
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (DomainError, SpectrumFormatError, NearDivergenceError, OSError) as exc:

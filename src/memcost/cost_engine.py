@@ -10,7 +10,7 @@ law H:
 train(0) is the memorization threshold; above it, the multiplier rho(eps2)
 solving train(rho) = eps2 determines the asymptotic cost of not fitting.
 Both integrals, and those of the rho_ols and rho_def equations, are
-evaluated in closed form from the MP resolvent (``mp_shrinkage_integrals``)
+evaluated in closed form from the MP resolvent bound by ``mp_shrinkage``
 in the edge distance delta = 1 - rho lambda_plus, which every multiplier is
 solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
 from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from .deformed import PopulationSpectrum, _silverstein_root
 from .errors import ConsistencyError, DomainError, RegimeError
 from .numerics import check_sigma2, edge_distance, solve_multiplier
-from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
+from .spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
 
 __all__ = [
     "Regime",
@@ -143,16 +143,17 @@ class LimitReduction:
         check_sigma2(sigma2)
         self.law, self.sigma2, self.pop = MPLaw(gamma), sigma2, pop
         self.top = self.law.lambda_plus
+        self._shrink = mp_shrinkage(self.law, sigma2)  # the resolvent at a = sigma2, bound once
 
     def delta(self, rho: float, context: str = "") -> float:
         return edge_distance(rho, self.top, f"{context}rho with top = lambda_plus")
 
     def train(self, delta: float) -> float:
-        return self.sigma2**2 * mp_shrinkage_integrals(self.law, delta, self.sigma2)[0]
+        return self.sigma2**2 * self._shrink(delta)[0]
 
     def growth(self, delta: float) -> float:
         rho, s2 = (1.0 - delta) / self.top, self.sigma2
-        return rho * rho / self.law.gamma * s2 * s2 * mp_shrinkage_integrals(self.law, delta, s2)[1]
+        return rho * rho / self.law.gamma * s2 * s2 * self._shrink(delta)[1]
 
     def bracket(self, eps2: float) -> None:
         return None  # so solve_multiplier keeps [tiny, 1]
@@ -209,10 +210,10 @@ class LimitReduction:
         threshold, train at the solved edge distance, which tends to 0 as
         gamma -> 1+ (2.6e-14 at gamma = 1.01, sigma2 = 1e-4).
         """
-        law, s2, lp = self.law, self.sigma2, self.top
+        shrink, lp = self._shrink, self.top
         delta, residual = solve_multiplier(
-            lambda x: ((1.0 - x) / lp) ** 2 * mp_shrinkage_integrals(law, x, s2)[1],
-            _inverse_moment(law, s2),
+            lambda x: ((1.0 - x) / lp) ** 2 * shrink(x)[1],
+            _inverse_moment(self.law, self.sigma2),
             "rho_ols",
         )
         return RhoSolution(delta, lp, residual, self.train(delta))
@@ -269,12 +270,12 @@ class LimitReduction:
         if rhs < 0:
             raise RegimeError(
                 f"eps2={eps2} is below the deformed threshold {self.eps_def2}; no cost there")
-        law, s2, kappa = self.law, self.sigma2, self.pop.kappa
-        ks2, scale = kappa * s2, kappa * s2 * s2
-        j0 = mp_stieltjes_neg(law, ks2)
+        s2, kappa = self.sigma2, self.pop.kappa
+        shrink, scale = mp_shrinkage(self.law, kappa * s2), kappa * s2 * s2
+        j0 = shrink(1.0)[0]  # m(-kappa sigma2)
         # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
         delta, residual = solve_multiplier(
-            lambda x: scale * (mp_shrinkage_integrals(law, x, ks2)[0] - j0), rhs,
+            lambda x: scale * (shrink(x)[0] - j0), rhs,
             f"rho_def(eps2={eps2!r})")
         return RhoSolution(delta, self.top, residual, eps2)
 

@@ -29,7 +29,7 @@ from . import cost_engine as ce
 from . import finite_n_lab as lab
 from .deformed import PopulationSpectrum
 from .errors import ConsistencyError, ConvergenceError, DomainError, FeasibilityError, MemcostError
-from .spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
+from .spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
 
 __all__ = [
     "mp_integrate",
@@ -437,7 +437,7 @@ def verify_checks(quick: bool, seed: int, perturb: bool):
             worst = max(worst, abs(quad - closed) / closed)
             for frac in (0.1, 0.5, 0.9):
                 rho = frac / law.lambda_plus
-                closed = mp_shrinkage_integrals(law, 1.0 - frac, s2)
+                closed = mp_shrinkage(law, s2)(1.0 - frac)
                 for k, val in enumerate(closed):
                     quad = mp_integrate(
                         law, lambda s: s**k / ((1.0 - rho * s) ** 2 * (s + s2))

@@ -8,23 +8,23 @@ The law for aspect ratio gamma = d/n > 1 has density
 with edges lm = (1 - 1/sqrt(gamma))^2 and lp = (1 + 1/sqrt(gamma))^2.
 Every integral the isotropic theory needs is a rational function of the
 Stieltjes transform of H and its derivative, so production values come in
-closed form (``mp_stieltjes_neg``, ``mp_shrinkage_integrals``), and so
-does the c.d.f. (``mp_cdf``).  Standard library only: the quadrature that
-checks these forms is ``oracle.mp_integrate``, and empirical spectra of
-sampled designs are in ``finite_n_lab``.
+closed form (``mp_stieltjes_neg``, and ``mp_shrinkage``, bound once per
+(law, a)), and so does the c.d.f. (``mp_cdf``).  Standard library only: the
+quadrature that checks these forms is ``oracle.mp_integrate``, and empirical
+spectra of sampled designs are in ``finite_n_lab``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, RegimeError
 
 __all__ = [
     "MPLaw",
     "mp_stieltjes_neg",
-    "mp_shrinkage_integrals",
+    "mp_shrinkage",
     "mp_cdf",
 ]
 
@@ -68,8 +68,8 @@ def mp_stieltjes_neg(law: MPLaw, sigma2: float) -> float:
     return 1.0 / (0.5 * math.hypot(a, 2.0 * math.sqrt(sigma2 / g)) + 0.5 * a)
 
 
-def mp_shrinkage_integrals(law: MPLaw, delta: float, a: float) -> tuple[float, float]:
-    """Closed forms of int 1/((1 - rho s)^2 (s + a)) dH and int s/((1 - rho s)^2 (s + a)) dH.
+def mp_shrinkage(law: MPLaw, a: float) -> Callable[[float], tuple[float, float]]:
+    """Bound at (law, a): delta -> int 1/((1 - rho s)^2 (s + a)) dH, int s/((1 - rho s)^2 (s + a)) dH.
 
     With delta = 1 - rho lp, z = 1/rho and m(z) = int 1/(s - z) dH,
     partial fractions in z - s give, for q = 1 + a rho,
@@ -81,26 +81,31 @@ def mp_shrinkage_integrals(law: MPLaw, delta: float, a: float) -> tuple[float, f
     m(z) = -2/((z - 1 + c) + R) and m'(z) = -m (c m + 1)/R.  The edge gap
     z - lp = delta lp/(1 - delta) is exact in delta, so accuracy holds up
     as delta -> 0, where both integrals diverge.  delta = 1 (rho = 0) gives
-    exactly (m(-a), 1 - a m(-a)).  Requires 0 < delta <= 1 and a > 0.
+    exactly (m(-a), 1 - a m(-a)).  Requires a > 0, and 0 < delta <= 1 at each call.
     """
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"requires an edge distance 0 < delta <= 1, got delta={delta!r}")
     m_a = mp_stieltjes_neg(law, a)
-    if delta == 1.0:
-        return m_a, 1.0 - a * m_a
-    c = 1.0 / law.gamma
+    at_one, c = (m_a, 1.0 - a * m_a), 1.0 / law.gamma
     u = math.sqrt(c)
-    inv_rho = law.lambda_plus / (1.0 - delta)
-    gap = delta * inv_rho
     # z - lm = gap + 4u and z - 1 + c = gap + 2u(1 + u) for u = 1/sqrt(gamma):
     # the rounded edges are both 1 from gamma near 1e32, and the product under
     # the root underflows at the smallest gap
-    root = math.sqrt(gap + 4.0 * u) * math.sqrt(gap)
-    m = -2.0 / ((gap + 2.0 * u * (1.0 + u)) + root)
-    dm = -m * (c * m + 1.0) / root
-    q = 1.0 + a / inv_rho
-    pole = (m_a - m) / (q * q)
-    return dm * inv_rho / q + pole, dm * inv_rho * inv_rho / q - a * pole
+    lp, four_u, shift = law.lambda_plus, 4.0 * u, 2.0 * u * (1.0 + u)
+
+    def integrals(delta: float) -> tuple[float, float]:
+        if not 0.0 < delta <= 1.0:
+            raise DomainError(f"requires an edge distance 0 < delta <= 1, got delta={delta!r}")
+        if delta == 1.0:
+            return at_one
+        inv_rho = lp / (1.0 - delta)
+        gap = delta * inv_rho
+        root = math.sqrt(gap + four_u) * math.sqrt(gap)
+        m = -2.0 / ((gap + shift) + root)
+        dm = -m * (c * m + 1.0) / root
+        q = 1.0 + a / inv_rho
+        pole = (m_a - m) / (q * q)
+        return dm * inv_rho / q + pole, dm * inv_rho * inv_rho / q - a * pole
+
+    return integrals
 
 
 def mp_cdf(law: MPLaw, x: float) -> float:

@@ -1,8 +1,8 @@
 """60-digit mpmath evaluations of the multiplier equations, for agreement tests.
 
-``shrinkage`` is ``spectra.mp_shrinkage_integrals`` restated in mpmath, and
-``edge_root`` solves a level equation by bisection in log delta, so every
-reference value here carries far more digits than a float.
+``shrinkage`` is the function that ``spectra.mp_shrinkage`` binds, restated
+in mpmath, and ``edge_root`` solves a level equation by bisection in log
+delta, so every reference value here carries far more digits than a float.
 """
 
 import mpmath as mp

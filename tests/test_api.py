@@ -28,7 +28,7 @@ PUBLIC = {
         "DesignOracle", "build_estimator", "mp_integrate", "pred_error_direct",
         "train_error_direct", "verify_checks",
     },
-    "spectra": {"MPLaw", "mp_cdf", "mp_shrinkage_integrals", "mp_stieltjes_neg"},
+    "spectra": {"MPLaw", "mp_cdf", "mp_shrinkage", "mp_stieltjes_neg"},
 }
 
 

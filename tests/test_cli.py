@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,6 +7,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memcost import cli
 from memcost.cost_engine import LimitReduction
@@ -409,6 +412,38 @@ def test_cost_curve_row_level_error_markers(capsys):
     assert math.isnan(float(dict(zip(header, rows[-1]))["rho"]))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["rho", "cost-curve"])
+def test_an_eps_grid_point_whose_square_overflows_is_an_error_row(capsys, command, fmt):
+    # past eps = 1.34e154 the square is inf; that point was refused with
+    # "eps2 must be finite" and took the whole table with it
+    code, out, err = run_cli(capsys, command, "--gamma", "2", "--sigma2", "0.1",
+                             "--grid", "0.1:1e153:3e154", "--grid-units", "eps", "--format", fmt)
+    assert code == 0, err
+    if fmt == "json":
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        header, rows = payload["columns"], payload["rows"]
+    else:
+        header, rows = parse_csv(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert len(cells) == 31
+    first = cells[0]
+    assert first["regime"] == "below_threshold" and float(first["eps2"]) == 0.1 * 0.1
+    assert not math.isnan(float(first["rho"]))
+    overflowed = [c for c in cells if c["eps2"] in ("inf", None)]
+    assert len(overflowed) == 17
+    for cell in cells[1:]:
+        assert cell["regime"] == "error"
+        numeric = [v for k, v in cell.items() if k not in ("eps2", "regime")]
+        assert numeric == ([None] * len(numeric) if fmt == "json" else ["nan"] * len(numeric))
+
+
+def test_a_single_eps_whose_square_overflows_is_still_refused(capsys):
+    code, out, err = run_cli(capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--eps", "1e160")
+    assert (code, out) == (2, "")
+    assert err == "memcost: error: eps2 must be finite and nonnegative, got inf\n"
+
+
 def test_cost_curve_empty_grid(capsys):
     code, out, _ = run_cli(
         capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "2:1:1"
@@ -687,6 +722,28 @@ def test_cost_curve_evaluates_the_gap_once(capsys, monkeypatch):
     assert code == 0, err
     assert len(parse_csv(out)[1]) == 7
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--grid", "0.02:0.02:0.12"],
+    ["cost-curve", "--grid", "0.02:0.02:0.14"],
+], ids=["rho-grid", "cost-curve"])
+def test_a_grid_op_binds_the_resolvent_once(capsys, monkeypatch, argv):
+    # m(-a) is a fixed constant of the op: one evaluation per (law, a), not one per level evaluation
+    from memcost import spectra
+
+    calls, original = [], spectra.mp_stieltjes_neg
+
+    def counting(law, a):
+        calls.append((law.gamma, a))
+        return original(law, a)
+
+    monkeypatch.setattr(spectra, "mp_stieltjes_neg", counting)
+    monkeypatch.setattr(cli.ce, "mp_stieltjes_neg", counting)
+    code, out, err = run_cli(capsys, *argv, "--gamma", "3", "--sigma2", "0.2")
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) in (6, 7)
+    assert calls == [(3.0, 0.2)]
 
 
 # (gamma, sigma2) where rho_ols lies from 1e-3 to 2.6e-14 (delta) below the edge
@@ -1191,6 +1248,93 @@ def test_shared_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
     assert [code for code, _, _ in expected] == [code for code, _ in _SHARED_PARSER_SEQUENCE]
     for (_, argv), want in zip(_SHARED_PARSER_SEQUENCE, expected):
         assert _run_captured(capsys, argv) == want, argv
+
+
+def _parse_outcome(parse, argv):
+    """vars of the namespace ``parse`` returns for argv, or its exit code; with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_as_the_full_parser(argv):
+    want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse, argv) == want, argv
+    return want
+
+
+_SIM = ["simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1"]
+_RHO = ["rho", "--gamma", "2", "--sigma2", "0.1"]
+
+# (outcome kind, argv): the full parser's verdict on each, pinned so the cases stay what they say
+_PARSE_CASES = [
+    ("namespace", ["threshold", "--gamma", "2", "--sigma2", "0.1", "--pop", "p.txt"]),
+    ("namespace", _RHO + ["--eps2", "0.05", "--format", "json", "--out", "t.json"]),
+    ("namespace", _RHO + ["--grid", "0.1:0.1:0.3", "--grid-units", "eps"]),
+    ("namespace", ["cost-curve", "--gamma", "2", "--sigma2", "0.1", "--grid", "0:1:2", "--gnuplot", "g"]),
+    ("namespace", ["ols", "--sigma2=0.1", "--gamma=2"]),
+    ("namespace", _SIM + ["--trials", "2", "--eps", "0.2", "--dist", "rademacher"]),
+    ("namespace", ["verify", "--quick", "--seed", "7"]),
+    ("namespace", ["spectrum", "--n", "20", "--d", "40", "--pop", "p.txt", "--format", "json"]),
+    # negative numbers as values, and an abbreviated option
+    ("namespace", ["rho", "--gamma", "-2", "--sigma2", "-0.001", "--eps2", "-0.5"]),
+    ("namespace", _SIM + ["--trials", "-3", "--rho", "-0.1"]),
+    ("namespace", ["threshold", "--gam", "2", "--sig", "0.1"]),
+    # an unknown option or argument after a command
+    ("exit", ["threshold", "--gamma", "2", "--sigma2", "0.1", "--bogus"]),
+    ("exit", ["ols", "--gamma", "2", "--sigma2", "0.1", "extra", "-x", "--y=1"]),
+    ("exit", ["ols", "--gamma", "2", "--sigma2", "0.1", "--vers"]),
+    ("exit", ["ols", "--gamma", "2", "--", "--sigma2", "0.1"]),
+    ("exit", ["ols", "--gamma", "2", "--sigma2", "0.1", "--"]),
+    # top-level options after a command belong to the command
+    ("exit", ["threshold", "--version"]),
+    ("exit", ["threshold", "--gamma", "2", "-h"]),
+    ("exit", ["rho", "--help", "--bogus"]),
+    # an ambiguous abbreviation, a missing required option, a bad choice and a bad type
+    ("exit", _RHO + ["--g", "0:1:2"]),
+    ("exit", ["threshold", "--gamma", "2"]),
+    ("exit", _RHO),
+    ("exit", _RHO + ["--eps2", "0.1", "--format", "xml"]),
+    ("exit", ["ols", "--gamma", "two", "--sigma2", "0.1"]),
+    ("exit", ["ols", "--gamma", "2", "--sigma2", "-1e-3"]),  # no argparse number: an option
+    ("exit", _SIM + ["--trials", "2.5"]),
+    ("exit", _RHO + ["--eps2", "0.1", "--eps", "0.2"]),
+    # what the full parser handles alone: empty argv, top-level options and unknown commands
+    ("exit", []),
+    ("exit", ["--version"]),
+    ("exit", ["-h"]),
+    ("exit", ["thresh", "--gamma", "2"]),
+    ("exit", ["--gamma", "2", "threshold"]),
+]
+
+
+@pytest.mark.parametrize("kind,argv", _PARSE_CASES, ids=[" ".join(a) or "empty" for _, a in _PARSE_CASES])
+def test_main_parses_as_the_full_parser(kind, argv):
+    assert _assert_parses_as_the_full_parser(argv)[0][0] == kind
+
+
+_VALUE_TOKENS = ["2", "0.1", "-1", "-0.5", "1e-3", "x", "0:1:2", "eps", "json", "gaussian", "--", "-", "-h"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_main_parses_drawn_argv_as_the_full_parser(data):
+    commands = cli._parser().commands
+    command = data.draw(st.sampled_from(sorted(commands)))
+    options = sorted(s for a in commands[command]._actions for s in a.option_strings)
+    # the options, some cut to a prefix or given a value with "=", among plain values
+    option = st.sampled_from(options)
+    token = st.one_of(
+        option,
+        st.builds(lambda o, k: o[: max(3, len(o) - k)], option, st.integers(0, 6)),
+        st.builds(lambda o, v: f"{o}={v}", option, st.sampled_from(_VALUE_TOKENS)),
+        st.sampled_from(_VALUE_TOKENS + ["--version", "--bogus"]),
+    )
+    _assert_parses_as_the_full_parser([command] + data.draw(st.lists(token, max_size=8)))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from memcost.cost_engine import BoundConstants, LimitReduction, Regime
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
 from memcost.oracle import mp_integrate
-from memcost.spectra import MPLaw, mp_shrinkage_integrals, mp_stieltjes_neg
+from memcost.spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
 
 import mp_reference as ref
 
@@ -160,13 +160,13 @@ TINY = sys.float_info.min
 
 def test_train_at_zero_is_the_threshold_bit_for_bit():
     for gamma, s2 in GRID:
-        j0, _ = mp_shrinkage_integrals(MPLaw(gamma), 1.0, s2)
+        j0, _ = mp_shrinkage(MPLaw(gamma), s2)(1.0)
         assert s2**2 * j0 == LimitReduction(gamma, s2).threshold
 
 
 def test_solve_rho_near_divergence_boundary():
     # the last reachable target is train at the smallest normal delta
-    top = SIGMA2**2 * mp_shrinkage_integrals(MPLaw(2.0), TINY, SIGMA2)[0]
+    top = SIGMA2**2 * mp_shrinkage(MPLaw(2.0), SIGMA2)(TINY)[0]
     red = LimitReduction(2.0, SIGMA2)
     with pytest.raises(NearDivergenceError):
         red.solve(top)
@@ -186,7 +186,7 @@ def test_solve_rho_def_near_divergence_boundary():
     red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
     thresh = red.eps_def2
     scale = TWO_ATOM.kappa * SIGMA2**2
-    top_lhs = scale * (mp_shrinkage_integrals(law, TINY, ks2)[0] - mp_stieltjes_neg(law, ks2))
+    top_lhs = scale * (mp_shrinkage(law, ks2)(TINY)[0] - mp_stieltjes_neg(law, ks2))
     with pytest.raises(NearDivergenceError):
         red.solve_def(thresh + (1.0 + 1e-12) * top_lhs)
     eps2 = thresh + (1.0 - 1e-6) * top_lhs
@@ -495,7 +495,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     red = LimitReduction(2.0, s2)
     eps2 = multiple * red.threshold
     rho = red.solve(eps2).rho
-    train = s2 * s2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
+    train = s2 * s2 * mp_shrinkage(law, s2)(1.0 - rho * law.lambda_plus)[0]
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
@@ -505,7 +505,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     rho_def = red.solve_def(eps2_def).rho
     ks2 = pop.kappa * s2
     reached = thresh + pop.kappa * s2 * s2 * (
-        mp_shrinkage_integrals(law, 1.0 - rho_def * law.lambda_plus, ks2)[0]
+        mp_shrinkage(law, ks2)(1.0 - rho_def * law.lambda_plus)[0]
         - mp_stieltjes_neg(law, ks2)
     )
     assert abs(reached - eps2_def) <= 1e-12 * eps2_def

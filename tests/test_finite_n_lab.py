@@ -574,14 +574,14 @@ def test_train_error_strictly_increasing_in_multiplier():
 
 
 def test_fixed_multiplier_train_error_approaches_limit():
-    from memcost.spectra import MPLaw, mp_shrinkage_integrals
+    from memcost.spectra import MPLaw, mp_shrinkage
 
     rho, s2 = 0.2, 0.1
     config = ExperimentConfig(n=500, d=1000, sigma2=s2, seed=77, trials=1, rho=rho)
     red = _oracle(sample_design(config, 0), sigma2=s2).reduction
     train = red.train(red.delta(rho))
     law = MPLaw(2.0)
-    limit = s2**2 * mp_shrinkage_integrals(law, 1.0 - rho * law.lambda_plus, s2)[0]
+    limit = s2**2 * mp_shrinkage(law, s2)(1.0 - rho * law.lambda_plus)[0]
     assert abs(train - limit) / limit <= 0.05
 
 

@@ -35,6 +35,16 @@ ARGV = [
     "threshold --gamma 2 --sigma2 1e100 --pop {pop} --format json",
     "threshold --gamma 1e308 --sigma2 0.1 --pop {pop}",
     "threshold --gamma 1 --sigma2 0.1 --pop {pop}",
+    "threshold --gamma 1.05 --sigma2 0.1 --pop {pop}",
+    "rho --gamma 1.01 --sigma2 1e-100 --grid 0:5e-199:3e-198",
+    "rho --gamma 1.01 --sigma2 1e100 --grid 5e99:5e99:3e100",
+    "rho --gamma 1e6 --sigma2 1e-100 --grid 0:5e-201:3e-200",
+    "rho --gamma 1e6 --sigma2 1e100 --grid 5e99:5e99:3e100 --format json",
+    "rho --gamma 2 --sigma2 0.1 --grid 0.1:0.1:0.6 --grid-units eps",
+    "cost-curve --gamma 1.01 --sigma2 1e-100 --grid 0:5e-199:3e-198",
+    "cost-curve --gamma 1.01 --sigma2 1e100 --grid 5e99:5e99:3e100 --format json",
+    "cost-curve --gamma 1e6 --sigma2 1e-100 --grid 0:5e-201:3e-200",
+    "cost-curve --gamma 1e6 --sigma2 1e100 --grid 5e99:5e99:3e100",
 ]
 
 POP = "# two atoms, condition number 4\n1.0 0.5\n0.25 0.5\n"

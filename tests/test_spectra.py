@@ -8,7 +8,7 @@ import pytest
 from memcost.errors import DomainError, RegimeError
 from memcost.finite_n_lab import bai_yin_check, esd_from_design, kolmogorov_distance
 from memcost.oracle import mp_integrate
-from memcost.spectra import MPLaw, mp_cdf, mp_shrinkage_integrals, mp_stieltjes_neg
+from memcost.spectra import MPLaw, mp_cdf, mp_shrinkage, mp_stieltjes_neg
 
 import mp_reference
 
@@ -233,7 +233,7 @@ def test_shrinkage_integrals_match_quadrature(gamma, sigma2):
     for delta in EDGE_DELTAS:
         rho = (1.0 - delta) / law.lambda_plus
         for a in (sigma2, kappa_s2):
-            j0, j1 = mp_shrinkage_integrals(law, delta, a)
+            j0, j1 = mp_shrinkage(law, a)(delta)
             q0 = mp_integrate(law, lambda s: 1.0 / ((1.0 - rho * s) ** 2 * (s + a)))
             q1 = mp_integrate(law, lambda s: s / ((1.0 - rho * s) ** 2 * (s + a)))
             worst = max(worst, abs(j0 - q0) / q0, abs(j1 - q1) / q1)
@@ -267,7 +267,7 @@ def _mp_shrinkage(gamma, delta, a, dps=30):
 @pytest.mark.parametrize("gamma,a", [(1.5, 1e-2), (4.0, 1.0), (10.0, 0.1)])
 def test_shrinkage_integrals_mpmath_spot_checks(frac, gamma, a):
     # rho = frac/lambda_plus
-    got = mp_shrinkage_integrals(MPLaw(gamma), 1.0 - frac, a)
+    got = mp_shrinkage(MPLaw(gamma), a)(1.0 - frac)
     ref = _mp_shrinkage(gamma, 1.0 - frac, a)
     for g, r in zip(got, ref):
         assert abs(g - r) / r <= 1e-11
@@ -278,7 +278,7 @@ def test_shrinkage_integrals_mpmath_spot_checks(frac, gamma, a):
 def test_shrinkage_integrals_keep_full_precision_at_the_edge(delta, gamma, a):
     # the edge gap delta lp/(1 - delta) is exact in delta, so no digits are
     # lost however close delta is to 0
-    got = mp_shrinkage_integrals(MPLaw(gamma), delta, a)
+    got = mp_shrinkage(MPLaw(gamma), a)(delta)
     for g, r in zip(got, mp_reference.shrinkage(gamma, delta, a)):
         assert mp_reference.rel(g, r) <= 1e-14
 
@@ -291,7 +291,7 @@ def test_shrinkage_integrals_hold_past_gamma_1e32(gamma):
     law = MPLaw(gamma)
     for delta in (sys.float_info.min, 1e-100, 1e-20, 1e-8, 0.5):
         for a in (1e-6, 0.1, 10.0):
-            got = mp_shrinkage_integrals(law, delta, a)
+            got = mp_shrinkage(law, a)(delta)
             for g, r in zip(got, mp_reference.shrinkage(gamma, delta, a, dps=700)):
                 if r < sys.float_info.max:
                     assert mp_reference.rel(g, r) <= 1e-14
@@ -304,13 +304,13 @@ def test_shrinkage_integrals_at_zero_are_exact():
     law = MPLaw(2.0)
     for a in (1e-3, 0.1, 4.0):
         m = mp_stieltjes_neg(law, a)
-        assert mp_shrinkage_integrals(law, 1.0, a) == (m, 1.0 - a * m)
+        assert mp_shrinkage(law, a)(1.0) == (m, 1.0 - a * m)
 
 
 def test_shrinkage_integrals_continuous_at_zero():
     law = MPLaw(2.0)
-    j0, j1 = mp_shrinkage_integrals(law, 1.0, 0.1)
-    k0, k1 = mp_shrinkage_integrals(law, 1.0 - 1e-12 * law.lambda_plus, 0.1)
+    j0, j1 = mp_shrinkage(law, 0.1)(1.0)
+    k0, k1 = mp_shrinkage(law, 0.1)(1.0 - 1e-12 * law.lambda_plus)
     assert abs(k0 - j0) <= 1e-10 * j0 and abs(k1 - j1) <= 1e-10 * j1
 
 
@@ -318,6 +318,6 @@ def test_shrinkage_integrals_domain():
     law = MPLaw(2.0)
     for delta in (-1e-3, 0.0, 1.0 + 1e-15, 2.0, float("nan")):
         with pytest.raises(DomainError):
-            mp_shrinkage_integrals(law, delta, 0.1)
+            mp_shrinkage(law, 0.1)(delta)
     with pytest.raises(DomainError):
-        mp_shrinkage_integrals(law, 0.1, 0.0)
+        mp_shrinkage(law, 0.0)  # a = 0 is refused when bound
