@@ -2,8 +2,9 @@
 
 Subcommands: threshold, rho, cost-curve, ols, simulate, verify, spectrum.
 Tables go to stdout as CSV (metadata in leading ``#`` lines) or JSON; every
-table embeds the exact config and seed needed to reproduce it, and numeric
-cells carry 17 significant digits so byte-identical reruns are possible.
+table embeds the exact config and seed needed to reproduce it (each option
+that is set, but --out, --format and --gnuplot), and numeric cells carry 17
+significant digits so byte-identical reruns are possible.
 Exit codes: 0 success, 1 verification/check failure, 2 usage/validation
 error or a file that cannot be read or written; files are written before
 stdout, so a failed run prints no table.
@@ -22,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -109,9 +111,10 @@ def parse_grid(spec: str) -> list[float]:
     if not steps + 0.5 < MAX_GRID_POINTS:
         raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     bound = stop + step / 2
-    # start + k*step is nondecreasing in k, so the filter keeps a prefix
+    # start + k*step is nondecreasing in k, so the filter keeps a prefix; an
+    # inf candidate lies past every finite stop, even where the bound overflows
     candidates = (start + k * step for k in range(int(max(steps, -2.0)) + 2))
-    return [v for v in candidates if v <= bound]
+    return [v for v in candidates if v <= bound and v < math.inf]
 
 
 def _emit(table: OutputTable, args, *extra: tuple[str, str]) -> None:
@@ -159,8 +162,18 @@ def _grid_point(solve, e2: float):
         return None
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+# output options and parser bookkeeping: none of them changes a table's rows
+_UNECHOED = frozenset({"out", "format", "gnuplot", "command", "func"})
+
+
+def _config_echo(args) -> dict:
+    """Every argument that is set, but the output options: the options that reprint the table."""
+    return {k: v for k, v in vars(args).items() if v is not None and k not in _UNECHOED}
+
+
+def _table(args, header: list[str], rows: list[tuple], **metadata) -> OutputTable:
+    """The table, with the config echo, the command name and ``metadata`` as its metadata."""
+    return OutputTable(header, rows, {"config": _config_echo(args), "command": args.command, **metadata})
 
 
 def cmd_threshold(args) -> int:
@@ -178,12 +191,7 @@ def cmd_threshold(args) -> int:
     if pop is not None:
         header += ["eps_def2", "eps_def2_upper_bound", "kappa"]
         row += [report.eps_def2, report.eps_def2_upper_bound, pop.kappa]
-    table = OutputTable(
-        header=header,
-        rows=[tuple(row)],
-        metadata={"config": _config_echo(args, ["gamma", "sigma2", "pop"]), "command": "threshold"},
-    )
-    _emit(table, args)
+    _emit(_table(args, header, [tuple(row)]), args)
     return 0
 
 
@@ -198,12 +206,7 @@ def cmd_rho(args) -> int:
         sol = red.solve(e2) if args.grid is None else _grid_point(red.solve, e2)  # one --eps2/--eps refuses
         rows.append((e2, math.nan, "error", math.nan) if sol is None
                     else (e2, sol.rho, sol.regime.value, sol.residual))
-    table = OutputTable(
-        header=["eps2", "rho", "regime", "residual"],
-        rows=rows,
-        metadata={"config": _config_echo(args, ["gamma", "sigma2", "eps2", "eps", "grid"]), "command": "rho"},
-    )
-    _emit(table, args)
+    _emit(_table(args, ["eps2", "rho", "regime", "residual"], rows), args)
     return 0
 
 
@@ -227,11 +230,7 @@ def cmd_cost_curve(args) -> int:
         pt = _grid_point(red.cost, e2)
         rows.append((e2, math.nan, math.nan, math.nan, "error") if pt is None
                     else (e2, pt.rho, pt.cost, pt.costbar, ce.Regime.of(pt.rho).value))
-    table = OutputTable(
-        header=["eps2", "rho", "cost", "costbar", "regime"],
-        rows=rows,
-        metadata={"config": _config_echo(args, ["gamma", "sigma2", "grid"]), "command": "cost-curve"},
-    )
+    table = _table(args, ["eps2", "rho", "cost", "costbar", "regime"], rows)
     script = []
     if args.gnuplot:
         if not args.out:
@@ -244,12 +243,9 @@ def cmd_cost_curve(args) -> int:
 def cmd_ols(args) -> int:
     red = ce.LimitReduction(args.gamma, args.sigma2)
     sol, gap = red.ols, red.gap
-    table = OutputTable(
-        header=["gamma", "sigma2", "rho_ols", "eps_ols2", "residual", "ols_gap"],
-        rows=[(args.gamma, args.sigma2, sol.rho, sol.target_eps2, sol.residual, gap)],
-        metadata={"config": _config_echo(args, ["gamma", "sigma2"]), "command": "ols"},
-    )
-    _emit(table, args)
+    header = ["gamma", "sigma2", "rho_ols", "eps_ols2", "residual", "ols_gap"]
+    row = (args.gamma, args.sigma2, sol.rho, sol.target_eps2, sol.residual, gap)
+    _emit(_table(args, header, [row]), args)
     return 0
 
 
@@ -263,18 +259,14 @@ def cmd_spectrum(args) -> int:
     )
     design = lab.sample_design(config, 0)
     spec = lab.esd_from_design(design.X)
-    metadata = {
-        "config": _config_echo(args, ["n", "d", "seed", "dist", "pop"]),
-        "command": "spectrum",
-    }
+    metadata = {}
     if pop.is_isotropic:
         law = MPLaw(args.d / args.n)
         dev_hi, dev_lo = lab.bai_yin_check(spec, law)
-        metadata["edge_deviation_upper"] = dev_hi
-        metadata["edge_deviation_lower"] = dev_lo
-        metadata["kolmogorov_distance"] = lab.kolmogorov_distance(spec, law)
+        metadata = {"edge_deviation_upper": dev_hi, "edge_deviation_lower": dev_lo,
+                    "kolmogorov_distance": lab.kolmogorov_distance(spec, law)}
     rows = [(i + 1, float(v)) for i, v in enumerate(spec)]
-    _emit(OutputTable(header=["rank", "eigenvalue"], rows=rows, metadata=metadata), args)
+    _emit(_table(args, ["rank", "eigenvalue"], rows, **metadata), args)
     return 0
 
 
@@ -308,18 +300,11 @@ def cmd_simulate(args) -> int:
 
     stats = lab.summarize_trials(metrics, targets)
     rows = [(m.trial, name, getattr(m, name)) for m in metrics for name in stats]
-    config_echo = _config_echo(
-        args, ["n", "d", "sigma2", "seed", "trials", "dist", "rho", "eps2", "eps", "pop"]
-    )
-    table = OutputTable(
-        header=["trial", "metric", "value"],
-        rows=rows,
-        metadata={"config": config_echo, "command": "simulate"},
-    )
+    table = _table(args, ["trial", "metric", "value"], rows)
 
     summary = {
-        "config": config_echo,
-        "metadata": {"version": __version__, "command": "simulate", "gamma_n": config.gamma_n},
+        "config": table.metadata["config"],
+        "metadata": {"version": __version__, "command": args.command, "gamma_n": config.gamma_n},
         "metrics": stats,
     }
 
@@ -360,6 +345,11 @@ def _add_eps_args(p: argparse.ArgumentParser):
     return group
 
 
+# argparse reads "-1e-3" as an option, as its own matcher takes no exponent;
+# no memcost option string looks like a number, so this one can
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memcost",
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = _add_eps_args(p)
     group.required = True
     group.add_argument("--grid", help="eps2 grid start:step:stop")
-    p.add_argument("--grid-units", choices=("eps2", "eps"), default="eps2")
+    p.add_argument("--grid-units", choices=("eps2", "eps"))
     _add_common_output(p)
     p.set_defaults(func=cmd_rho)
 
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--grid", required=True, help="eps2 grid start:step:stop")
-    p.add_argument("--grid-units", choices=("eps2", "eps"), default="eps2")
+    p.add_argument("--grid-units", choices=("eps2", "eps"))
     p.add_argument("--gnuplot", help="also write a plot script for the --out CSV")
     _add_common_output(p)
     p.set_defaults(func=cmd_cost_curve)
@@ -430,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     parser.commands = sub.choices  # name -> subcommand parser, for main's direct route
+    for p in (parser, *parser.commands.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

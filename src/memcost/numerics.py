@@ -106,27 +106,24 @@ def solve_multiplier(
     A multiplier rho below the spectral edge 1/top is solved in delta =
     1 - rho top, which keeps full relative precision up to the edge, where
     ``level`` diverges; it must decrease on (0, 1].  Returns (1, 0), i.e.
-    rho = 0, when target <= level(1).  Otherwise solves on ``bracket`` cut to
-    [tiny, 1], tiny the smallest normal float, if the level crosses the
-    target there; else on [tiny, 1].  Raises NearDivergenceError (its
-    message starting with ``what``) for a target past the float range of the
-    level: if level(tiny) <= target, or if the level overflows short of it.
+    rho = 0, when target <= level(1).  Otherwise solves on [tiny, 1], tiny
+    the smallest normal float, or on ``bracket`` cut to [tiny, 1]: a bracket
+    is the caller's proof that the root lies in it, and no wider interval is
+    tried.  Raises NearDivergenceError (its message starting with ``what``)
+    for a target past the float range of the level: if level(tiny) <= target,
+    or if the level overflows short of it.  A bracket that misses the root is
+    refused the same way.
     """
     top = level(1.0)
     if target <= top:
         return 1.0, 0.0
-    tiny = sys.float_info.min
+    lo, hi = (0.0, 1.0) if bracket is None else bracket
+    lo, hi = max(lo, sys.float_info.min), min(hi, 1.0)
     solved = None
-    if bracket is not None:
-        lo, hi = max(bracket[0], tiny), min(bracket[1], 1.0)
-        if lo < hi:
-            ends = (level(lo), top if hi == 1.0 else level(hi))
-            if ends[0] >= target >= ends[1]:
-                solved = solve_level(level, target, lo, hi, ends)
-    if solved is None:
-        bottom = level(tiny)
-        if bottom > target:
-            solved = solve_level(level, target, tiny, 1.0, (bottom, top))
+    if lo < hi:
+        ends = (level(lo), top if hi == 1.0 else level(hi))
+        if ends[0] > target >= ends[1]:
+            solved = solve_level(level, target, lo, hi, ends)
     if solved is None or solved[1] == math.inf:
         raise NearDivergenceError(
             f"{what}: target {target!r} is past the float range of the constraint "

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -61,6 +62,14 @@ def test_parse_grid_refuses_non_finite_and_oversize_specs():
             cli.parse_grid(spec)
     assert len(cli.parse_grid(f"0:1:{cap - 1}")) == cap
     assert cli.parse_grid("1e308:1e-300:-1e308") == []
+
+
+def test_parse_grid_ends_before_a_point_past_the_float_range(capsys):
+    # stop + step/2 overflows to inf here, and the point 1e308 + 1e308 = inf was kept
+    assert cli.parse_grid("1e308:1e308:1.7e308") == [1e308]
+    code, out, _ = run_cli(capsys, "rho", "--gamma", "2", "--sigma2", "0.1", "--grid", "1e308:1e308:1.7e308")
+    assert code == 0
+    assert [row[0] for row in parse_csv(out)[1]] == ["1e+308"]
 
 
 def test_threshold_command_values(capsys):
@@ -1280,8 +1289,9 @@ _PARSE_CASES = [
     ("namespace", _SIM + ["--trials", "2", "--eps", "0.2", "--dist", "rademacher"]),
     ("namespace", ["verify", "--quick", "--seed", "7"]),
     ("namespace", ["spectrum", "--n", "20", "--d", "40", "--pop", "p.txt", "--format", "json"]),
-    # negative numbers as values, and an abbreviated option
+    # negative numbers as values, with an exponent too, and an abbreviated option
     ("namespace", ["rho", "--gamma", "-2", "--sigma2", "-0.001", "--eps2", "-0.5"]),
+    ("namespace", ["ols", "--gamma", "2", "--sigma2", "-1e-3"]),
     ("namespace", _SIM + ["--trials", "-3", "--rho", "-0.1"]),
     ("namespace", ["threshold", "--gam", "2", "--sig", "0.1"]),
     # an unknown option or argument after a command
@@ -1300,7 +1310,6 @@ _PARSE_CASES = [
     ("exit", _RHO),
     ("exit", _RHO + ["--eps2", "0.1", "--format", "xml"]),
     ("exit", ["ols", "--gamma", "two", "--sigma2", "0.1"]),
-    ("exit", ["ols", "--gamma", "2", "--sigma2", "-1e-3"]),  # no argparse number: an option
     ("exit", _SIM + ["--trials", "2.5"]),
     ("exit", _RHO + ["--eps2", "0.1", "--eps", "0.2"]),
     # what the full parser handles alone: empty argv, top-level options and unknown commands
@@ -1335,6 +1344,85 @@ def test_main_parses_drawn_argv_as_the_full_parser(data):
         st.sampled_from(_VALUE_TOKENS + ["--version", "--bogus"]),
     )
     _assert_parses_as_the_full_parser([command] + data.draw(st.lists(token, max_size=8)))
+
+
+_SIM_ARGV = "simulate --n 20 --d 40 --seed 1 --trials 1"
+# each float option of each command, set to {} in an otherwise valid argv
+_FLOAT_OPTION_ARGV = {
+    ("threshold", "--gamma"): "threshold --sigma2 0.1 --gamma {}",
+    ("threshold", "--sigma2"): "threshold --gamma 2 --sigma2 {}",
+    ("rho", "--gamma"): "rho --sigma2 0.1 --eps2 0.05 --gamma {}",
+    ("rho", "--sigma2"): "rho --gamma 2 --eps2 0.05 --sigma2 {}",
+    ("rho", "--eps2"): "rho --gamma 2 --sigma2 0.1 --eps2 {}",
+    ("rho", "--eps"): "rho --gamma 2 --sigma2 0.1 --eps {}",
+    ("cost-curve", "--gamma"): "cost-curve --sigma2 0.1 --grid 0.01:0.01:0.02 --gamma {}",
+    ("cost-curve", "--sigma2"): "cost-curve --gamma 2 --grid 0.01:0.01:0.02 --sigma2 {}",
+    ("ols", "--gamma"): "ols --sigma2 0.1 --gamma {}",
+    ("ols", "--sigma2"): "ols --gamma 2 --sigma2 {}",
+    ("simulate", "--sigma2"): _SIM_ARGV + " --rho 0 --sigma2 {}",
+    ("simulate", "--rho"): _SIM_ARGV + " --sigma2 0.1 --rho {}",
+    ("simulate", "--eps2"): _SIM_ARGV + " --sigma2 0.1 --eps2 {}",
+    ("simulate", "--eps"): _SIM_ARGV + " --sigma2 0.1 --eps {}",
+}
+
+
+def test_every_float_option_has_a_negative_value_case():
+    commands = cli.build_parser().commands
+    floats = {(name, a.option_strings[0])
+              for name, sub in commands.items() for a in sub._actions if a.type is float}
+    assert floats == set(_FLOAT_OPTION_ARGV)
+
+
+@pytest.mark.parametrize(
+    "argv", list(_FLOAT_OPTION_ARGV.values()), ids=[" ".join(k) for k in _FLOAT_OPTION_ARGV]
+)
+def test_a_negative_value_with_an_exponent_reaches_the_range_refusal(capsys, argv):
+    got = _run_captured(capsys, argv.format("-1e-3").split())
+    assert got == _run_captured(capsys, argv.format("-0.001").split())
+    code, out, err = got
+    assert (code, out) == (2, "") and err.startswith("memcost: error:"), err
+
+
+# options that choose where and how a table is written; every other option is echoed
+_OUTPUT_OPTIONS = {"--out", "--format", "--gnuplot"}
+
+
+def test_every_table_option_is_echoed_or_an_output_option():
+    commands = cli.build_parser().commands
+    tables = {name for name, sub in commands.items() if "--format" in sub._option_string_actions}
+    assert tables == {"threshold", "rho", "cost-curve", "ols", "simulate", "spectrum"}
+    for name in tables:
+        options = [a for a in commands[name]._actions if a.option_strings and a.dest != "help"]
+        echo = cli._config_echo(argparse.Namespace(command=name, func=None, **{a.dest: 1 for a in options}))
+        for a in options:
+            assert (a.dest in echo) != (a.option_strings[0] in _OUTPUT_OPTIONS), (name, a.option_strings)
+
+
+@pytest.mark.parametrize("argv", [
+    "threshold --gamma 2 --sigma2 0.1",
+    "threshold --gamma 3 --sigma2 0.05 --pop {pop}",
+    "rho --gamma 2 --sigma2 0.1 --eps2 0.05",
+    "rho --gamma 4 --sigma2 0.3 --eps 0.2",
+    "rho --gamma 2 --sigma2 0.1 --grid 0.01:0.02:0.09",
+    "rho --gamma 2 --sigma2 0.1 --grid 0.1:0.1:0.3 --grid-units eps",
+    "cost-curve --gamma 3 --sigma2 0.2 --grid 0.02:0.02:0.1",
+    "cost-curve --gamma 3 --sigma2 0.2 --grid 0.1:0.1:0.4 --grid-units eps",
+    "ols --gamma 1.5 --sigma2 0.01",
+    "spectrum --n 20 --d 40 --seed 3",
+    "simulate --n 20 --d 40 --sigma2 0.1 --seed 1 --trials 2 --eps 0.2",
+])
+def test_a_table_rebuilt_from_its_config_echo_prints_the_same_rows(capsys, tmp_path, argv):
+    (tmp_path / "pop.txt").write_text(TWO_ATOM_FILE)
+    code, out, err = run_cli(capsys, *argv.format(pop=tmp_path / "pop.txt").split())
+    assert code == 0, err
+    # "# key: json" lines, after the "# memcost <version>" line
+    meta = dict(line[2:].split(": ", 1) for line in out.splitlines()[1:] if line.startswith("# "))
+    command = json.loads(meta["command"])
+    option = {a.dest: a.option_strings[0] for a in cli.build_parser().commands[command]._actions}
+    rebuilt = [command]
+    for dest, value in json.loads(meta["config"]).items():
+        rebuilt += [option[dest], str(value)]
+    assert run_cli(capsys, *rebuilt) == (0, out, "")
 
 
 @pytest.mark.parametrize(

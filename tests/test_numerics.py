@@ -218,15 +218,19 @@ def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
         assert 0 < len(calls) <= 20
 
 
-def test_solve_multiplier_falls_back_when_the_bracket_misses_the_root():
+def test_solve_multiplier_refuses_a_bracket_that_misses_the_root():
     level = lambda x: 1.0 / x
     expected = solve_multiplier(level, 4.0, "probe")
     assert _within_one_float(expected[0], 0.25)
-    # a bracket around the root, one beside it, an empty one and one past [tiny, 1]
-    for bracket in ((0.2, 0.3), (0.5, 0.9), (0.3, 0.2), (0.0, 2.0), (math.nan, 0.3)):
+    # a bracket around the root, and one past [tiny, 1], which is cut to it
+    for bracket in ((0.2, 0.3), (0.0, 2.0)):
         assert solve_multiplier(level, 4.0, "probe", bracket) == expected
-    with pytest.raises(NearDivergenceError, match=r"^probe: .*float range"):
-        solve_multiplier(level, 1e308, "probe", (0.5, 0.9))
+    # a bracket is the caller's proof: one above or below the root, an empty
+    # one and one with a nan end are refused, and no wider interval is tried
+    for target, bracket in ((4.0, (0.5, 0.9)), (4.0, (0.1, 0.2)), (4.0, (0.3, 0.2)),
+                            (4.0, (math.nan, 0.3)), (1e308, (0.5, 0.9))):
+        with pytest.raises(NearDivergenceError, match=r"^probe: .*float range"):
+            solve_multiplier(level, target, "probe", bracket)
 
 
 def test_solve_multiplier_refuses_a_level_that_overflows_short_of_the_target():
