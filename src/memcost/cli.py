@@ -345,9 +345,14 @@ def _add_eps_args(p: argparse.ArgumentParser):
     return group
 
 
-# argparse reads "-1e-3" as an option, as its own matcher takes no exponent;
-# no memcost option string looks like a number, so this one can
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse's own matcher (^-\d+$|^-\d*\.\d+$ in CPython 3.11 to 3.13) reads
+# "-1e-3", "-1_000" and "-inf" as options; this one takes every negative value
+# float() reads, and no memcost option string looks like a number
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?|inf(?:inity)?|nan)$",
+    re.IGNORECASE,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -285,16 +285,19 @@ class _Reduction:
         f = self.factors(delta)
         return float(np.sum(self.a / f / f))
 
-    def bracket(self, eps2: float) -> tuple[float, float]:
-        """Edge distances around the root of train(delta) = eps2.
+    def bracket(self, eps2: float) -> tuple[float, float] | None:
+        """Edge distances around the root of train(delta) = eps2, or None for [tiny, 1].
 
         Every factor is at least delta and the top one equals it, so
         a_0/delta^2 <= train(delta) <= sum(a)/delta^2 puts the root in
         [sqrt(a_0/eps2), sqrt(sum(a)/eps2)].  Each end is moved out by a
         factor 2: at large eps2 the a_0 term is all of train, and the lower
-        end rounds onto the root.
+        end rounds onto the root.  Where sum(a)/eps2 underflows to 0 the
+        high end proves nothing, although the root sqrt(a_0/eps2) may
+        still be a normal float, and the solve keeps [tiny, 1].
         """
-        return float(0.5 * np.sqrt(self.a[0] / eps2)), float(2.0 * np.sqrt(np.sum(self.a) / eps2))
+        hi = float(2.0 * np.sqrt(np.sum(self.a) / eps2))
+        return (float(0.5 * np.sqrt(self.a[0] / eps2)), hi) if hi > 0.0 else None
 
     def growth(self, delta: float) -> float:
         f = self.factors(delta)

@@ -1381,6 +1381,19 @@ def test_a_negative_value_with_an_exponent_reaches_the_range_refusal(capsys, arg
     assert got == _run_captured(capsys, argv.format("-0.001").split())
     code, out, err = got
     assert (code, out) == (2, "") and err.startswith("memcost: error:"), err
+    # every other negative form float() reads is a value too, as after "="
+    for value in ("-1_000", "-.5E+1", "-inf", "-Infinity", "-NaN"):
+        got = _run_captured(capsys, argv.format(value).split())
+        assert got == _run_captured(capsys, argv.replace(" {}", "={}").format(value).split())
+        assert got[:2] == (2, "") and "expected one argument" not in got[2], got[2]
+
+
+def test_the_negative_number_matcher_takes_only_what_float_reads():
+    for s in ("-1", "-1.", "-.5", "-1_000.5e1_0", "-1E+3", "-inf", "-INFINITY", "-nan"):
+        assert cli._NEGATIVE_NUMBER.match(s), s
+        float(s)  # a form float() does not read raises ValueError
+    for s in ("-h", "--n", "-", "-.", "-e5", "-1e", "-1e-", "-_1", "-1_", "-1__0", "-1.5.2", "-infin"):
+        assert not cli._NEGATIVE_NUMBER.match(s), s
 
 
 # options that choose where and how a table is written; every other option is echoed

@@ -218,6 +218,19 @@ def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
         assert 0 < len(calls) <= 20
 
 
+def test_lab_eps2_reaches_a_root_whose_bracket_underflows():
+    # sigma2 = 1e-10 puts sum(a) near 1e-20, so sum(a)/eps2 rounds to 0 at
+    # eps2 = 1e305, while the root near sqrt(a_0/eps2) is a normal float
+    config = lab.ExperimentConfig(n=20, d=40, sigma2=1e-10, seed=1, trials=1, eps2=1e305)
+    red = lab._reduce(lab.sample_design(config, 0), config.sigma2)
+    assert np.sum(red.a) / config.eps2 == 0.0 and red.bracket(config.eps2) is None
+    delta, _ = numerics.constrain(red, config.eps2, None, "")
+    assert sys.float_info.min < delta < 1e-150
+    assert math.isclose(red.train(delta), config.eps2, rel_tol=1e-12)
+    metrics = lab.trial_metrics(config, 0)
+    assert metrics.cost == red.growth(delta) and 1e300 < metrics.cost < math.inf
+
+
 def test_solve_multiplier_refuses_a_bracket_that_misses_the_root():
     level = lambda x: 1.0 / x
     expected = solve_multiplier(level, 4.0, "probe")
