@@ -37,7 +37,6 @@ from .errors import (
     RegimeError,
     SpectrumFormatError,
 )
-from .numerics import constrain
 from .spectra import MPLaw
 
 if TYPE_CHECKING:
@@ -179,19 +178,12 @@ def _table(args, header: list[str], rows: list[tuple], **metadata) -> OutputTabl
 def cmd_threshold(args) -> int:
     pop = _load_pop(args)
     report = ce.LimitReduction(args.gamma, args.sigma2, pop).report()
-    header = ["gamma", "sigma2", "eps_sigma2", "eps_sigma2_approx", "eps_ols2", "rho_ols"]
-    row = [
-        args.gamma,
-        args.sigma2,
-        report.eps_sigma2,
-        report.eps_sigma2_approx,
-        report.eps_ols2,
-        report.rho_ols,
-    ]
+    # every field the report holds, the deformed two only with a population
+    cells = {"gamma": args.gamma, "sigma2": args.sigma2,
+             **{k: v for k, v in report._asdict().items() if v is not None}}
     if pop is not None:
-        header += ["eps_def2", "eps_def2_upper_bound", "kappa"]
-        row += [report.eps_def2, report.eps_def2_upper_bound, pop.kappa]
-    _emit(_table(args, header, [tuple(row)]), args)
+        cells["kappa"] = pop.kappa
+    _emit(_table(args, list(cells), [tuple(cells.values())]), args)
     return 0
 
 
@@ -235,6 +227,8 @@ def cmd_cost_curve(args) -> int:
     if args.gnuplot:
         if not args.out:
             raise DomainError("--gnuplot needs --out so the script has a data file to plot")
+        if os.path.realpath(args.gnuplot) == os.path.realpath(args.out):
+            raise DomainError(f"--gnuplot and --out name the same file {args.out!r}")
         script.append((args.gnuplot, _GNUPLOT_TEMPLATE.format(csv=args.out)))
     _emit(table, args, *script)
     return 0
@@ -274,13 +268,12 @@ def _simulate_targets(config: lab.ExperimentConfig) -> lab.AsymptoticTargets:
     """Limit-law targets of a simulate run; a target the law does not define is omitted."""
     from . import finite_n_lab as lab
 
-    gamma, s2 = config.gamma_n, config.sigma2
     if not config.population.is_isotropic:
         # only the proved lower bound exists for anisotropic cost; no exact target
         return lab.AsymptoticTargets()
-    red = ce.LimitReduction(gamma, s2)
+    red = ce.LimitReduction(config.gamma_n, config.sigma2)
     try:
-        cost = red.growth(constrain(red, config.eps2, config.rho, "")[0])
+        cost = red.cost(config.eps2, config.rho).cost
     except (NearDivergenceError, RegimeError):
         cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
     return lab.AsymptoticTargets(train_ridge=red.threshold, cost=cost, ols_gap=red.gap)

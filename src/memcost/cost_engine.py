@@ -12,9 +12,10 @@ solving train(rho) = eps2 determines the asymptotic cost of not fitting.
 Both integrals, and those of the rho_ols and rho_def equations, are
 evaluated in closed form from the MP resolvent bound by ``mp_shrinkage``
 in the edge distance delta = 1 - rho lambda_plus, which every multiplier is
-solved for by ``numerics.solve_multiplier``; ``numerics.constrain`` reaches it
-from an eps2 target or a fixed rho on a ``LimitReduction``, as the lab does on
-a design.  rho = (1 - delta)/lambda_plus is formed only for output.
+solved for by ``numerics.solve_multiplier``.  ``_ConstrainedLaw`` holds the
+constraint once, for ``LimitReduction`` and a design's ``finite_n_lab._Reduction``
+alike: delta at a fixed rho, the eps2 solve and the cost.  rho =
+(1 - delta)/lambda_plus is formed only for output.
 
 ``LimitReduction(gamma, sigma2, pop=None)`` is the entry point: one per
 (gamma, sigma2, population) holds the law and every number derived from it,
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .deformed import PopulationSpectrum, _silverstein_root
 from .errors import ConsistencyError, DomainError, RegimeError
-from .numerics import check_sigma2, edge_distance, solve_multiplier
+from .numerics import check_sigma2, solve_multiplier
 from .spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
 
 __all__ = [
@@ -58,20 +59,21 @@ class Regime(str, Enum):
 class RhoSolution(NamedTuple):
     """A solved training-error multiplier, held as its edge distance.
 
-    ``delta`` = 1 - rho lambda_plus in (0, 1] is 1 exactly when the constraint
-    is inactive (at or below the threshold); ``residual`` is the plugged-back
-    defining-equation mismatch, 0 by convention when the constraint is
-    inactive; ``target_eps2`` echoes the squared training error aimed at.
+    ``delta`` = 1 - rho top in (0, 1], top the limit law's lambda_plus or a
+    design's top eigenvalue, is 1 exactly when the constraint is inactive (at
+    or below the threshold); ``residual`` is the plugged-back defining-equation
+    mismatch, 0 by convention when the constraint is inactive; ``target_eps2``
+    echoes the squared training error aimed at.
     """
 
     delta: float
-    lambda_plus: float
+    top: float
     residual: float
     target_eps2: float
 
     @property
     def rho(self) -> float:
-        return (1.0 - self.delta) / self.lambda_plus
+        return (1.0 - self.delta) / self.top
 
     @property
     def regime(self) -> Regime:
@@ -125,7 +127,47 @@ class BoundConstants(
         return super().__new__(cls, c_small, C_growth, kappa)
 
 
-class LimitReduction:
+class _ConstrainedLaw:
+    """The training-error constraint in delta = 1 - rho top, for the limit law and a design alike.
+
+    A subclass gives ``top`` (named in ``_top_name``), ``gap``, ``growth(delta)``
+    and ``train(delta)``, decreasing on (0, 1] and diverging at delta = 0.
+    """
+
+    def delta(self, rho: float, context: str = "") -> float:
+        """delta = 1 - rho top for a fixed rho; RegimeError, naming the top, unless 0 <= rho top < 1."""
+        if not 0.0 <= rho * self.top < 1.0:
+            raise RegimeError(f"{context}rho with top = {self._top_name} requires 0 <= rho * top < 1, "
+                              f"got rho * top = {rho * self.top!r}")
+        return 1.0 - rho * self.top
+
+    def bracket(self, eps2: float) -> tuple[float, float] | None:
+        return None  # no tighter bracket is known: solve on [tiny, 1]
+
+    def solve(self, eps2: float, what: str = "") -> RhoSolution:
+        """rho(eps2) solving train = eps2 (``numerics.solve_multiplier``), 0 at or below the threshold.
+
+        Raises DomainError unless 0 <= eps2 < inf, and NearDivergenceError, its message
+        led by ``what``, for an eps2 past the float range of train.
+        """
+        if not 0.0 <= eps2 < math.inf:
+            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
+        delta, residual = solve_multiplier(self.train, eps2, f"{what}rho(eps2)", self.bracket(eps2))
+        return RhoSolution(delta, self.top, residual, eps2)
+
+    def cost(self, eps2: Optional[float] = None, rho: Optional[float] = None, what: str = "") -> CostPoint:
+        """Cost (``growth``) and cost - gap at eps2, or at a fixed rho kept as given, with eps2 = train."""
+        if eps2 is None:
+            delta = self.delta(rho, what)
+            eps2 = self.train(delta)
+        else:
+            sol = self.solve(eps2, what)
+            delta, rho = sol.delta, sol.rho
+        cost = self.growth(delta)
+        return CostPoint(eps2=eps2, rho=rho, cost=cost, costbar=cost - self.gap)
+
+
+class LimitReduction(_ConstrainedLaw):
     """The limit law at one (gamma, sigma2, pop) and every number derived from it.
 
     The isotropic numbers are ``threshold``, ``approx``, ``solve(eps2)``,
@@ -139,14 +181,13 @@ class LimitReduction:
     ``finite_n_lab._Reduction``.  sigma2 is checked before gamma.
     """
 
+    _top_name = "lambda_plus"
+
     def __init__(self, gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None):
         check_sigma2(sigma2)
         self.law, self.sigma2, self.pop = MPLaw(gamma), sigma2, pop
         self.top = self.law.lambda_plus
         self._shrink = mp_shrinkage(self.law, sigma2)  # the resolvent at a = sigma2, bound once
-
-    def delta(self, rho: float, context: str = "") -> float:
-        return edge_distance(rho, self.top, f"{context}rho with top = lambda_plus")
 
     def train(self, delta: float) -> float:
         return self.sigma2**2 * self._shrink(delta)[0]
@@ -154,9 +195,6 @@ class LimitReduction:
     def growth(self, delta: float) -> float:
         rho, s2 = (1.0 - delta) / self.top, self.sigma2
         return rho * rho / self.law.gamma * s2 * s2 * self._shrink(delta)[1]
-
-    def bracket(self, eps2: float) -> None:
-        return None  # so solve_multiplier keeps [tiny, 1]
 
     @functools.cached_property
     def threshold(self) -> float:
@@ -217,26 +255,6 @@ class LimitReduction:
             "rho_ols",
         )
         return RhoSolution(delta, lp, residual, self.train(delta))
-
-    def solve(self, eps2: float) -> RhoSolution:
-        """Multiplier rho(eps2) solving train(rho) = eps2 above the threshold.
-
-        Returns rho = 0 (constraint inactive) for eps2 at or below the
-        threshold; otherwise solves the edge distance delta (see
-        ``numerics.solve_multiplier``) and reports the plugged-back residual.
-        Raises DomainError unless 0 <= eps2 < inf, and NearDivergenceError
-        for an eps2 past the float range of train.
-        """
-        if not 0.0 <= eps2 < math.inf:
-            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-        delta, residual = solve_multiplier(self.train, eps2, "rho(eps2)")
-        return RhoSolution(delta, self.top, residual, eps2)
-
-    def cost(self, eps2: float) -> CostPoint:
-        """Cost of not fitting at eps2 (``growth`` at rho(eps2), 0 below the threshold), and cost - gap."""
-        sol = self.solve(eps2)
-        cost = self.growth(sol.delta)
-        return CostPoint(eps2=eps2, rho=sol.rho, cost=cost, costbar=cost - self.gap)
 
     @functools.cached_property
     def m_def(self) -> float:

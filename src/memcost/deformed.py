@@ -180,4 +180,8 @@ def parse_population_spectrum(text: str, *, source: str = "<string>") -> Populat
 
 def load_population_spectrum(path) -> PopulationSpectrum:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_population_spectrum(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpectrumFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_population_spectrum(text, source=str(path))

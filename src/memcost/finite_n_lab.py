@@ -1,12 +1,13 @@
 """Finite-sample Monte Carlo laboratory: what ``simulate`` and ``spectrum`` run.
 
 Samples wide random designs and reduces each one, once, to n-vectors (see
-``_reduce``), after which the training error, the cost of not fitting and
-the multiplier solve at any multiplier are O(n) sums.  The empirical
-spectrum of a design and its comparison with the Marchenko-Pastur edges and
-c.d.f. are here too.  The direct routes that check the reduction (the
-closed-form estimator and its Frobenius-norm errors) are in
-``memcost.oracle``, which this module never imports.
+``_reduce``), a ``cost_engine._ConstrainedLaw`` as the limit law is, after
+which the training error, the cost of not fitting and the multiplier solve
+at any multiplier are O(n) sums.  The empirical spectrum of a design and
+its comparison with the Marchenko-Pastur edges and c.d.f. are here too.
+The direct routes that check the reduction (the closed-form estimator and
+its Frobenius-norm errors) are in ``memcost.oracle``, which this module
+never imports.
 
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
@@ -29,9 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cost_engine import _ConstrainedLaw
 from .deformed import PopulationSpectrum
 from .errors import DomainError, NearDivergenceError, RankError, RegimeError
-from .numerics import check_sigma2, constrain, edge_distance
+from .numerics import check_sigma2
 from .spectra import MPLaw, mp_cdf
 
 __all__ = [
@@ -254,7 +256,7 @@ def _check_rank(s: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class _Reduction:
+class _Reduction(_ConstrainedLaw):
     """One design reduced to n-vectors, so every error at every multiplier is an O(n) sum.
 
     With s the descending spectrum of ZZ^T/d and g_k = (1 - rho s_k)^-2,
@@ -270,13 +272,11 @@ class _Reduction:
     a: np.ndarray
     b: np.ndarray
     gap: float
+    _top_name = "top_eig(ZZ^T)/d"
 
     @property
     def top(self) -> float:
         return float(self.s[0])
-
-    def delta(self, rho: float, context: str = "") -> float:
-        return edge_distance(rho, self.top, f"{context}rho with top = top_eig(ZZ^T)/d")
 
     def factors(self, delta: float) -> np.ndarray:
         return delta + (1.0 - delta) * (1.0 - self.s / self.s[0])
@@ -365,11 +365,11 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
 
     All three, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
-    and anisotropic populations alike.  The constraint goes through the
-    limit law's own route (``numerics.constrain``), in delta =
-    1 - rho top_eig(ZZ^T/d), on ``_Reduction.bracket``; the training error
-    overflows at its smallest delta, so every finite eps2 is reached, and
-    only a cost past the float range raises NearDivergenceError.
+    and anisotropic populations alike.  The constraint is the limit law's
+    own ``cost``, in delta = 1 - rho top_eig(ZZ^T/d), solved on
+    ``_Reduction.bracket``; the training error overflows at its smallest
+    delta, so every finite eps2 is reached, and only a cost past the float
+    range raises NearDivergenceError.
     A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError, and a
     numerically rank-deficient design RankError naming its trial_seed.
     """
@@ -381,11 +381,11 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
         raise RankError(f"{where}{exc} (trial_seed {trial_seed(config.seed, trial)})") from None
     # a sum past the float range is inf, and so is the bracket at eps2 = 0
     with np.errstate(over="ignore", divide="ignore"):
-        delta, rho = constrain(red, config.eps2, config.rho, where)
-        cost = red.growth(delta)
-    if not np.isfinite(cost):
+        point = red.cost(config.eps2, config.rho, where)
+    if not np.isfinite(point.cost):
         raise NearDivergenceError(f"{where}the cost at eps2={config.eps2!r} overflows")
-    return TrialMetrics(trial=trial, rho=float(rho), train_ridge=red.train(1.0), cost=cost, ols_gap=red.gap)
+    return TrialMetrics(
+        trial=trial, rho=float(point.rho), train_ridge=red.train(1.0), cost=point.cost, ols_gap=red.gap)
 
 
 def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:

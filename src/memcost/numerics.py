@@ -1,7 +1,8 @@
 """Numerical kernel: the bracketed level solver (Illinois regula falsi in
-log-log), the one multiplier solver built on it, the one constraint route
-(``constrain``) and the accepted noise-variance range.  Standard library
-only: the matrix factorizations are in ``finite_n_lab`` and ``oracle``.
+log-log), the one multiplier solver built on it and the accepted
+noise-variance range.  The constraint that uses the multiplier solver is
+``cost_engine._ConstrainedLaw``.  Standard library only: the matrix
+factorizations are in ``finite_n_lab`` and ``oracle``.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so all operations are safe to call concurrently.
@@ -13,7 +14,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import BracketError, DomainError, NearDivergenceError, RegimeError
+from .errors import BracketError, DomainError, NearDivergenceError
 
 
 def check_sigma2(sigma2: float) -> None:
@@ -131,21 +132,3 @@ def solve_multiplier(
         )
     delta, reached = solved
     return delta, abs(reached - target)
-
-
-def constrain(red, eps2: float | None, rho: float | None, what: str) -> tuple[float, float]:
-    """(delta, rho) for an eps2 target solved on ``red.train``, or else for a fixed rho.
-
-    ``red`` is a ``LimitReduction`` or a design's ``_Reduction``; ``what`` prefixes every error.
-    """
-    if eps2 is None:
-        return red.delta(rho, what), rho
-    delta, _ = solve_multiplier(red.train, eps2, f"{what}rho(eps2)", red.bracket(eps2))
-    return delta, (1.0 - delta) / red.top
-
-
-def edge_distance(rho: float, top: float, what: str) -> float:
-    """delta = 1 - rho top for a fixed rho; RegimeError, naming ``what``, unless 0 <= rho top < 1."""
-    if not 0.0 <= rho * top < 1.0:
-        raise RegimeError(f"{what} requires 0 <= rho * top < 1, got rho * top = {rho * top!r}")
-    return 1.0 - rho * top

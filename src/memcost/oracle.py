@@ -355,13 +355,13 @@ class Estimator:
         """Direct errors of ``A`` against the reduction's, with the stationarity residual."""
         o = self.oracle
         X, ss, s2 = o.design.X, o.design.sigma_sqrt, o.sigma2
-        delta = o.reduction.delta(self.rho)
+        point = o.reduction.cost(rho=self.rho)  # its eps2 is train at rho
         return ErrorReport(
             pred_direct=pred_error_direct(self.A, X, ss, s2),
             train_direct=train_error_direct(self.A, X, s2),
             pred_ridge=o.pred_ridge,
-            pred_growth_trace=o.reduction.growth(delta),
-            train_trace=o.reduction.train(delta),
+            pred_growth_trace=point.cost,
+            train_trace=point.eps2,
             duality_residual=self.stationarity(),
         )
 

@@ -291,6 +291,29 @@ def test_malformed_population_file(tmp_path, capsys):
     assert "2" in err  # line number surfaced
 
 
+_POP_COMMANDS = {
+    "threshold": ["threshold", "--gamma", "2", "--sigma2", "0.1"],
+    "simulate": ["simulate", "--n", "20", "--d", "40", "--sigma2", "0.1", "--seed", "1",
+                 "--trials", "1", "--rho", "0"],
+    "spectrum": ["spectrum", "--n", "20", "--d", "40"],
+}
+
+
+@pytest.mark.parametrize("command", list(_POP_COMMANDS))
+@pytest.mark.parametrize(
+    "content",
+    [b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)), b"1 0.5\n0.5 0.5\xff\n"],
+    ids=["binary", "one-bad-byte"],
+)
+def test_population_file_that_is_not_utf8_is_a_refusal(tmp_path, capsys, command, content):
+    # such a file used to print a raw UnicodeDecodeError traceback and exit 1
+    pop = tmp_path / "pop.txt"
+    pop.write_bytes(content)
+    code, out, err = run_cli(capsys, *_POP_COMMANDS[command], "--pop", str(pop))
+    assert code == 2 and out == ""
+    assert err.startswith(f"memcost: error: {pop}: not UTF-8 text (")
+
+
 def test_rho_command_single_point(capsys):
     th = LimitReduction(2.0, 0.1).threshold
     code, out, _ = run_cli(
@@ -838,20 +861,23 @@ def _verify_reach(capsys, monkeypatch, drop=()):
     """(theory functions, those that `verify --quick` calls) without the checks named in ``drop``.
 
     The theory functions are the ``REDUCTION_NUMBERS`` members of
-    ``LimitReduction`` (a property's getter, a cached property's function) and
-    the functions in the ``__all__`` of ``deformed`` and ``spectra``, file
-    parsing aside.  The calls made up to a check's yield are that check's, so
-    a dropped check takes them with it.
+    ``LimitReduction`` (a property's getter, a cached property's function),
+    looked up through its bases, and the functions in the ``__all__`` of
+    ``deformed`` and ``spectra``, file parsing aside.  A member counts only
+    when called on a ``LimitReduction``: the lab's reductions share ``solve``
+    and ``cost`` with it.  The calls made up to a check's yield are that
+    check's, so a dropped check takes them with it.
     """
     import inspect
 
     from memcost import deformed, oracle, spectra
 
     def code(member):
-        obj = vars(LimitReduction)[member]
+        obj = inspect.getattr_static(LimitReduction, member)
         return (obj.fget if isinstance(obj, property) else getattr(obj, "func", obj)).__code__
 
-    theory = {code(name): name for name in REDUCTION_NUMBERS}
+    members = {code(name): name for name in REDUCTION_NUMBERS}
+    theory = dict(members)
     theory.update(
         (getattr(module, name).__code__, name)
         for module in (deformed, spectra)
@@ -861,7 +887,9 @@ def _verify_reach(capsys, monkeypatch, drop=()):
     reached, segment = set(), set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in theory:
+        if event == "call" and frame.f_code in theory and (
+            frame.f_code not in members or isinstance(frame.f_locals.get("self"), LimitReduction)
+        ):
             segment.add(theory[frame.f_code])
 
     checks = oracle.verify_checks
@@ -973,6 +1001,20 @@ def test_cost_curve_gnuplot_companion(tmp_path, capsys):
         "--grid", "0.01:0.01:0.05", "--gnuplot", str(gp_path),
     )
     assert code == 2
+
+
+def test_cost_curve_refuses_a_gnuplot_script_over_its_csv(tmp_path, capsys, monkeypatch):
+    # the script used to replace the CSV, exit 0 and then plot itself
+    monkeypatch.chdir(tmp_path)
+    for out, script in (("curve.csv", "curve.csv"), ("curve.csv", "./curve.csv"),
+                        ("curve.csv", str(tmp_path / "curve.csv"))):
+        code, stdout, err = run_cli(
+            capsys, "cost-curve", "--gamma", "2", "--sigma2", "0.1",
+            "--grid", "0.01:0.01:0.05", "--out", out, "--gnuplot", script,
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("memcost: error: --gnuplot and --out name the same file")
+        assert not (tmp_path / "curve.csv").exists()
 
 
 TWO_ATOM_FILE = "1.0 0.5\n0.5 0.5\n"

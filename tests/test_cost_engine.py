@@ -39,15 +39,16 @@ PUBLIC_CALLS = {
 
 def test_sigma2_calls_cover_every_public_function_of_sigma2():
     # LimitReduction is the only public callable that takes sigma2, and each of
-    # its numbers is called once above; delta, train, growth and bracket are the
-    # solver's interface (numerics.constrain), and m_def is read by eps_def2
+    # its numbers, its own or the shared constrained law's, is called once above;
+    # delta, train, growth and bracket are the constraint's interface, and m_def
+    # is read by eps_def2
     takes_sigma2 = [
         name for name in ce.__all__
         if callable(getattr(ce, name))
         and "sigma2" in inspect.signature(getattr(ce, name)).parameters
     ]
     assert takes_sigma2 == ["LimitReduction"]
-    members = {name for name in vars(LimitReduction) if not name.startswith("_")}
+    members = {name for name in dir(LimitReduction) if not name.startswith("_")}
     numbers = members - {"delta", "train", "growth", "bracket", "m_def"}
     assert len(numbers) == len(PUBLIC_CALLS) == 11
 

@@ -246,6 +246,39 @@ def test_ridge_prediction_error_closed_form():
     assert abs(direct - closed) <= 1e-10 * closed
 
 
+# the limit law and two seeded designs share one constrained-law route
+CONSTRAINED_LAWS = {
+    "limit": lambda: LimitReduction(2.0, 0.1),
+    "gaussian-isotropic": lambda: finite_n_lab._reduce(_design(), 0.1),
+    "rademacher-two-atom": lambda: finite_n_lab._reduce(
+        _design(dist=EntryDist.RADEMACHER, pop=TWO_ATOM), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRAINED_LAWS))
+def test_a_fixed_rho_at_the_solved_multiplier_gives_back_eps2_and_the_cost(name):
+    red = CONSTRAINED_LAWS[name]()
+    threshold = red.train(1.0)
+    for factor in (1.2, 2.0, 5.0, 10.0):
+        eps2 = factor * threshold
+        solved = red.cost(eps2)
+        fixed = red.cost(rho=red.solve(eps2).rho)
+        assert fixed.rho == solved.rho > 0.0
+        assert abs(fixed.eps2 - eps2) <= 1e-12 * eps2
+        assert abs(fixed.cost - solved.cost) <= 1e-12 * solved.cost
+        for point in (solved, fixed):
+            assert point.costbar == point.cost - red.gap
+
+
+def test_fixed_rho_refusals_name_their_top():
+    red = LimitReduction(2.0, 0.1)
+    with pytest.raises(RegimeError, match=r"^rho with top = lambda_plus requires 0 <= rho \* top < 1"):
+        red.cost(rho=1.0 / red.top)
+    config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=1, trials=2, rho=10.0)
+    with pytest.raises(RegimeError, match=r"^trial 1: rho with top = top_eig\(ZZ\^T\)/d requires"):
+        trial_metrics(config, 1)
+
+
 def test_growth_trace_zero_at_zero_multiplier():
     red = _oracle(_design()).reduction
     edge = red.delta(0.0)

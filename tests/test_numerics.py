@@ -8,10 +8,9 @@ import pytest
 from memcost import cost_engine as ce
 from memcost import deformed
 from memcost import finite_n_lab as lab
-from memcost import numerics
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
-from memcost.numerics import edge_distance, solve_level, solve_multiplier
+from memcost.numerics import solve_level, solve_multiplier
 from memcost.cost_engine import LimitReduction
 from memcost.oracle import _cheb_transfer, sym_eigvals
 from memcost.spectra import MPLaw, mp_stieltjes_neg
@@ -170,7 +169,7 @@ def test_solve_rho_level_evaluations_on_the_edge_grid(monkeypatch):
 def test_lab_eps2_trial_level_evaluations(monkeypatch, n):
     calls = []
     monkeypatch.setattr(
-        numerics, "solve_multiplier",
+        ce, "solve_multiplier",
         lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     for seed in (1, 2):
@@ -207,7 +206,7 @@ def test_lab_eps2_level_evaluations_up_to_1e300(monkeypatch):
     # target, however far past the threshold, a few secant steps from its root
     calls = []
     monkeypatch.setattr(
-        numerics, "solve_multiplier",
+        ce, "solve_multiplier",
         lambda level, target, what, bracket: solve_multiplier(_counted(level, calls), target, what, bracket),
     )
     config = lab.ExperimentConfig(n=100, d=200, sigma2=0.1, seed=1, trials=1, eps2=1.0)
@@ -224,7 +223,7 @@ def test_lab_eps2_reaches_a_root_whose_bracket_underflows():
     config = lab.ExperimentConfig(n=20, d=40, sigma2=1e-10, seed=1, trials=1, eps2=1e305)
     red = lab._reduce(lab.sample_design(config, 0), config.sigma2)
     assert np.sum(red.a) / config.eps2 == 0.0 and red.bracket(config.eps2) is None
-    delta, _ = numerics.constrain(red, config.eps2, None, "")
+    delta = red.solve(config.eps2).delta
     assert sys.float_info.min < delta < 1e-150
     assert math.isclose(red.train(delta), config.eps2, rel_tol=1e-12)
     metrics = lab.trial_metrics(config, 0)
@@ -342,12 +341,14 @@ def test_solve_multiplier_inactive_and_refusal():
 
 
 def test_edge_distance_is_the_one_rho_conversion():
-    assert edge_distance(0.0, 4.0, "rho") == 1.0
-    assert edge_distance(0.125, 4.0, "rho") == 0.5
-    assert edge_distance(math.nextafter(0.25, 0.0), 4.0, "rho") == 2.0**-53
+    # the shared delta of a limit law and a design, here a design whose top is 4
+    red = lab._Reduction(s=np.array([4.0, 1.0]), a=np.ones(2), b=np.ones(2), gap=0.0)
+    assert red.delta(0.0) == 1.0
+    assert red.delta(0.125) == 0.5
+    assert red.delta(math.nextafter(0.25, 0.0)) == 2.0**-53
     for bad in (-1e-300, 0.25, 1.0, math.inf, math.nan):
-        with pytest.raises(RegimeError, match=r"^rho requires 0 <= rho \* top < 1"):
-            edge_distance(bad, 4.0, "rho")
+        with pytest.raises(RegimeError, match=r"^rho with top = top_eig\(ZZ\^T\)/d requires 0 <= rho \* top < 1"):
+            red.delta(bad)
 
 
 _SIGMA2 = 0.1

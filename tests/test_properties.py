@@ -4,7 +4,8 @@ import contextlib
 import io
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from memcost import cli
@@ -76,4 +77,41 @@ def test_asymptotic_commands_over_the_whole_domain(log10_gamma, log10_sigma2, lo
             header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
             assert rows and all(math.isfinite(v) for v in _numeric_cells(header, rows))
         else:
+            assert out == "" and err.startswith("memcost: error:")
+
+
+_POP_TOKENS = ["1", "1.0", "0.5", "0.25", "2", "3e2", "1e-300", "1e-308", "1e-320", "5e-324", "0", "-1",
+               "nan", "inf", "x", "1,5", "0x1p-3", "1e400", "#", "# comment"]
+_POP_COMMANDS = (
+    ["threshold", "--gamma", "2", "--sigma2", "0.1"],
+    ["simulate", "--n", "6", "--d", "12", "--sigma2", "0.1", "--seed", "1", "--trials", "1", "--rho", "0"],
+    ["spectrum", "--n", "6", "--d", "12"],
+)
+
+
+# random bytes; lines of one to three drawn tokens; subnormal or tiny atoms with
+# weights that do not sum to 1
+_POP_CONTENTS = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.lists(st.sampled_from(_POP_TOKENS), min_size=1, max_size=3).map(" ".join), max_size=4)
+    .map(lambda lines: "\n".join(lines).encode()),
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0, allow_subnormal=True),
+                       st.floats(min_value=1e-6, max_value=10.0)), min_size=1, max_size=4)
+    .map(lambda atoms: "".join(f"{v!r} {w!r}\n" for v, w in atoms).encode()),
+)
+
+
+@pytest.mark.filterwarnings("ignore:atom weights sum to", "ignore:top atom value")
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_POP_CONTENTS)
+def test_pop_files_print_a_table_or_refuse_without_a_traceback(tmp_path, content):
+    # every --pop file, text or not, gives exit 0, or exit 2 with no table
+    pop = tmp_path / "pop.txt"
+    pop.write_bytes(content)
+    for argv in _POP_COMMANDS:
+        code, out, err = _call(*argv, "--pop", pop)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
             assert out == "" and err.startswith("memcost: error:")

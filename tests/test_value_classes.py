@@ -27,7 +27,7 @@ FROZEN = {
         "atoms",
     ),
     "RhoSolution": (
-        lambda: RhoSolution(delta=0.5, lambda_plus=2.9, residual=0.0, target_eps2=0.1),
+        lambda: RhoSolution(delta=0.5, top=2.9, residual=0.0, target_eps2=0.1),
         RhoSolution(0.5, 2.9, 1e-17, 0.1),
         "delta",
     ),
