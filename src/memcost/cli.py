@@ -10,10 +10,13 @@ error or a file that cannot be read or written; files are written before
 stdout, so a failed run prints no table.
 
 ``simulate --out DIR`` writes two files.  ``trials.csv`` holds one row per
-trial per metric with columns (trial, metric, value), where metric is one of
-rho, train_ridge, cost, ols_gap.  ``summary.json`` holds {config, metadata,
-metrics}, and each metrics entry carries mean, se, and (when an asymptotic
-target exists) target and rel_dev.
+trial per metric with columns (trial, metric, value), where metric is a field
+of ``finite_n_lab.Readings``: rho, train_ridge, cost, ols_gap.  A trial's
+design and the limit law are read into that one record the same way.
+``summary.json`` holds {config, metadata, metrics}, and each metrics entry
+carries mean, se, and, where the limit law defines the field
+(``finite_n_lab.limit_targets``), target and rel_dev; rho's target is the
+limit law's rho(eps2), or a fixed --rho itself.
 """
 
 from __future__ import annotations
@@ -25,22 +28,12 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__
 from . import cost_engine as ce
 from .deformed import PopulationSpectrum, load_population_spectrum
-from .errors import (
-    DomainError,
-    MemcostError,
-    NearDivergenceError,
-    RegimeError,
-    SpectrumFormatError,
-)
+from .errors import DomainError, MemcostError, NearDivergenceError, SpectrumFormatError
 from .spectra import MPLaw
-
-if TYPE_CHECKING:
-    from . import finite_n_lab as lab
 
 __all__ = ["main", "OutputTable", "parse_grid"]
 
@@ -264,21 +257,6 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _simulate_targets(config: lab.ExperimentConfig) -> lab.AsymptoticTargets:
-    """Limit-law targets of a simulate run; a target the law does not define is omitted."""
-    from . import finite_n_lab as lab
-
-    if not config.population.is_isotropic:
-        # only the proved lower bound exists for anisotropic cost; no exact target
-        return lab.AsymptoticTargets()
-    red = ce.LimitReduction(config.gamma_n, config.sigma2)
-    try:
-        cost = red.cost(config.eps2, config.rho).cost
-    except (NearDivergenceError, RegimeError):
-        cost = None  # eps2 past the float range of train, or rho past 1/lambda_plus
-    return lab.AsymptoticTargets(train_ridge=red.threshold, cost=cost, ols_gap=red.gap)
-
-
 def cmd_simulate(args) -> int:
     from . import finite_n_lab as lab
 
@@ -289,10 +267,8 @@ def cmd_simulate(args) -> int:
         entry_dist=args.dist, population=pop, rho=args.rho, eps2=eps2,
     )
     metrics = [lab.trial_metrics(config, t) for t in range(config.trials)]
-    targets = _simulate_targets(config)
-
-    stats = lab.summarize_trials(metrics, targets)
-    rows = [(m.trial, name, getattr(m, name)) for m in metrics for name in stats]
+    stats = lab.summarize_trials(metrics, lab.limit_targets(config))
+    rows = [(t, name, value) for t, m in enumerate(metrics) for name, value in m._asdict().items()]
     table = _table(args, ["trial", "metric", "value"], rows)
 
     summary = {

@@ -3,8 +3,10 @@
 Samples wide random designs and reduces each one, once, to n-vectors (see
 ``_reduce``), a ``cost_engine._ConstrainedLaw`` as the limit law is, after
 which the training error, the cost of not fitting and the multiplier solve
-at any multiplier are O(n) sums.  The empirical spectrum of a design and
-its comparison with the Marchenko-Pastur edges and c.d.f. are here too.
+at any multiplier are O(n) sums.  A trial and its limit-law target are read
+the same way, by ``readings``, into one ``Readings`` record.  The empirical
+spectrum of a design and its comparison with the Marchenko-Pastur edges and
+c.d.f. are here too.
 The direct routes that check the reduction (the closed-form estimator and
 its Frobenius-norm errors) are in ``memcost.oracle``, which this module
 never imports.
@@ -26,11 +28,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cost_engine import _ConstrainedLaw
+from .cost_engine import LimitReduction, _ConstrainedLaw
 from .deformed import PopulationSpectrum
 from .errors import DomainError, NearDivergenceError, RankError, RegimeError
 from .numerics import check_sigma2
@@ -43,7 +45,7 @@ __all__ = [
     "EntryDist",
     "ExperimentConfig",
     "DesignSample",
-    "AsymptoticTargets",
+    "Readings",
     "trial_seed",
     "sample_design",
     "trial_metrics",
@@ -294,9 +296,10 @@ class _Reduction(_ConstrainedLaw):
         factor 2: at large eps2 the a_0 term is all of train, and the lower
         end rounds onto the root.  Where sum(a)/eps2 underflows to 0 the
         high end proves nothing, although the root sqrt(a_0/eps2) may
-        still be a normal float, and the solve keeps [tiny, 1].
+        still be a normal float, and the solve keeps [tiny, 1]; so it does at
+        eps2 = +-0, which it meets at delta = 1 before it reads a bracket.
         """
-        hi = float(2.0 * np.sqrt(np.sum(self.a) / eps2))
+        hi = float(2.0 * np.sqrt(np.sum(self.a) / eps2)) if eps2 > 0.0 else 0.0
         return (float(0.5 * np.sqrt(self.a[0] / eps2)), hi) if hi > 0.0 else None
 
     def growth(self, delta: float) -> float:
@@ -340,36 +343,48 @@ def _reduce(design: DesignSample, sigma2: float) -> _Reduction:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticTargets:
-    """Limit values the finite-sample means are compared against."""
+class Readings(NamedTuple):
+    """What simulate reads of a law (``readings``): multiplier, ridge training error, cost, gap.
 
+    As a limit target, a field the limit law does not define is None.
+    """
+
+    rho: Optional[float] = None
     train_ridge: Optional[float] = None
     cost: Optional[float] = None
     ols_gap: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
-    """Per-trial scalars aggregated by the convergence report."""
-
-    trial: int
-    rho: float
-    train_ridge: float
-    cost: float
-    ols_gap: float
+def readings(law: _ConstrainedLaw, config: ExperimentConfig, what: str = "") -> Readings:
+    """The ``Readings`` of ``law`` under the constraint of ``config`` (a fixed rho or an eps2 target)."""
+    point = law.cost(config.eps2, config.rho, what)
+    return Readings(float(point.rho), law.train(1.0), point.cost, law.gap)
 
 
-def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
-    """Ridge training error, constrained cost, and interpolant gap for one trial.
+def limit_targets(config: ExperimentConfig) -> Readings:
+    """The limit law's ``Readings`` at (d/n, sigma2): the targets of a simulate run.
 
-    All three, and the multiplier solve for an eps2 target, are sums over
+    Every field is None for an anisotropic population, whose cost has only a
+    proved lower bound, and rho and cost are None past the law's float range or edge.
+    """
+    if not config.population.is_isotropic:
+        return Readings()
+    law = LimitReduction(config.gamma_n, config.sigma2)
+    try:
+        return readings(law, config)
+    except (NearDivergenceError, RegimeError):
+        return Readings(train_ridge=law.train(1.0), ols_gap=law.gap)
+
+
+def trial_metrics(config: ExperimentConfig, trial: int) -> Readings:
+    """The ``Readings`` of one trial's design, read as the limit law's are (``readings``).
+
+    All four, and the multiplier solve for an eps2 target, are sums over
     one spectral reduction of the design (see ``_reduce``), for isotropic
-    and anisotropic populations alike.  The constraint is the limit law's
-    own ``cost``, in delta = 1 - rho top_eig(ZZ^T/d), solved on
-    ``_Reduction.bracket``; the training error overflows at its smallest
-    delta, so every finite eps2 is reached, and only a cost past the float
-    range raises NearDivergenceError.
+    and anisotropic populations alike.  The solve runs on ``_Reduction.bracket``
+    in delta = 1 - rho top_eig(ZZ^T/d); the training error overflows at its
+    smallest delta, so every finite eps2 is reached, and only a cost past the
+    float range raises NearDivergenceError.
     A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError, and a
     numerically rank-deficient design RankError naming its trial_seed.
     """
@@ -379,13 +394,12 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> TrialMetrics:
         red = _reduce(design, config.sigma2)
     except RankError as exc:
         raise RankError(f"{where}{exc} (trial_seed {trial_seed(config.seed, trial)})") from None
-    # a sum past the float range is inf, and so is the bracket at eps2 = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        point = red.cost(config.eps2, config.rho, where)
-    if not np.isfinite(point.cost):
+    # a sum past the float range is inf
+    with np.errstate(over="ignore"):
+        metrics = readings(red, config, where)
+    if not np.isfinite(metrics.cost):
         raise NearDivergenceError(f"{where}the cost at eps2={config.eps2!r} overflows")
-    return TrialMetrics(
-        trial=trial, rho=float(point.rho), train_ridge=red.train(1.0), cost=point.cost, ols_gap=red.gap)
+    return metrics
 
 
 def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
@@ -409,13 +423,7 @@ def summarize(values: Sequence[float], target: Optional[float] = None) -> dict:
     return entry
 
 
-def summarize_trials(metrics: Sequence[TrialMetrics], targets: AsymptoticTargets) -> dict:
-    """{metric: summarize(per-trial values, its target)} for every trial metric.
-
-    Keys come in the order rho, train_ridge, cost, ols_gap; rho has no
-    target, and a metric whose target is None gets none either.
-    """
-    return {
-        name: summarize([getattr(m, name) for m in metrics], getattr(targets, name, None))
-        for name in ("rho", "train_ridge", "cost", "ols_gap")
-    }
+def summarize_trials(metrics: Sequence[Readings], targets: Readings) -> dict:
+    """{field: summarize(per-trial values, its target)} in ``Readings`` order; a None target gives none."""
+    return {name: summarize(values, target)
+            for name, values, target in zip(Readings._fields, zip(*metrics), targets)}

@@ -7,8 +7,8 @@ import numpy as np
 
 from memcost.errors import DomainError
 from memcost.finite_n_lab import (
-    AsymptoticTargets,
     ExperimentConfig,
+    Readings,
     summarize_trials,
     trial_metrics,
 )
@@ -42,7 +42,7 @@ def monte_carlo_response_check(
 
 
 def convergence_report(
-    configs: Sequence[ExperimentConfig], targets: AsymptoticTargets
+    configs: Sequence[ExperimentConfig], targets: Readings
 ) -> list[dict]:
     """Aggregate per-trial metrics for each config and compare to the limits.
 

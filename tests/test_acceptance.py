@@ -12,9 +12,9 @@ from memcost import cli
 from memcost.cost_engine import LimitReduction
 from memcost.deformed import PopulationSpectrum
 from memcost.finite_n_lab import (
-    AsymptoticTargets,
     EntryDist,
     ExperimentConfig,
+    Readings,
     sample_design,
 )
 from memcost.finite_n_lab import bai_yin_check, esd_from_design
@@ -209,7 +209,7 @@ def test_criterion_08_finite_sample_convergence():
     t0 = time.time()
     red = LimitReduction(2.0, 0.1)
     th = red.threshold
-    targets = AsymptoticTargets(train_ridge=th, cost=red.cost(2.0 * th).cost, ols_gap=red.gap)
+    targets = Readings(train_ridge=th, cost=red.cost(2.0 * th).cost, ols_gap=red.gap)
     configs = [
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=2024, trials=20, eps2=2.0 * th)
         for n in (200, 400, 800)

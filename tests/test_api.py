@@ -20,7 +20,7 @@ PUBLIC = {
     },
     "deformed": {"PopulationSpectrum", "load_population_spectrum", "parse_population_spectrum"},
     "finite_n_lab": {
-        "AsymptoticTargets", "DesignSample", "EntryDist", "ExperimentConfig", "bai_yin_check",
+        "DesignSample", "EntryDist", "ExperimentConfig", "Readings", "bai_yin_check",
         "esd_from_design", "kolmogorov_distance", "sample_design", "summarize_trials",
         "trial_metrics", "trial_seed",
     },

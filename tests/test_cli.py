@@ -574,7 +574,8 @@ def test_simulate_keeps_trials_when_the_limit_law_has_no_cost_target(capsys, tmp
     _, rows = parse_csv(out)
     assert len(rows) == 8
     metrics = json.loads((tmp_path / "run" / "summary.json").read_text())["metrics"]
-    assert "target" not in metrics["cost"] and "rel_dev" not in metrics["cost"]
+    for name in ("rho", "cost"):
+        assert "target" not in metrics[name] and "rel_dev" not in metrics[name]
     assert "target" in metrics["train_ridge"] and "target" in metrics["ols_gap"]
 
 
@@ -586,11 +587,14 @@ def test_simulate_cost_target_is_the_limit_law_bit_for_bit(tmp_path, capsys, fla
         "--trials", "2", flag, repr(value), "--out", str(tmp_path / "s"),
     )
     assert code == 0, err
-    target = json.loads((tmp_path / "s" / "summary.json").read_text())["metrics"]["cost"]["target"]
+    metrics = json.loads((tmp_path / "s" / "summary.json").read_text())["metrics"]
+    target, rho_target = metrics["cost"]["target"], metrics["rho"]["target"]
     if flag == "--eps2":
         assert target == LimitReduction(2.0, 0.1).cost(value).cost
+        assert rho_target == LimitReduction(2.0, 0.1).solve(value).rho
     else:
         assert target == LimitReduction(2.0, 0.1).growth(1.0 - value * MPLaw(2.0).lambda_plus)
+        assert rho_target == value
 
 
 def test_simulate_infeasible_rho_refusal_names_the_trial(capsys):
@@ -630,6 +634,19 @@ def test_simulate_eps2_near_the_float_maximum_is_finite_or_refused(capsys, n, d,
         assert err.startswith("memcost: error: trial 0: the cost") and out == ""
     else:
         assert all(math.isfinite(float(value)) for _, _, value in parse_csv(out)[1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps2", ["0", "-0.0"])
+def test_simulate_eps2_zero_of_either_sign_is_met_at_rho_zero(capsys, eps2):
+    # a zero target is met at delta = 1, before the solve reads a bracket
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "5", "--d", "6", "--sigma2", "0.1", "--seed", "3",
+        "--trials", "2", "--eps2", eps2,
+    )
+    assert code == 0, err
+    values = [(metric, float(value)) for _, metric, value in parse_csv(out)[1]]
+    assert [v for metric, v in values if metric in ("rho", "cost")] == [0.0] * 4
 
 
 def test_threshold_gamma_near_one_is_solved(capsys):
@@ -814,7 +831,8 @@ def test_verify_quick_passes(capsys):
 
 def test_verify_factors_each_design_once(capsys, monkeypatch):
     # one lab reduction per design, and at most three SVDs: the oracle's
-    # thin SVD of X plus the two of an anisotropic reduction
+    # thin SVD of X plus the two of an anisotropic reduction; --quick samples
+    # two designs, and the boundary checks reuse the isotropic Gaussian one
     import numpy as np
 
     from memcost import finite_n_lab as lab
@@ -832,7 +850,7 @@ def test_verify_factors_each_design_once(capsys, monkeypatch):
         monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0, out
-    assert calls["sample_design"] == 3
+    assert calls["sample_design"] == 2
     assert calls["_reduce"] == calls["sample_design"]
     assert calls["svd"] <= 3 * calls["sample_design"]
 
@@ -1191,6 +1209,21 @@ def test_import_cli_does_not_load_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert chain == bare.stdout.strip()
+
+    # the import path of every one-shot command, pinned: what importing
+    # memcost.cli adds to a bare interpreter is at most these modules
+    added = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; bare = set(sys.modules); import memcost.cli; "
+         "print(*sorted(set(sys.modules) - bare))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert added.returncode == 0, added.stderr
+    assert set(added.stdout.split()) <= {
+        "__future__", "_json", "argparse", "gettext", "json", "json.decoder", "json.encoder",
+        "json.scanner", "memcost", "memcost.cli", "memcost.cost_engine", "memcost.deformed",
+        "memcost.errors", "memcost.numerics", "memcost.spectra",
+    }
 
     # the lab alone never loads the oracle; the names bench/oracles.py reads
     # from the lab resolve to the oracle's functions on first access

@@ -9,10 +9,10 @@ from memcost.cost_engine import LimitReduction
 from memcost.deformed import PopulationSpectrum
 from memcost.errors import ConsistencyError, DomainError, FeasibilityError, RankError, RegimeError
 from memcost.finite_n_lab import (
-    AsymptoticTargets,
     DesignSample,
     EntryDist,
     ExperimentConfig,
+    Readings,
     apportion_atoms,
     sample_design,
     splitmix64,
@@ -531,7 +531,7 @@ def test_run_trials_is_trial_metrics_in_trial_order(capsys):
     rows = [line.split(",") for line in lines[1:]]
     names = ("rho", "train_ridge", "cost", "ols_gap")
     expected = [trial_metrics(config, t) for t in range(config.trials)]
-    assert [(int(t), name) for t, name, _ in rows] == [(m.trial, name) for m in expected for name in names]
+    assert [(int(t), name) for t, name, _ in rows] == [(t, name) for t in range(config.trials) for name in names]
     assert [float(v) for _, _, v in rows] == [getattr(m, name) for m in expected for name in names]
 
 
@@ -541,7 +541,7 @@ def test_convergence_report_rows():
         ExperimentConfig(n=n, d=2 * n, sigma2=0.1, seed=11, trials=4, eps2=2 * th)
         for n in (50, 100)
     ]
-    rows = convergence_report(configs, AsymptoticTargets(train_ridge=th, cost=None, ols_gap=None))
+    rows = convergence_report(configs, Readings(train_ridge=th, cost=None, ols_gap=None))
     assert [r["n"] for r in rows] == [50, 100]
     assert rows[0]["metrics"]["train_ridge"]["rel_dev"] is not None
     assert "rel_dev" not in rows[0]["metrics"]["cost"]
@@ -551,7 +551,7 @@ def test_convergence_report_rows():
 def test_convergence_report_zero_cost_target():
     # at rho = 0 the asymptotic cost is 0; the deviation is then |mean|
     config = ExperimentConfig(n=40, d=80, sigma2=0.1, seed=5, trials=3, rho=0.0)
-    (row,) = convergence_report([config], AsymptoticTargets(cost=0.0))
+    (row,) = convergence_report([config], Readings(cost=0.0))
     metrics = row["metrics"]
     assert metrics["cost"]["mean"] == 0.0
     assert metrics["cost"]["rel_dev"] == 0.0

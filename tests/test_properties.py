@@ -2,13 +2,17 @@
 
 import contextlib
 import io
+import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from memcost import cli
+from memcost.finite_n_lab import Readings
 
 
 def _call(*argv):
@@ -115,3 +119,67 @@ def test_pop_files_print_a_table_or_refuse_without_a_traceback(tmp_path, content
         assert "Traceback" not in err
         if code == 2:
             assert out == "" and err.startswith("memcost: error:")
+
+
+# a design of n <= 30 and d <= 90, and a constraint on either side of the
+# designs' edge (rho near 1/(1 + sqrt(n/d))^2, eps2 past the float range)
+_SIM_VALID = st.fixed_dictionaries({
+    "size": st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 90))),
+    "trials": st.integers(1, 3),
+    "seed": st.integers(0, 2**64 - 1),
+    "constraint": st.one_of(
+        st.tuples(st.just("--rho"), st.floats(0.0, 1.5)),
+        st.tuples(st.just("--eps2"),
+                  st.one_of(st.just(0.0), st.floats(-300.0, 308.0).map(lambda e: 10.0**e))),
+    ),
+})
+# one argument spoiled: d <= n, n < 1 or a size past the largest array, which
+# ExperimentConfig refuses before any allocation; trials, seeds and constraints
+# out of range
+_BAD_VALUES = st.sampled_from([-1.0, -0.0, -1e-300, math.nan, math.inf, -math.inf])
+_SIM_SPOILED = {
+    "size": st.one_of(
+        st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.sampled_from([(0, 10), (-1, 10), (-30, 20), (2**31, 2**33), (2**40, 2**41)]),
+    ),
+    "trials": st.sampled_from([0, -1]),
+    "seed": st.sampled_from([-1, 2**64]),
+    "constraint": st.tuples(st.sampled_from(["--rho", "--eps2"]), _BAD_VALUES),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    args=_SIM_VALID,
+    spoil=st.sampled_from([None] * 4 + sorted(_SIM_SPOILED)).flatmap(
+        lambda key: st.none() if key is None else st.tuples(st.just(key), _SIM_SPOILED[key])),
+    sigma2=st.sampled_from([1e-4, 0.1, 1.0]),
+    dist=st.sampled_from(["gaussian", "rademacher"]),
+)
+def test_simulate_prints_finite_readings_or_refuses(args, spoil, sigma2, dist):
+    # exit 0 prints a finite row per trial and Readings field, in order, and a
+    # summary.json without NaN or infinity; exit 2 prints no table
+    if spoil is not None:
+        args = {**args, spoil[0]: spoil[1]}
+    (n, d), trials, (flag, value) = args["size"], args["trials"], args["constraint"]
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, out, err = _call(
+            "simulate", "--n", n, "--d", d, "--sigma2", repr(sigma2), "--seed", args["seed"],
+            "--trials", trials, flag, repr(value), "--dist", dist, "--out", out_dir)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.startswith("memcost: error:")
+            return
+        header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert header == ["trial", "metric", "value"]
+        assert [(int(t), name) for t, name, _ in rows] == [
+            (t, name) for t in range(trials) for name in Readings._fields]
+        assert all(math.isfinite(float(v)) for _, _, v in rows)
+
+        def refuse(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            summary = json.loads(fh.read(), parse_constant=refuse)
+        assert sorted(summary["metrics"]) == sorted(Readings._fields)
