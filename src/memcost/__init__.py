@@ -14,7 +14,8 @@ from .cost_engine import (
     RhoSolution,
     ThresholdReport,
 )
-from .deformed import PopulationSpectrum, load_population_spectrum, parse_population_spectrum
+from .deformed import (DeformedReduction, PopulationSpectrum, load_population_spectrum,
+                       parse_population_spectrum)
 from .errors import (
     BracketError,
     ConsistencyError,

@@ -31,7 +31,7 @@ import sys
 
 from . import __version__
 from . import cost_engine as ce
-from .deformed import PopulationSpectrum, load_population_spectrum
+from .deformed import DeformedReduction, PopulationSpectrum, load_population_spectrum
 from .errors import DomainError, MemcostError, NearDivergenceError, SpectrumFormatError
 from .spectra import MPLaw
 
@@ -170,12 +170,13 @@ def _table(args, header: list[str], rows: list[tuple], **metadata) -> OutputTabl
 
 def cmd_threshold(args) -> int:
     pop = _load_pop(args)
-    report = ce.LimitReduction(args.gamma, args.sigma2, pop).report()
+    if pop is not None:  # the deformed law, and its condition number last
+        report, kappa = DeformedReduction(args.gamma, args.sigma2, pop).report(), {"kappa": pop.kappa}
+    else:
+        report, kappa = ce.LimitReduction(args.gamma, args.sigma2).report(), {}
     # every field the report holds, the deformed two only with a population
     cells = {"gamma": args.gamma, "sigma2": args.sigma2,
-             **{k: v for k, v in report._asdict().items() if v is not None}}
-    if pop is not None:
-        cells["kappa"] = pop.kappa
+             **{k: v for k, v in report._asdict().items() if v is not None}, **kappa}
     _emit(_table(args, list(cells), [tuple(cells.values())]), args)
     return 0
 

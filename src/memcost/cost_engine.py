@@ -1,5 +1,5 @@
 """Asymptotic quantities of constrained-training-error regression as
-functions of (gamma, sigma2, eps2, population spectrum).
+functions of (gamma, sigma2, eps2) for an isotropic population.
 
 The central objects are spectral integrals against the Marchenko-Pastur
 law H:
@@ -9,20 +9,20 @@ law H:
 
 train(0) is the memorization threshold; above it, the multiplier rho(eps2)
 solving train(rho) = eps2 determines the asymptotic cost of not fitting.
-Both integrals, and those of the rho_ols and rho_def equations, are
-evaluated in closed form from the MP resolvent bound by ``mp_shrinkage``
-in the edge distance delta = 1 - rho lambda_plus, which every multiplier is
-solved for by ``numerics.solve_multiplier``.  ``_ConstrainedLaw`` holds the
-constraint once, for ``LimitReduction`` and a design's ``finite_n_lab._Reduction``
+Both integrals, and those of the rho_ols equation, are evaluated in closed
+form from the MP resolvent bound by ``mp_shrinkage`` in the edge distance
+delta = 1 - rho lambda_plus, which every multiplier is solved for by
+``numerics.solve_multiplier``.  ``_ConstrainedLaw`` holds the constraint
+once, for ``LimitReduction`` and a design's ``finite_n_lab._Reduction``
 alike: delta at a fixed rho, the eps2 solve and the cost.  rho =
 (1 - delta)/lambda_plus is formed only for output.
 
-``LimitReduction(gamma, sigma2, pop=None)`` is the entry point: one per
-(gamma, sigma2, population) holds the law and every number derived from it,
-among them the anisotropic ones read from one Silverstein root, and its
+``LimitReduction(gamma, sigma2)`` is the entry point: one per (gamma,
+sigma2) holds the isotropic law and every number derived from it, and its
 constructor is the one place sigma2 (a plain float in [1e-100, 1e100]) and
-then gamma are checked.  Everything is exposed in eps^2 units (squared
-training error).
+then gamma are checked.  An anisotropic population's deformed law is
+``deformed.DeformedReduction``, which imports this module.  Everything is
+exposed in eps^2 units (squared training error).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .deformed import PopulationSpectrum, _silverstein_root
 from .errors import ConsistencyError, DomainError, RegimeError
 from .numerics import check_sigma2, solve_multiplier
-from .spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
+from .spectra import MPLaw, mp_shrinkage
 
 __all__ = [
     "Regime",
@@ -97,10 +96,10 @@ class CostPoint(NamedTuple):
 class ThresholdReport(NamedTuple):
     """The threshold family at one (gamma, sigma2) point.
 
-    With a population spectrum, ``eps_def2`` is the deformed threshold, and
-    ``eps_def2_upper_bound`` = kappa sigma2^2 m(-kappa sigma2), with m the
-    Marchenko-Pastur resolvent and kappa the condition number, bounds it
-    from above.
+    With a population spectrum (``deformed.DeformedReduction``), ``eps_def2``
+    is the deformed threshold, and ``eps_def2_upper_bound`` = kappa sigma2^2
+    m(-kappa sigma2), with m the Marchenko-Pastur resolvent and kappa the
+    condition number, bounds it from above.
     """
 
     eps_sigma2: float
@@ -156,10 +155,10 @@ class _ConstrainedLaw:
         return RhoSolution(delta, self.top, residual, eps2)
 
     def cost(self, eps2: Optional[float] = None, rho: Optional[float] = None, what: str = "") -> CostPoint:
-        """Cost (``growth``) and cost - gap at eps2, or at a fixed rho kept as given, with eps2 = train."""
+        """Cost (``growth``) and cost - gap at eps2, or at a fixed rho (-0.0 read as 0.0), with eps2 = train."""
         if eps2 is None:
             delta = self.delta(rho, what)
-            eps2 = self.train(delta)
+            eps2, rho = self.train(delta), rho + 0.0
         else:
             sol = self.solve(eps2, what)
             delta, rho = sol.delta, sol.rho
@@ -168,24 +167,20 @@ class _ConstrainedLaw:
 
 
 class LimitReduction(_ConstrainedLaw):
-    """The limit law at one (gamma, sigma2, pop) and every number derived from it.
+    """The isotropic limit law at one (gamma, sigma2) and every number derived from it.
 
-    The isotropic numbers are ``threshold``, ``approx``, ``solve(eps2)``,
-    ``cost(eps2)``, ``gap`` and ``ols``; given a population spectrum ``pop``,
-    so are the anisotropic ones ``eps_def2``, ``solve_def(eps2)`` and
-    ``bound(eps2)``.  ``report()`` and ``linear_bound()`` read ``pop`` when it
-    is given.  ``threshold``, ``gap``, ``ols``, the Silverstein root ``m_def``
-    and ``eps_def2`` are computed on first use and kept; ``threshold`` is the
-    isotropic threshold whether or not ``pop`` is given.  train and growth (the
-    cost) in delta = 1 - rho lambda_plus are the twins of those of
+    The numbers are ``threshold``, ``approx``, ``solve(eps2)``, ``cost(eps2)``,
+    ``gap``, ``ols``, ``linear_bound()`` and ``report()``.  ``threshold``,
+    ``gap`` and ``ols`` are computed on first use and kept.  train and growth
+    (the cost) in delta = 1 - rho lambda_plus are the twins of those of
     ``finite_n_lab._Reduction``.  sigma2 is checked before gamma.
     """
 
     _top_name = "lambda_plus"
 
-    def __init__(self, gamma: float, sigma2: float, pop: Optional[PopulationSpectrum] = None):
+    def __init__(self, gamma: float, sigma2: float):
         check_sigma2(sigma2)
-        self.law, self.sigma2, self.pop = MPLaw(gamma), sigma2, pop
+        self.law, self.sigma2 = MPLaw(gamma), sigma2
         self.top = self.law.lambda_plus
         self._shrink = mp_shrinkage(self.law, sigma2)  # the resolvent at a = sigma2, bound once
 
@@ -210,23 +205,12 @@ class LimitReduction(_ConstrainedLaw):
     def linear_bound(self) -> BoundConstants:
         """Constants of the linear growth guarantee cost >= C * eps2 for eps2 >= c * sigma2^2.
 
-        Without ``pop`` this is the isotropic family, c = 2/(lambda_minus^2 +
-        sigma2).  With ``pop`` it is the condition-number-mitigated family at
-        kappa = ``pop.kappa``, c = 2 kappa/(lambda_minus + kappa sigma2), which
-        differs from the isotropic one even at kappa = 1 (linear rather than
-        quadratic in the lower edge).
+        This is the isotropic family, c = 2/(lambda_minus^2 + sigma2); the
+        condition-number-mitigated one is ``deformed.DeformedReduction``'s.
         """
         gamma, s2, lm, lp = self.law.gamma, self.sigma2, self.law.lambda_minus, self.top
-        iso_growth = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 * lm / (lp**2 * gamma)
-        if self.pop is None:
-            return BoundConstants(c_small=2.0 / (lm * lm + s2), C_growth=iso_growth)
-        kappa = self.pop.kappa
-        return BoundConstants(
-            c_small=2.0 * kappa / (lm + kappa * s2),
-            # kappa last: the product kappa lp^2 gamma overflows for kappa gamma past 1.8e308
-            C_growth=iso_growth / kappa,
-            kappa=kappa,
-        )
+        return BoundConstants(c_small=2.0 / (lm * lm + s2),
+                              C_growth=(1.0 - 1.0 / math.sqrt(2.0)) ** 2 * lm / (lp**2 * gamma))
 
     @functools.cached_property
     def gap(self) -> float:
@@ -256,74 +240,17 @@ class LimitReduction(_ConstrainedLaw):
         )
         return RhoSolution(delta, lp, residual, self.train(delta))
 
-    @functools.cached_property
-    def m_def(self) -> float:
-        """Silverstein root m_G(-sigma2) = int 1/(s + sigma2) dG, G the deformed law of ``pop``."""
-        if self.pop is None:
-            raise DomainError("the deformed law needs a population spectrum")
-        return _silverstein_root(self.pop, self.law.gamma, self.sigma2)
-
-    @functools.cached_property
-    def eps_def2(self) -> float:
-        """Deformed threshold sigma2^2 m_G(-sigma2); the isotropic one for a point mass at 1."""
-        return self.sigma2 * self.sigma2 * self.m_def
-
-    def solve_def(self, eps2: float) -> RhoSolution:
-        """Multiplier rho_def for the anisotropic covariance with spectrum ``pop``.
-
-        Solves, with kappa the population condition number and all integrals
-        against the isotropic law H,
-
-            kappa sigma2^2 (int 1/((1 - rho s)^2 (s + kappa sigma2)) dH
-                            - int 1/(s + kappa sigma2) dH)
-            = eps2 - eps_def2.
-
-        Below the deformed threshold the cost is zero and this raises a
-        regime error; exactly at it, rho_def = 0.  Raises DomainError for a
-        NaN or infinite eps2.
-        """
-        if not math.isfinite(eps2):
-            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-        rhs = eps2 - self.eps_def2
-        if rhs < 0:
-            raise RegimeError(
-                f"eps2={eps2} is below the deformed threshold {self.eps_def2}; no cost there")
-        s2, kappa = self.sigma2, self.pop.kappa
-        shrink, scale = mp_shrinkage(self.law, kappa * s2), kappa * s2 * s2
-        j0 = shrink(1.0)[0]  # m(-kappa sigma2)
-        # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
-        delta, residual = solve_multiplier(
-            lambda x: scale * (shrink(x)[0] - j0), rhs,
-            f"rho_def(eps2={eps2!r})")
-        return RhoSolution(delta, self.top, residual, eps2)
-
-    def bound(self, eps2: float) -> float:
-        """Proved lower bound on the anisotropic cost at eps2: ``growth`` at rho_def.
-
-        Only the lower bound is exposed: the exact anisotropic limit is not
-        available, and reporting one would overstate what is known.
-        """
-        return self.growth(self.solve_def(eps2).delta)
-
     def report(self) -> ThresholdReport:
         """Assemble the threshold family, checking the expected ordering."""
-        law, sigma2, pop = self.law, self.sigma2, self.pop
         eps_sigma2, eps_ols2 = self.threshold, self.ols.target_eps2
-        ratio = (2.0 * law.lambda_plus / law.lambda_minus) ** 2
+        ratio = (2.0 * self.top / self.law.lambda_minus) ** 2
         if not (eps_sigma2 < eps_ols2 <= ratio * eps_sigma2 * (1.0 + 1e-12)):
             raise ConsistencyError(
                 f"threshold ordering violated: {eps_sigma2}, {eps_ols2}, cap {ratio * eps_sigma2}"
             )
-        eps_def2 = bound = None
-        if pop is not None:
-            eps_def2 = self.eps_def2
-            # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
-            # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
-            x = pop.kappa * sigma2
-            bound = sigma2 * (x * mp_stieltjes_neg(law, x) if x < math.inf else 1.0)
         return ThresholdReport(
             eps_sigma2=eps_sigma2, eps_sigma2_approx=self.approx, eps_ols2=eps_ols2,
-            rho_ols=self.ols.rho, eps_def2=eps_def2, eps_def2_upper_bound=bound)
+            rho_ols=self.ols.rho)
 
 
 def _inverse_moment(law: MPLaw, a: float) -> float:

@@ -6,8 +6,9 @@ where it solves the scalar fixed point (Silverstein and Bai, 1995)
 
     m = 1 / (sigma2 + int tau / (1 + tau m / gamma) dT(tau)).
 
-``cost_engine.LimitReduction(gamma, sigma2, pop)`` checks sigma2 and gamma,
-solves this once and keeps the root; the anisotropic numbers are its members.
+``DeformedReduction(gamma, sigma2, pop)`` solves this once and keeps the root.
+Only a lower bound on the anisotropic cost is known, so it has no ``train``,
+``growth``, ``solve`` or ``cost``: it is not a ``cost_engine._ConstrainedLaw``.
 
 Population spectra are finite atom lists normalized so the largest atom
 value is 1; this realizes any limiting spectrum of the assumed covariance
@@ -16,18 +17,22 @@ sequences to test tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConvergenceError, DomainError, SpectrumFormatError
-from .numerics import solve_level
+from .cost_engine import BoundConstants, LimitReduction, RhoSolution, ThresholdReport
+from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
+from .numerics import solve_level, solve_multiplier
+from .spectra import mp_shrinkage, mp_stieltjes_neg
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "PopulationSpectrum",
+    "DeformedReduction",
     "parse_population_spectrum",
     "load_population_spectrum",
 ]
@@ -111,7 +116,7 @@ def _silverstein_root(pop: PopulationSpectrum, gamma: float, sigma2: float) -> f
     about 1e15 int tau dT) it solves on (0, 2/sigma2], whose top level stays
     >= 1 in floating point.  The returned m equals int 1/(s + sigma2) dG(s)
     and satisfies the fixed point to 1e-12 relative.  The caller checks
-    gamma and sigma2 (``cost_engine.LimitReduction``).
+    gamma and sigma2 (``DeformedReduction``, through its isotropic law).
     """
     atoms = pop.atoms
 
@@ -130,6 +135,83 @@ def _silverstein_root(pop: PopulationSpectrum, gamma: float, sigma2: float) -> f
     if fp_residual > 1e-12:
         raise ConvergenceError(f"fixed point residual {fp_residual:.3e} exceeds 1e-12")
     return m
+
+
+class DeformedReduction:
+    """The deformed limit law at one (gamma, sigma2, pop): ``eps_def2``, ``solve_def``, ``bound``.
+
+    ``m_def`` and ``eps_def2`` are computed on first use and kept.  ``iso``,
+    the isotropic ``LimitReduction``, checks sigma2 and then gamma, and
+    supplies the isotropic columns of ``report()``, ``top`` and ``growth``.
+    """
+
+    def __init__(self, gamma: float, sigma2: float, pop: PopulationSpectrum):
+        self.iso, self.pop = LimitReduction(gamma, sigma2), pop
+
+    @functools.cached_property
+    def m_def(self) -> float:
+        """Silverstein root m_G(-sigma2) = int 1/(s + sigma2) dG, G the deformed law of ``pop``."""
+        return _silverstein_root(self.pop, self.iso.law.gamma, self.iso.sigma2)
+
+    @functools.cached_property
+    def eps_def2(self) -> float:
+        """Deformed threshold sigma2^2 m_G(-sigma2); the isotropic one for a point mass at 1."""
+        return self.iso.sigma2 * self.iso.sigma2 * self.m_def
+
+    def solve_def(self, eps2: float) -> RhoSolution:
+        """Multiplier rho_def for the anisotropic covariance with spectrum ``pop``.
+
+        Solves, with kappa the population condition number and all integrals
+        against the isotropic law H,
+
+            kappa sigma2^2 (int 1/((1 - rho s)^2 (s + kappa sigma2)) dH
+                            - int 1/(s + kappa sigma2) dH)
+            = eps2 - eps_def2.
+
+        Below the deformed threshold the cost is zero and this raises a
+        regime error; exactly at it, rho_def = 0.  Raises DomainError for a
+        NaN or infinite eps2.
+        """
+        if not math.isfinite(eps2):
+            raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
+        rhs = eps2 - self.eps_def2
+        if rhs < 0:
+            raise RegimeError(
+                f"eps2={eps2} is below the deformed threshold {self.eps_def2}; no cost there")
+        s2, kappa = self.iso.sigma2, self.pop.kappa
+        shrink, scale = mp_shrinkage(self.iso.law, kappa * s2), kappa * s2 * s2
+        j0 = shrink(1.0)[0]  # m(-kappa sigma2)
+        # the level is exactly 0 at delta = 1, so rhs == 0 gives rho_def = 0
+        delta, residual = solve_multiplier(
+            lambda x: scale * (shrink(x)[0] - j0), rhs,
+            f"rho_def(eps2={eps2!r})")
+        return RhoSolution(delta, self.iso.top, residual, eps2)
+
+    def bound(self, eps2: float) -> float:
+        """Proved lower bound on the anisotropic cost at eps2: the isotropic ``growth`` at rho_def.
+
+        Only the lower bound is exposed: the exact anisotropic limit is not
+        available, and reporting one would overstate what is known.
+        """
+        return self.iso.growth(self.solve_def(eps2).delta)
+
+    def linear_bound(self) -> BoundConstants:
+        """The kappa-mitigated family: c = 2/(lambda_minus/kappa + sigma2), linear in lambda_minus.
+
+        C is the isotropic C over kappa.  Both stay positive where kappa sigma2 or kappa gamma overflows.
+        """
+        kappa = self.pop.kappa
+        return BoundConstants(c_small=2.0 / (self.iso.law.lambda_minus / kappa + self.iso.sigma2),
+                              C_growth=self.iso.linear_bound().C_growth / kappa, kappa=kappa)
+
+    def report(self) -> ThresholdReport:
+        """The isotropic threshold family, with the deformed threshold and its upper bound."""
+        report, eps_def2, sigma2 = self.iso.report(), self.eps_def2, self.iso.sigma2
+        # kappa sigma2^2 m(-kappa sigma2) = sigma2 (x m(-x)) for x = kappa sigma2, and
+        # x m(-x) = int x/(s + x) dH rounds to 1 for every x past the float range
+        x = self.pop.kappa * sigma2
+        bound = sigma2 * (x * mp_stieltjes_neg(self.iso.law, x) if x < math.inf else 1.0)
+        return report._replace(eps_def2=eps_def2, eps_def2_upper_bound=bound)
 
 
 def parse_population_spectrum(text: str, *, source: str = "<string>") -> PopulationSpectrum:

@@ -10,7 +10,7 @@ import numpy as np
 
 from memcost import cli
 from memcost.cost_engine import LimitReduction
-from memcost.deformed import PopulationSpectrum
+from memcost.deformed import DeformedReduction, PopulationSpectrum
 from memcost.finite_n_lab import (
     EntryDist,
     ExperimentConfig,
@@ -267,7 +267,7 @@ def test_criterion_10_deformed_law():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
         for s2 in (1e-2, 0.1, 1.0):
-            m = LimitReduction(gamma, s2, iso).m_def
+            m = DeformedReduction(gamma, s2, iso).m_def
             worst_reduction = max(worst_reduction, abs(m - mp_stieltjes_neg(MPLaw(gamma), s2)))
 
     # two-atom fixed point against a simulated spectrum at n=2000
@@ -276,7 +276,7 @@ def test_criterion_10_deformed_law():
     )
     spec = esd_from_design(sample_design(config, 0).X)
     simulated = float(np.mean(1.0 / (spec + 0.1)))
-    m = LimitReduction(2.0, 0.1, TWO_ATOM).m_def
+    m = DeformedReduction(2.0, 0.1, TWO_ATOM).m_def
     sim_dev = abs(m - simulated) / simulated
 
     # condition-number bound on the deformed threshold over the test spectra
@@ -289,7 +289,7 @@ def test_criterion_10_deformed_law():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for s2 in (1e-2, 0.1, 1.0):
-                val = LimitReduction(gamma, s2, pop).eps_def2
+                val = DeformedReduction(gamma, s2, pop).eps_def2
                 cap = kappa * s2 * s2 * mp_stieltjes_neg(MPLaw(gamma), kappa * s2)
                 bound_ok &= val <= cap * (1.0 + 1e-12)
 

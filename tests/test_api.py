@@ -18,7 +18,9 @@ PUBLIC = {
     "cost_engine": {
         "BoundConstants", "CostPoint", "LimitReduction", "Regime", "RhoSolution", "ThresholdReport",
     },
-    "deformed": {"PopulationSpectrum", "load_population_spectrum", "parse_population_spectrum"},
+    "deformed": {
+        "DeformedReduction", "PopulationSpectrum", "load_population_spectrum", "parse_population_spectrum",
+    },
     "finite_n_lab": {
         "DesignSample", "EntryDist", "ExperimentConfig", "Readings", "bai_yin_check",
         "esd_from_design", "kolmogorov_distance", "sample_design", "summarize_trials",
@@ -33,7 +35,7 @@ PUBLIC = {
 
 
 def test_each_module_exports_its_pinned_names():
-    assert sum(len(names) for names in PUBLIC.values()) == 33
+    assert sum(len(names) for names in PUBLIC.values()) == 34
     for name, names in PUBLIC.items():
         exported = importlib.import_module(f"memcost.{name}").__all__
         assert len(exported) == len(set(exported)), name
@@ -62,3 +64,13 @@ def test_the_limit_reduction_is_the_package_entry_point():
 
     assert memcost.LimitReduction is cost_engine.LimitReduction
     assert not [name for name in cost_engine.__all__ if inspect.isfunction(getattr(cost_engine, name))]
+
+
+def test_the_limit_law_imports_nothing_from_the_deformed_law():
+    # deformed imports cost_engine, so the anisotropic limit lands on DeformedReduction
+    tree = ast.parse(Path(memcost.__file__).with_name("cost_engine.py").read_text(encoding="utf-8"))
+    imported = [
+        f"{getattr(node, 'module', None) or ''}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert imported and not [name for name in imported if "deformed" in name.split(".")]

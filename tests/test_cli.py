@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from memcost import cli
 from memcost.cost_engine import LimitReduction
-from memcost.deformed import load_population_spectrum
+from memcost.deformed import DeformedReduction, load_population_spectrum
 from memcost.errors import DomainError
 from memcost.spectra import MPLaw
 
@@ -107,7 +107,7 @@ def test_threshold_pop_upper_bound_cell_is_the_report_field(tmp_path, capsys):
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
     pop = load_population_spectrum(path)
-    report = LimitReduction(2.0, 0.1, pop).report()
+    report = DeformedReduction(2.0, 0.1, pop).report()
     assert float(row["eps_def2_upper_bound"]) == report.eps_def2_upper_bound
     assert float(row["eps_def2"]) == report.eps_def2
 
@@ -637,16 +637,21 @@ def test_simulate_eps2_near_the_float_maximum_is_finite_or_refused(capsys, n, d,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("eps2", ["0", "-0.0"])
-def test_simulate_eps2_zero_of_either_sign_is_met_at_rho_zero(capsys, eps2):
-    # a zero target is met at delta = 1, before the solve reads a bracket
+@pytest.mark.parametrize("flag, value", [("--eps2", "0"), ("--eps2", "-0.0"), ("--rho", "0"), ("--rho", "-0.0")])
+def test_simulate_eps2_zero_of_either_sign_is_met_at_rho_zero(capsys, tmp_path, flag, value):
+    # a zero target is met at delta = 1, before the solve reads a bracket; a
+    # fixed rho of -0.0 printed as -0, and its summary.json target was -0.0
     code, out, err = run_cli(
         capsys, "simulate", "--n", "5", "--d", "6", "--sigma2", "0.1", "--seed", "3",
-        "--trials", "2", "--eps2", eps2,
+        "--trials", "2", flag, value, "--out", str(tmp_path / "run"),
     )
     assert code == 0, err
-    values = [(metric, float(value)) for _, metric, value in parse_csv(out)[1]]
-    assert [v for metric, v in values if metric in ("rho", "cost")] == [0.0] * 4
+    values = [(metric, value) for _, metric, value in parse_csv(out)[1]]
+    assert [v for metric, v in values if metric in ("rho", "cost")] == ["0"] * 4
+    metrics = json.loads((tmp_path / "run" / "summary.json").read_text())["metrics"]
+    for name in ("rho", "cost"):
+        target = metrics[name]["target"]
+        assert target == 0.0 and math.copysign(1.0, target) == 1.0
 
 
 def test_threshold_gamma_near_one_is_solved(capsys):
@@ -742,8 +747,7 @@ def test_empty_grid_still_checks_gamma(capsys, command, fmt):
 ], ids=["cost-curve", "cost-curve-json", "rho-grid", "rho-eps2", "ols", "threshold"])
 def test_each_asymptotic_command_builds_one_limit_reduction(capsys, monkeypatch, argv):
     built, original = [], LimitReduction.__init__
-    # (gamma, sigma2); threshold also passes its population, None here
-    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a[:2]) or original(red, *a))
+    monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or original(red, *a))
     code, _, err = run_cli(capsys, *argv, "--gamma", "3", "--sigma2", "0.2")
     assert code == 0, err
     assert built == [(3.0, 0.2)]
@@ -779,7 +783,7 @@ def test_cost_curve_evaluates_the_gap_once(capsys, monkeypatch):
 ], ids=["rho-grid", "cost-curve"])
 def test_a_grid_op_binds_the_resolvent_once(capsys, monkeypatch, argv):
     # m(-a) is a fixed constant of the op: one evaluation per (law, a), not one per level evaluation
-    from memcost import spectra
+    from memcost import deformed, spectra
 
     calls, original = [], spectra.mp_stieltjes_neg
 
@@ -788,7 +792,7 @@ def test_a_grid_op_binds_the_resolvent_once(capsys, monkeypatch, argv):
         return original(law, a)
 
     monkeypatch.setattr(spectra, "mp_stieltjes_neg", counting)
-    monkeypatch.setattr(cli.ce, "mp_stieltjes_neg", counting)
+    monkeypatch.setattr(deformed, "mp_stieltjes_neg", counting)
     code, out, err = run_cli(capsys, *argv, "--gamma", "3", "--sigma2", "0.2")
     assert code == 0, err
     assert len(parse_csv(out)[1]) in (6, 7)
@@ -861,7 +865,8 @@ def test_verify_perturbation_negative_control(capsys):
     assert "[FAIL] stationarity-residual" in out
 
 
-# The public numbers of a LimitReduction, each a member.
+# The public numbers of a LimitReduction and a DeformedReduction, each a member
+# of one of them or, report and linear_bound, of both.
 REDUCTION_NUMBERS = (
     "threshold", "approx", "solve", "cost", "linear_bound", "gap", "ols",
     "eps_def2", "solve_def", "bound", "report",
@@ -879,22 +884,26 @@ def _verify_reach(capsys, monkeypatch, drop=()):
     """(theory functions, those that `verify --quick` calls) without the checks named in ``drop``.
 
     The theory functions are the ``REDUCTION_NUMBERS`` members of
-    ``LimitReduction`` (a property's getter, a cached property's function),
-    looked up through its bases, and the functions in the ``__all__`` of
-    ``deformed`` and ``spectra``, file parsing aside.  A member counts only
-    when called on a ``LimitReduction``: the lab's reductions share ``solve``
-    and ``cost`` with it.  The calls made up to a check's yield are that
+    ``LimitReduction`` and ``DeformedReduction``, each looked up on the class
+    that has it (a property's getter, a cached property's function), through
+    its bases, and the functions in the ``__all__`` of ``deformed`` and
+    ``spectra``, file parsing aside.  A member counts only when called on one
+    of the two: the lab's reductions share ``solve`` and ``cost`` with
+    ``LimitReduction``.  The calls made up to a check's yield are that
     check's, so a dropped check takes them with it.
     """
     import inspect
 
     from memcost import deformed, oracle, spectra
 
-    def code(member):
-        obj = inspect.getattr_static(LimitReduction, member)
+    def code(cls, member):
+        obj = inspect.getattr_static(cls, member)
         return (obj.fget if isinstance(obj, property) else getattr(obj, "func", obj)).__code__
 
-    members = {code(name): name for name in REDUCTION_NUMBERS}
+    reductions = (LimitReduction, DeformedReduction)
+    members = {
+        code(cls, name): name for name in REDUCTION_NUMBERS for cls in reductions if hasattr(cls, name)
+    }
     theory = dict(members)
     theory.update(
         (getattr(module, name).__code__, name)
@@ -906,7 +915,7 @@ def _verify_reach(capsys, monkeypatch, drop=()):
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in theory and (
-            frame.f_code not in members or isinstance(frame.f_locals.get("self"), LimitReduction)
+            frame.f_code not in members or isinstance(frame.f_locals.get("self"), reductions)
         ):
             segment.add(theory[frame.f_code])
 

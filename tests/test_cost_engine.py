@@ -8,7 +8,7 @@ import pytest
 from memcost import cost_engine as ce
 from memcost import deformed
 from memcost.cost_engine import BoundConstants, LimitReduction, Regime
-from memcost.deformed import PopulationSpectrum
+from memcost.deformed import DeformedReduction, PopulationSpectrum
 from memcost.errors import DomainError, NearDivergenceError, RegimeError
 from memcost.oracle import mp_integrate
 from memcost.spectra import MPLaw, mp_shrinkage, mp_stieltjes_neg
@@ -20,8 +20,9 @@ TWO_ATOM = PopulationSpectrum(atoms=((1.0, 0.5), (0.5, 0.5)))
 GRID = [(g, s2) for g in (1.5, 2.0, 4.0, 10.0) for s2 in (1e-3, 1e-2, 1e-1, 1.0)]
 
 
-# every public number of LimitReduction, keyed by the quantity it computes and
-# called with valid other arguments; e is an eps2 for the rho_def routes
+# every public number of LimitReduction and DeformedReduction, keyed by the
+# quantity it computes and called with valid other arguments; e is an eps2 for
+# the rho_def routes
 PUBLIC_CALLS = {
     "memorization_threshold": lambda g, s2, e: LimitReduction(g, s2).threshold,
     "threshold_approx": lambda g, s2, e: LimitReduction(g, s2).approx,
@@ -30,27 +31,34 @@ PUBLIC_CALLS = {
     "cost_linear_bound": lambda g, s2, e: LimitReduction(g, s2).linear_bound(),
     "ols_gap": lambda g, s2, e: LimitReduction(g, s2).gap,
     "solve_rho_ols": lambda g, s2, e: LimitReduction(g, s2).ols,
-    "deformed_threshold": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).eps_def2,
-    "solve_rho_def": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).solve_def(e),
-    "anisotropic_cost_lower_bound": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).bound(e),
-    "threshold_report": lambda g, s2, e: LimitReduction(g, s2, TWO_ATOM).report(),
+    "threshold_report": lambda g, s2, e: LimitReduction(g, s2).report(),
+    "deformed_threshold": lambda g, s2, e: DeformedReduction(g, s2, TWO_ATOM).eps_def2,
+    "solve_rho_def": lambda g, s2, e: DeformedReduction(g, s2, TWO_ATOM).solve_def(e),
+    "anisotropic_cost_lower_bound": lambda g, s2, e: DeformedReduction(g, s2, TWO_ATOM).bound(e),
+    "deformed_linear_bound": lambda g, s2, e: DeformedReduction(g, s2, TWO_ATOM).linear_bound(),
+    "deformed_threshold_report": lambda g, s2, e: DeformedReduction(g, s2, TWO_ATOM).report(),
 }
 
 
 def test_sigma2_calls_cover_every_public_function_of_sigma2():
-    # LimitReduction is the only public callable that takes sigma2, and each of
-    # its numbers, its own or the shared constrained law's, is called once above;
-    # delta, train, growth and bracket are the constraint's interface, and m_def
-    # is read by eps_def2
+    # LimitReduction and DeformedReduction are the only public callables that
+    # take sigma2, and each of their numbers, LimitReduction's own or the shared
+    # constrained law's, is called once above (report and linear_bound once on
+    # each class); delta, train, growth and bracket are the constraint's
+    # interface, and m_def is read by eps_def2
     takes_sigma2 = [
-        name for name in ce.__all__
-        if callable(getattr(ce, name))
-        and "sigma2" in inspect.signature(getattr(ce, name)).parameters
+        name for module in (ce, deformed) for name in module.__all__
+        if callable(getattr(module, name))
+        and "sigma2" in inspect.signature(getattr(module, name)).parameters
     ]
-    assert takes_sigma2 == ["LimitReduction"]
-    members = {name for name in dir(LimitReduction) if not name.startswith("_")}
-    numbers = members - {"delta", "train", "growth", "bracket", "m_def"}
-    assert len(numbers) == len(PUBLIC_CALLS) == 11
+    assert takes_sigma2 == ["LimitReduction", "DeformedReduction"]
+    members = {
+        (cls, name) for cls in (LimitReduction, DeformedReduction)
+        for name in dir(cls) if not name.startswith("_")
+    }
+    numbers = {(cls, name) for cls, name in members
+               if name not in {"delta", "train", "growth", "bracket", "m_def"}}
+    assert len(numbers) == len(PUBLIC_CALLS) == 13
 
 
 @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
@@ -61,7 +69,7 @@ def test_sigma2_outside_the_range_is_refused(name):
             call(2.0, bad, 1.0)
     # the ends of the accepted range are valid; at the deformed threshold rho_def = 0
     for good in (1e-100, 1e100):
-        call(2.0, good, LimitReduction(2.0, good, TWO_ATOM).eps_def2)
+        call(2.0, good, DeformedReduction(2.0, good, TWO_ATOM).eps_def2)
 
 
 @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
@@ -73,20 +81,23 @@ def test_gamma_outside_the_regime_is_refused(name):
 
 
 def test_anisotropic_bound_builds_one_reduction_and_solves_one_level(monkeypatch):
-    eps2 = 2.0 * LimitReduction(2.0, SIGMA2, TWO_ATOM).eps_def2
+    eps2 = 2.0 * DeformedReduction(2.0, SIGMA2, TWO_ATOM).eps_def2
     built, solves = [], []
     init, solve_level = LimitReduction.__init__, deformed.solve_level
     monkeypatch.setattr(LimitReduction, "__init__", lambda red, *a: built.append(a) or init(red, *a))
     monkeypatch.setattr(deformed, "solve_level", lambda *a: solves.append(a) or solve_level(*a))
-    LimitReduction(2.0, SIGMA2, TWO_ATOM).bound(eps2)
+    DeformedReduction(2.0, SIGMA2, TWO_ATOM).bound(eps2)
     assert (len(built), len(solves)) == (1, 1)
 
 
-def test_deformed_members_need_a_population():
-    red = LimitReduction(2.0, SIGMA2)
-    for member in (lambda: red.eps_def2, lambda: red.solve_def(1.0), lambda: red.bound(1.0)):
-        with pytest.raises(DomainError, match="needs a population spectrum"):
-            member()
+def test_no_population_is_given_the_isotropic_cost():
+    # the limit law took a population and answered solve and cost for the
+    # isotropic law, 2.1x the lab's cost at 1.5 eps_def2 for this spectrum
+    with pytest.raises(TypeError):
+        LimitReduction(2.0, 0.1, TWO_ATOM)
+    red = DeformedReduction(2.0, 0.1, TWO_ATOM)
+    assert not [name for name in ("train", "growth", "solve", "cost") if hasattr(red, name)]
+    assert not isinstance(red, ce._ConstrainedLaw)
 
 
 def test_threshold_value_gamma2():
@@ -121,7 +132,7 @@ def test_deformed_path_matches_isotropic_threshold():
     iso = PopulationSpectrum.isotropic()
     for gamma in (1.5, 2.0, 4.0):
         a = LimitReduction(gamma, SIGMA2).threshold
-        b = LimitReduction(gamma, SIGMA2, iso).eps_def2
+        b = DeformedReduction(gamma, SIGMA2, iso).eps_def2
         assert abs(a - b) < 1e-10
 
 
@@ -184,7 +195,7 @@ def test_solve_rho_near_divergence_boundary():
 def test_solve_rho_def_near_divergence_boundary():
     ks2 = TWO_ATOM.kappa * SIGMA2
     law = MPLaw(2.0)
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     thresh = red.eps_def2
     scale = TWO_ATOM.kappa * SIGMA2**2
     top_lhs = scale * (mp_shrinkage(law, ks2)(TINY)[0] - mp_stieltjes_neg(law, ks2))
@@ -314,7 +325,7 @@ def test_linear_bound_constants_isotropic():
 
 def test_linear_bound_families_differ_at_unit_kappa():
     iso = LimitReduction(2.0, SIGMA2).linear_bound()
-    mitigated = LimitReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound()
+    mitigated = DeformedReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound()
     law = MPLaw(2.0)
     assert abs(mitigated.c_small - 2.0 / (law.lambda_minus + 0.1)) < 1e-13
     assert iso.c_small != mitigated.c_small
@@ -323,12 +334,12 @@ def test_linear_bound_families_differ_at_unit_kappa():
 
 def test_linear_bound_family_follows_the_population():
     law = MPLaw(2.0)
-    bc = LimitReduction(2.0, SIGMA2, TWO_ATOM).linear_bound()
+    bc = DeformedReduction(2.0, SIGMA2, TWO_ATOM).linear_bound()
     assert bc.kappa == TWO_ATOM.kappa == 2.0
     assert bc.c_small == 2.0 * 2.0 / (law.lambda_minus + 2.0 * SIGMA2)
     shrink = (1 - 1 / math.sqrt(2)) ** 2
     assert bc.C_growth == law.lambda_minus * shrink / (2.0 * law.lambda_plus**2 * 2.0)
-    assert LimitReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound().kappa == 1.0
+    assert DeformedReduction(2.0, SIGMA2, PopulationSpectrum.isotropic()).linear_bound().kappa == 1.0
 
 
 def test_linear_bound_vanishes_like_inverse_gamma():
@@ -343,10 +354,19 @@ def test_linear_bound_stays_positive_at_the_largest_gamma():
     for kappa in (2.0, 4.0):
         pop = PopulationSpectrum(atoms=((1.0, 0.5), (1.0 / kappa, 0.5)))
         for s2 in (1e-3, 0.1, 1.0):
-            bc = LimitReduction(1e308, s2, pop).linear_bound()
+            bc = DeformedReduction(1e308, s2, pop).linear_bound()
             assert bc.kappa == kappa and 0.0 < bc.c_small < math.inf
             assert 0.0 < bc.C_growth < math.inf
             assert bc.C_growth == pytest.approx(shrink / kappa / 1e308, rel=1e-9)
+
+
+def test_linear_bound_stays_positive_where_kappa_sigma2_overflows():
+    # c = 2 kappa/(lambda_minus + kappa sigma2) read 2e300/inf = 0, and so
+    # BoundConstants refused a valid population; c is about 2/sigma2 here
+    pop = PopulationSpectrum(atoms=((1.0, 0.9), (1e-300, 0.1)))
+    bc = DeformedReduction(2.0, 1e10, pop).linear_bound()
+    assert bc.kappa == pop.kappa and bc.c_small == pytest.approx(2e-10, rel=1e-15)
+    assert 0.0 < bc.C_growth < math.inf
 
 
 def test_linear_growth_guarantee_pointwise():
@@ -372,13 +392,13 @@ def test_bound_constants_refuse_nan():
 
 
 def test_solve_rho_def_at_threshold():
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     sol = red.solve_def(red.eps_def2)
     assert sol.rho == 0.0 and sol.regime is Regime.BELOW_THRESHOLD
 
 
 def test_solve_rho_def_below_threshold_is_regime_error():
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     with pytest.raises(RegimeError):
         red.solve_def(0.5 * red.eps_def2)
 
@@ -386,14 +406,14 @@ def test_solve_rho_def_below_threshold_is_regime_error():
 @pytest.mark.parametrize("eps2", [math.nan, math.inf, -math.inf])
 def test_solve_rho_def_refuses_a_nonfinite_eps2(eps2):
     # these were reported as a NearDivergenceError past the float range
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     for member in (red.solve_def, red.bound, LimitReduction(2.0, SIGMA2).solve):
         with pytest.raises(DomainError, match=r"^eps2 must be finite and nonnegative, got "):
             member(eps2)
 
 
 def test_solve_rho_def_plug_back_residual():
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     thresh = red.eps_def2
     sol = red.solve_def(2.0 * thresh)
     assert sol.regime is Regime.ABOVE_THRESHOLD
@@ -413,20 +433,20 @@ def test_solve_rho_def_degenerate_matches_isotropic():
     iso = PopulationSpectrum.isotropic()
     th = LimitReduction(2.0, SIGMA2).threshold
     for mult in (1.5, 2.0, 4.0):
-        a = LimitReduction(2.0, SIGMA2, iso).solve_def(mult * th).rho
+        a = DeformedReduction(2.0, SIGMA2, iso).solve_def(mult * th).rho
         b = LimitReduction(2.0, SIGMA2).solve(mult * th).rho
         assert abs(a - b) < 1e-12
 
 
 def test_anisotropic_bound_zero_at_threshold():
-    red = LimitReduction(2.0, SIGMA2, TWO_ATOM)
+    red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     assert red.bound(red.eps_def2) == 0.0
 
 
 def test_anisotropic_bound_linear_growth():
     for gamma in (1.5, 2.0):
         for s2 in (0.01, 0.1):
-            red = LimitReduction(gamma, s2, TWO_ATOM)
+            red = DeformedReduction(gamma, s2, TWO_ATOM)
             bc = red.linear_bound()
             floor = bc.c_small * s2**2
             for eps2 in np.linspace(floor, 10 * floor, 4):
@@ -439,13 +459,13 @@ def test_anisotropic_bound_reduces_to_isotropic_cost():
     for s2 in (0.01, 0.1):
         th = LimitReduction(2.0, s2).threshold
         for mult in (1.5, 3.0):
-            bound = LimitReduction(2.0, s2, iso).bound(mult * th)
+            bound = DeformedReduction(2.0, s2, iso).bound(mult * th)
             exact = LimitReduction(2.0, s2).cost(mult * th).cost
             assert abs(bound - exact) <= 1e-9 * max(exact, 1e-12)
 
 
 def test_threshold_report_assembles_family():
-    report = LimitReduction(2.0, SIGMA2, TWO_ATOM).report()
+    report = DeformedReduction(2.0, SIGMA2, TWO_ATOM).report()
     assert report.eps_sigma2 < report.eps_ols2
     assert report.eps_def2 is not None
     assert report.eps_def2 > report.eps_sigma2  # larger condition number raises it here
@@ -466,11 +486,11 @@ def test_deformed_threshold_upper_bound_holds_past_overflow():
         for k in (6, 20, 100, 154, 155, 200, 300):
             pop = PopulationSpectrum(atoms=((1.0, 0.5), (10.0**-k, 0.5)))
             for j in range(-100, 101, 10):
-                report = LimitReduction(gamma, 10.0**j, pop).report()
+                report = DeformedReduction(gamma, 10.0**j, pop).report()
                 assert math.isfinite(report.eps_def2_upper_bound)
                 assert report.eps_def2_upper_bound >= report.eps_def2 * (1.0 - 4e-16)
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (1e-300, 0.5)))
-    report = LimitReduction(2.0, SIGMA2, pop).report()
+    report = DeformedReduction(2.0, SIGMA2, pop).report()
     assert report.eps_def2 < report.eps_def2_upper_bound == pytest.approx(0.1, rel=1e-15)
 
 
@@ -500,7 +520,7 @@ def test_small_noise_rho_solves_reach_eps2(s2, multiple):
     assert abs(train - eps2) <= 1e-12 * eps2
 
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
-    red = LimitReduction(2.0, s2, pop)
+    red = DeformedReduction(2.0, s2, pop)
     thresh = red.eps_def2
     eps2_def = multiple * thresh
     rho_def = red.solve_def(eps2_def).rho

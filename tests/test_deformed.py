@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memcost.cost_engine import LimitReduction
-from memcost.deformed import PopulationSpectrum, parse_population_spectrum
+from memcost.deformed import DeformedReduction, PopulationSpectrum, parse_population_spectrum
 from memcost.errors import DomainError, RegimeError, SpectrumFormatError
 from memcost.spectra import MPLaw, mp_stieltjes_neg
 
@@ -91,27 +90,27 @@ def test_parse_population_reports_line_numbers():
 def test_silverstein_degenerate_reduces_to_isotropic():
     for gamma in (1.5, 2.0, 4.0):
         for sigma2 in (1e-2, 0.1, 1.0):
-            m = LimitReduction(gamma, sigma2, PopulationSpectrum.isotropic()).m_def
+            m = DeformedReduction(gamma, sigma2, PopulationSpectrum.isotropic()).m_def
             assert abs(m - mp_stieltjes_neg(MPLaw(gamma), sigma2)) < 1e-10
 
 
 def test_silverstein_large_sigma2_leading_order():
     s2 = 1e8
     mean_tau = float(np.sum(TWO_ATOM.weights * TWO_ATOM.values))
-    m = LimitReduction(2.0, s2, TWO_ATOM).m_def
+    m = DeformedReduction(2.0, s2, TWO_ATOM).m_def
     assert abs(m * (s2 + mean_tau) - 1.0) < 1e-6
 
 
 def test_silverstein_fixed_point_residual():
     for sigma2 in (1e-3, 0.1, 1.0):
-        m = LimitReduction(2.0, sigma2, TWO_ATOM).m_def
+        m = DeformedReduction(2.0, sigma2, TWO_ATOM).m_def
         tau, w = TWO_ATOM.values, TWO_ATOM.weights
         rhs = 1.0 / (sigma2 + float(np.sum(w * tau / (1 + tau * m / 2.0))))
         assert abs(m - rhs) <= 1e-12
 
 
 def test_silverstein_monotone_in_sigma2():
-    vals = [LimitReduction(2.0, s2, TWO_ATOM).m_def for s2 in np.logspace(-3, 1, 9)]
+    vals = [DeformedReduction(2.0, s2, TWO_ATOM).m_def for s2 in np.logspace(-3, 1, 9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -120,25 +119,25 @@ def test_silverstein_stochastic_ordering():
     small = PopulationSpectrum(atoms=((1.0, 0.5), (0.4, 0.5)))
     large = PopulationSpectrum(atoms=((1.0, 0.5), (0.8, 0.5)))
     for sigma2 in (0.01, 0.1, 1.0):
-        m_small = LimitReduction(2.0, sigma2, small).m_def
-        m_large = LimitReduction(2.0, sigma2, large).m_def
+        m_small = DeformedReduction(2.0, sigma2, small).m_def
+        m_large = DeformedReduction(2.0, sigma2, large).m_def
         assert m_small > m_large
 
 
 def test_silverstein_rejects_nonpositive_sigma2():
     with pytest.raises(DomainError):
-        LimitReduction(2.0, 0.0, TWO_ATOM)
+        DeformedReduction(2.0, 0.0, TWO_ATOM)
 
 
 def test_deformed_law_rejects_low_gamma():
     with pytest.raises(RegimeError):
-        LimitReduction(1.0, 0.1, TWO_ATOM)
+        DeformedReduction(1.0, 0.1, TWO_ATOM)
 
 
 def test_deformed_threshold_degenerate_reduction():
     for gamma in (1.5, 2.0, 4.0):
         for sigma2 in (1e-2, 0.1):
-            iso = LimitReduction(gamma, sigma2, PopulationSpectrum.isotropic()).eps_def2
+            iso = DeformedReduction(gamma, sigma2, PopulationSpectrum.isotropic()).eps_def2
             direct = sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), sigma2)
             assert abs(iso - direct) < 1e-10
 
@@ -154,15 +153,15 @@ def test_deformed_threshold_is_condition_number_bounded():
         kappa = pop.kappa
         for gamma in (1.5, 2.0, 4.0):
             for sigma2 in (1e-2, 0.1, 1.0):
-                val = LimitReduction(gamma, sigma2, pop).eps_def2
+                val = DeformedReduction(gamma, sigma2, pop).eps_def2
                 bound = kappa * sigma2**2 * mp_stieltjes_neg(MPLaw(gamma), kappa * sigma2)
                 assert val <= bound * (1 + 1e-12)
 
 
 def test_deformed_threshold_is_sigma4_times_transform():
     sigma2 = 0.1
-    m = LimitReduction(2.0, sigma2, TWO_ATOM).m_def
-    assert abs(LimitReduction(2.0, sigma2, TWO_ATOM).eps_def2 - sigma2**2 * m) < 1e-15
+    m = DeformedReduction(2.0, sigma2, TWO_ATOM).m_def
+    assert abs(DeformedReduction(2.0, sigma2, TWO_ATOM).eps_def2 - sigma2**2 * m) < 1e-15
 
 
 def _mp_silverstein(gamma, pop, sigma2):
@@ -193,4 +192,4 @@ def test_silverstein_large_sigma2_matches_mpmath(sigma2):
     # bracket must end beyond it
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
     oracle = _mp_silverstein(2.0, pop, sigma2)
-    assert abs(LimitReduction(2.0, sigma2, pop).m_def - oracle) <= 1e-14 * oracle
+    assert abs(DeformedReduction(2.0, sigma2, pop).m_def - oracle) <= 1e-14 * oracle

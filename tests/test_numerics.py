@@ -8,7 +8,7 @@ import pytest
 from memcost import cost_engine as ce
 from memcost import deformed
 from memcost import finite_n_lab as lab
-from memcost.deformed import PopulationSpectrum
+from memcost.deformed import DeformedReduction, PopulationSpectrum
 from memcost.errors import BracketError, DomainError, NearDivergenceError, RegimeError
 from memcost.numerics import solve_level, solve_multiplier
 from memcost.cost_engine import LimitReduction
@@ -196,7 +196,7 @@ def test_silverstein_level_evaluations(monkeypatch):
         values = np.concatenate([[1.0], rng.uniform(0.01, 1.0, k - 1)])
         pop = PopulationSpectrum(atoms=tuple(zip(values.tolist(), rng.dirichlet(np.ones(k)).tolist())))
         calls.clear()
-        LimitReduction(float(rng.uniform(1.05, 10.0)), float(10 ** rng.uniform(-4, 2)), pop).m_def
+        DeformedReduction(float(rng.uniform(1.05, 10.0)), float(10 ** rng.uniform(-4, 2)), pop).m_def
         counts.append(len(calls))
     assert np.median(counts) <= 16
 
@@ -267,7 +267,7 @@ def test_silverstein_level_evaluations_over_the_sigma2_range(monkeypatch):
     pop = PopulationSpectrum(atoms=((1.0, 0.5), (0.25, 0.5)))
     for k in range(-100, 101):
         calls.clear()
-        LimitReduction(2.0, 10.0**-k, pop).m_def
+        DeformedReduction(2.0, 10.0**-k, pop).m_def
         assert 0 < len(calls) <= 20
 
 
@@ -379,13 +379,13 @@ def _route_rho_ols(monkeypatch):
 def _route_rho_def(monkeypatch):
     ks2 = _TWO_ATOM.kappa * 0.1
     j0 = mp_stieltjes_neg(MPLaw(2.0), ks2)
-    thresh = LimitReduction(2.0, 0.1, _TWO_ATOM).eps_def2
+    thresh = DeformedReduction(2.0, 0.1, _TWO_ATOM).eps_def2
 
     def level(delta):
         return _TWO_ATOM.kappa * 0.01 * (ref.shrinkage(2.0, delta, ks2)[0] - j0)
 
     def solve(target):
-        return ce.LimitReduction(2.0, _SIGMA2, _TWO_ATOM).bound(thresh + target)
+        return DeformedReduction(2.0, _SIGMA2, _TWO_ATOM).bound(thresh + target)
 
     # thresh + target rounds, so the level reached is that of the rounded sum
     return level, lambda x: ref.cost(2.0, 0.1, x), solve, lambda t: (thresh + t) - thresh

@@ -57,19 +57,29 @@ def _numeric_cells(header, rows):
         yield from (float(v) for k, v in cells.items() if k != "regime")
 
 
+@pytest.fixture(scope="module")
+def kappa4_pop(tmp_path_factory):
+    """A two-atom population file with kappa = 4, written once per module: hypothesis
+    refuses a function-scoped fixture."""
+    path = tmp_path_factory.mktemp("pop") / "kappa4.txt"
+    path.write_text("1.0 0.5\n0.25 0.5\n", encoding="utf-8")
+    return str(path)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     log10_gamma=st.floats(min_value=math.log10(1.0 + 1e-6), max_value=308.0),
     log10_sigma2=st.floats(min_value=-100.0, max_value=100.0),
     log10_eps2=st.floats(min_value=-300.0, max_value=300.0),
 )
-def test_asymptotic_commands_over_the_whole_domain(log10_gamma, log10_sigma2, log10_eps2):
+def test_asymptotic_commands_over_the_whole_domain(kappa4_pop, log10_gamma, log10_sigma2, log10_eps2):
     # gamma log-uniform on [1 + 1e-6, 1e308] and sigma2 on [1e-100, 1e100]: each
     # command prints a finite table (error rows aside) or refuses with exit 2
     gamma = max(10.0**log10_gamma, 1.0 + 1e-6)
     sigma2, eps2 = 10.0**log10_sigma2, 10.0**log10_eps2
     commands = (
         ["threshold"],
+        ["threshold", "--pop", kappa4_pop],
         ["ols"],
         ["rho", "--eps2", repr(eps2)],
         ["cost-curve", "--grid", f"0:{eps2 / 2!r}:{eps2!r}"],
