@@ -133,34 +133,34 @@ class _ConstrainedLaw:
     and ``train(delta)``, decreasing on (0, 1] and diverging at delta = 0.
     """
 
-    def delta(self, rho: float, context: str = "") -> float:
+    def delta(self, rho: float) -> float:
         """delta = 1 - rho top for a fixed rho; RegimeError, naming the top, unless 0 <= rho top < 1."""
         if not 0.0 <= rho * self.top < 1.0:
-            raise RegimeError(f"{context}rho with top = {self._top_name} requires 0 <= rho * top < 1, "
+            raise RegimeError(f"rho with top = {self._top_name} requires 0 <= rho * top < 1, "
                               f"got rho * top = {rho * self.top!r}")
         return 1.0 - rho * self.top
 
     def bracket(self, eps2: float) -> tuple[float, float] | None:
         return None  # no tighter bracket is known: solve on [tiny, 1]
 
-    def solve(self, eps2: float, what: str = "") -> RhoSolution:
+    def solve(self, eps2: float) -> RhoSolution:
         """rho(eps2) solving train = eps2 (``numerics.solve_multiplier``), 0 at or below the threshold.
 
-        Raises DomainError unless 0 <= eps2 < inf, and NearDivergenceError, its message
-        led by ``what``, for an eps2 past the float range of train.
+        Raises DomainError unless 0 <= eps2 < inf, and NearDivergenceError for an
+        eps2 past the float range of train.
         """
         if not 0.0 <= eps2 < math.inf:
             raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
-        delta, residual = solve_multiplier(self.train, eps2, f"{what}rho(eps2)", self.bracket(eps2))
+        delta, residual = solve_multiplier(self.train, eps2, "rho(eps2)", self.bracket(eps2))
         return RhoSolution(delta, self.top, residual, eps2)
 
-    def cost(self, eps2: Optional[float] = None, rho: Optional[float] = None, what: str = "") -> CostPoint:
+    def cost(self, eps2: Optional[float] = None, rho: Optional[float] = None) -> CostPoint:
         """Cost (``growth``) and cost - gap at eps2, or at a fixed rho (-0.0 read as 0.0), with eps2 = train."""
         if eps2 is None:
-            delta = self.delta(rho, what)
+            delta = self.delta(rho)
             eps2, rho = self.train(delta), rho + 0.0
         else:
-            sol = self.solve(eps2, what)
+            sol = self.solve(eps2)
             delta, rho = sol.delta, sol.rho
         cost = self.growth(delta)
         return CostPoint(eps2=eps2, rho=rho, cost=cost, costbar=cost - self.gap)

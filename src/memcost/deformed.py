@@ -20,15 +20,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .cost_engine import BoundConstants, LimitReduction, RhoSolution, ThresholdReport
 from .errors import ConvergenceError, DomainError, RegimeError, SpectrumFormatError
 from .numerics import solve_level, solve_multiplier
 from .spectra import mp_shrinkage, mp_stieltjes_neg
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PopulationSpectrum",
@@ -83,18 +80,6 @@ class PopulationSpectrum(
     @classmethod
     def isotropic(cls) -> "PopulationSpectrum":
         return cls(atoms=((1.0, 1.0),))
-
-    @property
-    def values(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([a[0] for a in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([a[1] for a in self.atoms])
 
     @property
     def kappa(self) -> float:
@@ -169,10 +154,10 @@ class DeformedReduction:
             = eps2 - eps_def2.
 
         Below the deformed threshold the cost is zero and this raises a
-        regime error; exactly at it, rho_def = 0.  Raises DomainError for a
-        NaN or infinite eps2.
+        regime error; exactly at it, rho_def = 0.  Raises DomainError unless
+        0 <= eps2 < inf, as ``LimitReduction.solve`` does.
         """
-        if not math.isfinite(eps2):
+        if not 0.0 <= eps2 < math.inf:
             raise DomainError(f"eps2 must be finite and nonnegative, got {eps2}")
         rhs = eps2 - self.eps_def2
         if rhs < 0:

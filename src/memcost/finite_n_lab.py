@@ -14,8 +14,9 @@ never imports.
 Conventions: designs are n x d with d > n; the population covariance is
 realized as a diagonal matrix (without loss of generality for the error
 functionals), so ``sigma_sqrt`` arguments are d-vectors holding its square
-root.  For an isotropic population the design X *is* the entry array Z
-(read-only), so an isotropic trial allocates one n x d float
+root.  Where every slot of sigma_sqrt is 1 (an isotropic population, or
+one whose other atoms get no slot) the design X *is* the entry array Z
+(read-only), and such a trial allocates one n x d float
 array (the RNG fill; a Rademacher draw adds a transient 4-byte n x d
 integer array), one n x n Gram matrix and n-vectors.  Trials are
 independent, deterministically seeded, and run one at a time in trial
@@ -34,7 +35,7 @@ import numpy as np
 
 from .cost_engine import LimitReduction, _ConstrainedLaw
 from .deformed import PopulationSpectrum
-from .errors import DomainError, NearDivergenceError, RankError, RegimeError
+from .errors import DomainError, MemcostError, NearDivergenceError, RankError, RegimeError
 from .numerics import check_sigma2
 from .spectra import MPLaw, mp_cdf
 
@@ -143,8 +144,8 @@ class ExperimentConfig:
 class DesignSample:
     """One sampled design: standardized entries Z, diagonal sqrt-covariance, X = Z diag(sigma_sqrt).
 
-    For an isotropic population X is Z itself, the same array, not a copy;
-    ``sample_design`` returns Z read-only, so neither can be written through.
+    Where every slot of sigma_sqrt is 1, X is Z itself, the same array, not a
+    copy; ``sample_design`` returns Z read-only, so neither can be written through.
     """
 
     Z: np.ndarray
@@ -204,8 +205,7 @@ def apportion_atoms(population: PopulationSpectrum, d: int) -> np.ndarray:
     leftover slots to the largest fractional remainders (ties broken by atom
     order), so the realization is deterministic.
     """
-    vals = population.values
-    wts = population.weights
+    vals, wts = np.array(population.atoms).T
     exact = wts * d
     counts = np.floor(exact).astype(int)
     leftover = d - counts.sum()
@@ -225,8 +225,9 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
     the signs are that stream's: the draw is held as 4-byte integers, shifted
     in place to -b, cast to float and mapped to -2(-b) - 1 in place.  Z is
     returned read-only.
-    For an isotropic population X is that same array (X is Z); only an
-    anisotropic one allocates X = Z diag(sigma_sqrt) as a second n x d array.
+    Where every slot of sigma_sqrt is 1, X is that same array (X is Z), and
+    ``_reduce`` takes its isotropic route; otherwise X = Z diag(sigma_sqrt) is
+    a second n x d array.
     """
     if not 0 <= trial < config.trials:
         raise DomainError(f"trial {trial} out of range for {config.trials} trials")
@@ -240,10 +241,10 @@ def sample_design(config: ExperimentConfig, trial: int) -> DesignSample:
         Z = bits.astype(np.float64)
         Z *= -2.0
         Z -= 1.0
-    # an isotropic X is this same array, so a write to either would change both
+    # X may be this same array, so a write to either would change both
     Z.flags.writeable = False
     sigma_sqrt = np.sqrt(apportion_atoms(config.population, d))
-    X = Z if config.population.is_isotropic else Z * sigma_sqrt[None, :]
+    X = Z if np.all(sigma_sqrt == 1.0) else Z * sigma_sqrt[None, :]
     return DesignSample(Z=Z, sigma_sqrt=sigma_sqrt, X=X)
 
 
@@ -355,9 +356,9 @@ class Readings(NamedTuple):
     ols_gap: Optional[float] = None
 
 
-def readings(law: _ConstrainedLaw, config: ExperimentConfig, what: str = "") -> Readings:
+def readings(law: _ConstrainedLaw, config: ExperimentConfig) -> Readings:
     """The ``Readings`` of ``law`` under the constraint of ``config`` (a fixed rho or an eps2 target)."""
-    point = law.cost(config.eps2, config.rho, what)
+    point = law.cost(config.eps2, config.rho)
     return Readings(float(point.rho), law.train(1.0), point.cost, law.gap)
 
 
@@ -386,17 +387,20 @@ def trial_metrics(config: ExperimentConfig, trial: int) -> Readings:
     smallest delta, so every finite eps2 is reached, and only a cost past the
     float range raises NearDivergenceError.
     A fixed rho at or past 1/top_eig(ZZ^T/d) raises RegimeError, and a
-    numerically rank-deficient design RankError naming its trial_seed.
+    numerically rank-deficient design RankError naming its trial_seed; each
+    refusal of the reduction or the solve keeps its type, led by "trial k: ".
     """
     where = f"trial {trial}: "
     design = sample_design(config, trial)
     try:
         red = _reduce(design, config.sigma2)
+        # a sum past the float range is inf
+        with np.errstate(over="ignore"):
+            metrics = readings(red, config)
     except RankError as exc:
         raise RankError(f"{where}{exc} (trial_seed {trial_seed(config.seed, trial)})") from None
-    # a sum past the float range is inf
-    with np.errstate(over="ignore"):
-        metrics = readings(red, config, where)
+    except MemcostError as exc:
+        raise type(exc)(f"{where}{exc}") from None
     if not np.isfinite(metrics.cost):
         raise NearDivergenceError(f"{where}the cost at eps2={config.eps2!r} overflows")
     return metrics

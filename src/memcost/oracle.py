@@ -200,14 +200,13 @@ class DesignOracle:
     The d-side K^{-1} = (X^T X + d sigma2 I)^{-1}, the lab's reduction of
     the design (so ``rho_max`` = 1/s_0), the ridge prediction error and the
     interpolant are each computed on first use and then kept; solves
-    through the Gram XX^T refuse a rank-deficient design.  The
-    population serves only ``growth_margins``.
+    through the Gram XX^T refuse a rank-deficient design.
     """
 
-    def __init__(self, design: lab.DesignSample, sigma2: float, population: PopulationSpectrum):
+    def __init__(self, design: lab.DesignSample, sigma2: float):
         X = design.X
         n, d = X.shape
-        self.design, self.sigma2, self.population = design, sigma2, population
+        self.design, self.sigma2 = design, sigma2
         self._svd = np.linalg.svd(X, full_matrices=False)
         U, lam, Vt = self._svd
         self.ridge = (Vt.T * (lam / (lam * lam + d * sigma2))) @ U.T
@@ -280,17 +279,17 @@ class DesignOracle:
             )
         return Estimator(self, float(rho), M, A, sol[:, 2 * n : 3 * n], sol[:, 3 * n :])
 
-    def growth_margins(self, rho: float) -> tuple[float, float]:
+    def growth_margins(self, rho: float, kappa: float) -> tuple[float, float]:
         """Margins (prediction, training) of the isotropic-reduction growth bounds.
 
         The prediction-error growth must dominate, and the training-error
-        growth be dominated by, spectral functionals of Z alone (condition-
-        number mitigated); margins are signed so both must be >= -1e-10,
-        with the prediction bound tight at kappa = 1.  Outside
-        0 <= rho < rho_max raises RegimeError.
+        growth be dominated by, spectral functionals of Z alone, the latter
+        mitigated by kappa, the population's condition number; margins are
+        signed so both must be >= -1e-10, with the prediction bound tight at
+        kappa = 1.  Outside 0 <= rho < rho_max raises RegimeError.
         """
         n, d = self.design.X.shape
-        s2, kappa, red = self.sigma2, self.population.kappa, self.reduction
+        s2, red = self.sigma2, self.reduction
         edge = red.delta(rho)
         shrink = 1.0 / red.factors(edge) ** 2
         s = red.s
@@ -392,14 +391,9 @@ class Estimator:
 def build_estimator(
     X: np.ndarray, sigma_sqrt: np.ndarray, sigma2: float, rho: float
 ) -> Estimator:
-    """``DesignOracle(...).estimator(rho)`` for a caller that holds only X and sigma_sqrt.
-
-    The population is the one sigma_sqrt realizes.
-    """
-    values, counts = np.unique(sigma_sqrt**2, return_counts=True)
-    population = PopulationSpectrum(atoms=tuple(zip(values, counts / len(sigma_sqrt))))
+    """``DesignOracle(...).estimator(rho)`` for a caller that holds only X and sigma_sqrt."""
     design = lab.DesignSample(Z=X / sigma_sqrt, sigma_sqrt=sigma_sqrt, X=X)
-    return DesignOracle(design, sigma2, population).estimator(rho)
+    return DesignOracle(design, sigma2).estimator(rho)
 
 
 # -------------------------------------------------------------- verify suite
@@ -478,7 +472,7 @@ def _verify_margins(quick: bool, seed: int, perturb: bool):
             n=n, d=d, sigma2=sigma2, seed=int(rng.integers(0, 2**63)), trials=1,
             entry_dist=dist, population=pop, rho=0.0,
         )
-        oracle = DesignOracle(lab.sample_design(config, 0), sigma2, pop)
+        oracle = DesignOracle(lab.sample_design(config, 0), sigma2)
         if iso is None:  # combos[0], an isotropic Gaussian design
             iso = oracle
         for rho in rng.uniform(0.02, 0.9, size=n_rho) * oracle.rho_max:
@@ -492,7 +486,7 @@ def _verify_margins(quick: bool, seed: int, perturb: bool):
                 resid = est.stationarity(est.A + 1e-2 * bump / np.linalg.norm(bump))
             worst_stationarity = max(worst_stationarity, resid)
             worst_closed_form = max(worst_closed_form, *est.identity_devs())
-            pred_margin, train_margin = oracle.growth_margins(rho)
+            pred_margin, train_margin = oracle.growth_margins(rho, pop.kappa)
             worst_growth = max(worst_growth, -pred_margin, -train_margin)
         worst_interp = max(worst_interp, train_error_direct(oracle.pinv, oracle.design.X, sigma2))
 

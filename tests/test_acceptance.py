@@ -176,7 +176,7 @@ def test_criterion_07_exact_finite_sample_identities():
             n=200, d=400, sigma2=sigma2, seed=500 + idx, trials=1,
             entry_dist=dist, population=pop, rho=0.0,
         )
-        oracle = DesignOracle(sample_design(config, 0), sigma2, pop)
+        oracle = DesignOracle(sample_design(config, 0), sigma2)
         X, ss = oracle.design.X, oracle.design.sigma_sqrt
         red = oracle.reduction
         A0 = oracle.estimator(0.0)  # also checks the two closed forms agree
@@ -297,11 +297,12 @@ def test_criterion_10_deformed_law():
     config = ExperimentConfig(
         n=200, d=400, sigma2=0.1, seed=7, trials=1, population=TWO_ATOM, rho=0.0
     )
-    oracle = DesignOracle(sample_design(config, 0), 0.1, TWO_ATOM)
+    oracle = DesignOracle(sample_design(config, 0), 0.1)
     worst_margin = 0.0
     rng = np.random.default_rng(17)
     for frac in (0.0, *rng.uniform(0.1, 0.9, 3)):
-        worst_margin = min(worst_margin, *oracle.growth_margins(float(frac) * oracle.rho_max))
+        margins = oracle.growth_margins(float(frac) * oracle.rho_max, TWO_ATOM.kappa)
+        worst_margin = min(worst_margin, *margins)
 
     ok = (
         worst_reduction <= 1e-10

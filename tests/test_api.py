@@ -66,11 +66,22 @@ def test_the_limit_reduction_is_the_package_entry_point():
     assert not [name for name in cost_engine.__all__ if inspect.isfunction(getattr(cost_engine, name))]
 
 
-def test_the_limit_law_imports_nothing_from_the_deformed_law():
-    # deformed imports cost_engine, so the anisotropic limit lands on DeformedReduction
-    tree = ast.parse(Path(memcost.__file__).with_name("cost_engine.py").read_text(encoding="utf-8"))
-    imported = [
+def _imported_names(module: str) -> list:
+    """Every name an import statement anywhere in ``memcost/<module>.py`` imports, as module.name."""
+    tree = ast.parse(Path(memcost.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    return [
         f"{getattr(node, 'module', None) or ''}.{alias.name}"
         for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
     ]
+
+
+def test_the_limit_law_imports_nothing_from_the_deformed_law():
+    # deformed imports cost_engine, so the anisotropic limit lands on DeformedReduction
+    imported = _imported_names("cost_engine")
     assert imported and not [name for name in imported if "deformed" in name.split(".")]
+
+
+def test_the_deformed_law_imports_nothing_from_numpy():
+    # deformed needs only the standard library; apportion_atoms builds the arrays it reads
+    imported = _imported_names("deformed")
+    assert imported and not [name for name in imported if "numpy" in name.split(".")]

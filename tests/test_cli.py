@@ -607,7 +607,6 @@ def test_simulate_infeasible_rho_refusal_names_the_trial(capsys):
     assert err.startswith("memcost: error: trial 0: rho") and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("error")
 def test_simulate_reaches_eps2_far_past_the_limit_law(capsys):
     # the design's training error overflows at the smallest edge distance,
     # so any finite target is reached; the limit law's cost target is not
@@ -621,7 +620,6 @@ def test_simulate_reaches_eps2_far_past_the_limit_law(capsys):
     assert all(math.isfinite(v) and v > 0 for v in values.values())
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n,d,code", [(1, 2, 2), (5, 6, 0)])
 def test_simulate_eps2_near_the_float_maximum_is_finite_or_refused(capsys, n, d, code):
     # n = 1: the first design's cost at eps2 = 1.7e308 is past the float range
@@ -636,7 +634,6 @@ def test_simulate_eps2_near_the_float_maximum_is_finite_or_refused(capsys, n, d,
         assert all(math.isfinite(float(value)) for _, _, value in parse_csv(out)[1])
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag, value", [("--eps2", "0"), ("--eps2", "-0.0"), ("--rho", "0"), ("--rho", "-0.0")])
 def test_simulate_eps2_zero_of_either_sign_is_met_at_rho_zero(capsys, tmp_path, flag, value):
     # a zero target is met at delta = 1, before the solve reads a bracket; a

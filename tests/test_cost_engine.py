@@ -403,9 +403,10 @@ def test_solve_rho_def_below_threshold_is_regime_error():
         red.solve_def(0.5 * red.eps_def2)
 
 
-@pytest.mark.parametrize("eps2", [math.nan, math.inf, -math.inf])
-def test_solve_rho_def_refuses_a_nonfinite_eps2(eps2):
-    # these were reported as a NearDivergenceError past the float range
+@pytest.mark.parametrize("eps2", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_solve_rho_def_refuses_a_negative_or_nonfinite_eps2(eps2):
+    # the nonfinite ones were reported as a NearDivergenceError past the float
+    # range, and the negative ones by solve_def as below the deformed threshold
     red = DeformedReduction(2.0, SIGMA2, TWO_ATOM)
     for member in (red.solve_def, red.bound, LimitReduction(2.0, SIGMA2).solve):
         with pytest.raises(DomainError, match=r"^eps2 must be finite and nonnegative, got "):

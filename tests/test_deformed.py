@@ -14,14 +14,14 @@ def test_population_normalizes_weights_with_warning():
     with pytest.warns(UserWarning) as rec:
         pop = PopulationSpectrum(atoms=((1.0, 2.0), (0.5, 2.0)))
     assert rec[0].filename == __file__  # the caller, not the constructor
-    assert np.allclose(pop.weights, [0.5, 0.5])
+    assert np.allclose([w for _, w in pop.atoms], [0.5, 0.5])
 
 
 def test_population_rescales_top_value_with_warning():
     with pytest.warns(UserWarning) as rec:
         pop = PopulationSpectrum(atoms=((2.0, 0.5), (1.0, 0.5)))
     assert rec[0].filename == __file__
-    assert pop.values.max() == 1.0
+    assert max(v for v, _ in pop.atoms) == 1.0
     assert abs(pop.kappa - 2.0) < 1e-15
 
 
@@ -96,7 +96,8 @@ def test_silverstein_degenerate_reduces_to_isotropic():
 
 def test_silverstein_large_sigma2_leading_order():
     s2 = 1e8
-    mean_tau = float(np.sum(TWO_ATOM.weights * TWO_ATOM.values))
+    tau, w = np.array(TWO_ATOM.atoms).T
+    mean_tau = float(np.sum(w * tau))
     m = DeformedReduction(2.0, s2, TWO_ATOM).m_def
     assert abs(m * (s2 + mean_tau) - 1.0) < 1e-6
 
@@ -104,7 +105,7 @@ def test_silverstein_large_sigma2_leading_order():
 def test_silverstein_fixed_point_residual():
     for sigma2 in (1e-3, 0.1, 1.0):
         m = DeformedReduction(2.0, sigma2, TWO_ATOM).m_def
-        tau, w = TWO_ATOM.values, TWO_ATOM.weights
+        tau, w = np.array(TWO_ATOM.atoms).T
         rhs = 1.0 / (sigma2 + float(np.sum(w * tau / (1 + tau * m / 2.0))))
         assert abs(m - rhs) <= 1e-12
 

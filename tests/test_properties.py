@@ -158,7 +158,6 @@ _SIM_SPOILED = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     args=_SIM_VALID,
